@@ -85,26 +85,12 @@ def multiply(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
     return frozenset(out)
 
 
-def label_element(label: str) -> frozenset[str]:
-    """The algebra element named by a coefficient-map label ('' is the identity)."""
-    if label == EMPTY:
-        return ONE
-    if label not in REEB_LABELS:
-        raise ValueError(f"unknown Reeb label {label!r}")
-    return frozenset({label})
-
-
 def algebra_grading(x: str) -> int:
     """Z2 grading of a basis element or coefficient-map label."""
     try:
         return GRADING[x]
     except KeyError:
         raise ValueError(f"unknown basis element {x!r}") from None
-
-
-def label_product(x: str, y: str) -> str | None:
-    """Product of two Reeb labels, None if zero.  Labels must be nonempty."""
-    return PRODUCT_TABLE[x, y] if (x + y) else None
 
 
 _SWAP_DIGIT = {"1": "3", "2": "2", "3": "1"}
@@ -119,36 +105,34 @@ def swap_label(label: str) -> tuple[str, ...]:
     return tuple(_SWAP_DIGIT[d] for d in label)
 
 
-def merge_word(letters: tuple[str, ...]) -> tuple[str, ...]:
-    """Repeatedly multiply adjacent letters with nonzero product.
+def merge_word(letters: tuple[str, ...], prefix: tuple[str, ...] = ()) -> tuple[str, ...]:
+    """Push letters onto a merged prefix, multiplying at the top of the stack.
 
     The result is merged: no adjacent pair has nonzero algebra product.
-    The rewriting is confluent, so scanning leftmost-first is canonical.
+    The rewriting is confluent, so this stack order reaches the same normal
+    form as any other merge order.
     """
-    word = list(letters)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(word) - 1):
-            p = PRODUCT_TABLE[word[i], word[i + 1]]
-            if p is not None:
-                word[i : i + 2] = [p]
-                changed = True
-                break
+    word = list(prefix)
+    for x in letters:
+        while word and PRODUCT_TABLE[word[-1], x] is not None:
+            x = PRODUCT_TABLE[word.pop(), x]
+        word.append(x)
     return tuple(word)
 
 
-def swap_and_merge(labels: tuple[str, ...] | list[str]) -> tuple[str, ...]:
+def swap_and_merge(
+    labels: tuple[str, ...] | list[str], prefix: tuple[str, ...] = ()
+) -> tuple[str, ...]:
     """Turn a chain of coefficient-map labels into a merged Reeb word.
 
     Labels are taken in chain order (first map applied first).  Each label
-    is digit-expanded and boundary-swapped, the expansions are concatenated,
-    and adjacent letters with nonzero product are merged until none remain.
+    is digit-expanded and boundary-swapped, and the expansions are merged
+    onto `prefix`, the merged word of the chain so far.
     """
     letters: list[str] = []
     for lab in labels:
         letters.extend(swap_label(lab))
-    return merge_word(tuple(letters))
+    return merge_word(tuple(letters), prefix)
 
 
 def is_merged(word: tuple[str, ...]) -> bool:

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gf2
-from .algebra import EMPTY
-from .typed import TypeDModule, solve_gradings
+from .algebra import EMPTY, REEB_LABELS
+from .typed import TypeDModule, solve_gradings, walk_paths
 from .typea import TypeAModule
 
 
@@ -93,31 +93,20 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
                 add((src, di), (dst, di))
 
     # (b) identity-labeled edges of the type D side
-    reeb_adj: dict[int, list[tuple[str, int]]] = {i: [] for i in range(len(d.generators))}
     for dsrc, label, ddst in sorted(d.edges):
         if label == EMPTY:
             idem = d.generators[dsrc].idempotent
             for ai, ag in enumerate(a.generators):
                 if ag.idempotent == idem:
                     add((ai, dsrc), (ai, ddst))
-        else:
-            reeb_adj[dsrc].append((label, ddst))
 
     # (a) Reeb-labeled paths, depth-capped by the longest pairable word
-    cap = a.max_word_length
-
-    def walk(start: int, node: int, labels: list[str]) -> None:
-        if len(labels) >= cap:
-            return
-        for label, nxt in reeb_adj[node]:
-            labels.append(label)
-            for asrc, adst in ops.get(tuple(labels), []):
-                add((asrc, start), (adst, nxt))
-            walk(start, nxt, labels)
-            labels.pop()
-
-    for start in range(len(d.generators)):
-        walk(start, start, [])
+    paths = walk_paths(
+        d.out_edges(REEB_LABELS), lambda labels, label: labels + (label,), (), a.max_word_length
+    )
+    for start, end, labels, _ in paths:
+        for asrc, adst in ops.get(labels, []):
+            add((asrc, start), (adst, end))
 
     boundary = [0] * len(pairs)
     for (src_i, dst_i), p in parity.items():

@@ -310,7 +310,7 @@ class SimplifiedBases:
     bases_compatible: bool
 
 
-def _reduce_pairing(c: KnotComplex, columns: list[int], order: list[int]):
+def _reduce_pairing(columns: list[int], order: list[int]):
     """Lowest-one column reduction in the given processing order.
 
     order lists generator indices from earliest to latest; boundary supports
@@ -426,7 +426,7 @@ def simplify(c: KnotComplex) -> SimplifiedBases:
     # ascending (A, input index); the lowest-one pairing then matches each
     # source to its closest target, making arrow lengths canonical.
     vorder = sorted(range(len(gens)), key=lambda i: (A[gens[i]], i))
-    vpairs, vunpaired = _reduce_pairing(c, _vertical_columns(c), vorder)
+    vpairs, vunpaired = _reduce_pairing(_vertical_columns(c), vorder)
     if len(vunpaired) != 1:
         raise ValueError(
             f"vertical reduction left {len(vunpaired)} unpaired generators (expected 1)"
@@ -434,7 +434,7 @@ def simplify(c: KnotComplex) -> SimplifiedBases:
 
     # Horizontal side: the grading-raising part, processed in descending A.
     horder = sorted(range(len(gens)), key=lambda i: (-A[gens[i]], i))
-    hpairs, hunpaired = _reduce_pairing(c, _horizontal_columns(c), horder)
+    hpairs, hunpaired = _reduce_pairing(_horizontal_columns(c), horder)
     if len(hunpaired) != 1:
         raise ValueError(
             f"horizontal reduction left {len(hunpaired)} unpaired generators (expected 1)"

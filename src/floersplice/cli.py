@@ -170,7 +170,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("cfa", help="type A module of a framed complement")
     p.add_argument("file")
     p.add_argument("--framing", type=int, required=True)
-    p.add_argument("--format", choices=["text"], default="text")
     p.set_defaults(func=_cmd_cfa)
 
     p = sub.add_parser("splice", help="full splice computation")

@@ -33,20 +33,10 @@ def row_of(cols: list[int], i: int) -> int:
     return r
 
 
-def transpose(cols: list[int], nrows: int) -> list[int]:
-    return [row_of(cols, i) for i in range(nrows)]
-
-
 def rank(vectors: list[int]) -> int:
     """Rank of the span of the given vectors."""
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
+    ech = Echelon()
+    return sum(ech.add(v, 0) for v in vectors)  # combinations are unused: one tag
 
 
 class Echelon:

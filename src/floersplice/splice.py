@@ -15,11 +15,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import REEB_LABELS
 from .boxtensor import box_tensor
 from .cfk import KnotComplex, simplify, validate_complex
 from .homology import GradedRanks, graded_homology, lspace_verdict
 from .typea import derive_cfa
-from .typed import build_cfd, find_durable_pairs, solve_gradings, validate_type_d
+from .typed import build_cfd, find_durable_pairs, solve_gradings, validate_type_d, walk_paths
 
 OUT_OF_SCOPE = "out-of-scope"
 
@@ -124,19 +125,8 @@ class SpliceReport:
 
 def _longest_reeb_path(d) -> int:
     """Length of the longest non-identity labeled directed path (d bounded)."""
-    adj: dict[int, list[int]] = {i: [] for i in range(len(d.generators))}
-    for src, label, dst in d.edges:
-        if label:
-            adj[src].append(dst)
-    memo: dict[int, int] = {}
-
-    def depth(i: int) -> int:
-        if i not in memo:
-            memo[i] = 0
-            memo[i] = max((1 + depth(j) for j in adj[i]), default=0)
-        return memo[i]
-
-    return max((depth(i) for i in adj), default=0)
+    paths = walk_paths(d.out_edges(REEB_LABELS), lambda state, label: None, None)
+    return max((length for *_, length in paths), default=0)
 
 
 def _prepare_side(c: KnotComplex, n: int):
@@ -160,10 +150,8 @@ def splice_pair(c1: KnotComplex, n1: int, c2: KnotComplex, n2: int):
     else:
         if not d2.is_bounded():
             raise ValueError("both framed complements are unbounded; cannot pair")
-        # Only operations whose word can match a path on the bounded side
-        # matter; each non-identity step contributes at least one letter of
-        # a word of at most three letters per label.
-        a1 = derive_cfa(d1, max_path_length=3 * _longest_reeb_path(d2) + 2)
+        # Only operations whose word can match a path on the bounded side matter.
+        a1 = derive_cfa(d1, max_word_length=_longest_reeb_path(d2))
     box = box_tensor(a1, d2)
     if not box.d_squared_is_zero():
         raise InvariantViolation("box tensor differential does not square to zero")

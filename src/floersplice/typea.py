@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import REEB_IDEMPOTENTS, is_merged, swap_and_merge, word_grading
-from .typed import TypeDModule, solve_gradings
+from .typed import TypeDModule, solve_gradings, walk_paths
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,20 @@ class TypeAModule:
         raise KeyError(gen_id)
 
 
-def derive_cfa(m: TypeDModule, max_path_length: int | None = None) -> TypeAModule:
+def derive_cfa(m: TypeDModule, max_word_length: int | None = None) -> TypeAModule:
     """Enumerate coefficient-map paths and emit merged-word operations.
 
-    The source module must be bounded (acyclic) unless max_path_length is
-    given, in which case enumeration is truncated and the result is marked
-    unbounded.  Source gradings are solved if absent; the derived module
-    flips the grading of every iota_0 generator.
+    The source module must be bounded (acyclic) unless max_word_length is
+    given, in which case only operations whose word has at most that many
+    letters are kept and the result is marked unbounded.  Such a word comes
+    from a path of at most 3k+2 edges: each non-identity label adds at least
+    one of the word's at most 3k digits, and a built module has at most one
+    identity edge, on no cycle.  Source gradings are solved if absent; the
+    derived module flips the grading of every iota_0 generator.
     """
     bounded = m.is_bounded()
-    if not bounded and max_path_length is None:
-        raise ValueError("type D module is unbounded; a path cap is required")
+    if not bounded and max_word_length is None:
+        raise ValueError("type D module is unbounded; a word-length cap is required")
     if m.gradings is None:
         m = solve_gradings(m)
 
@@ -65,23 +68,20 @@ def derive_cfa(m: TypeDModule, max_path_length: int | None = None) -> TypeAModul
         for i, g in enumerate(m.generators)
     ]
 
-    adj = m.out_edges()
+    k = max_word_length
     parity: dict[tuple[int, tuple[str, ...], int], int] = {}
-
-    def walk(start: int, node: int, labels: list[str], depth: int) -> None:
-        for label, nxt in adj[node]:
-            labels.append(label)
-            word = swap_and_merge(labels)
-            key = (start, word, nxt)
+    paths = walk_paths(
+        m.out_edges(),
+        lambda word, label: swap_and_merge((label,), word),
+        (),
+        None if k is None else 3 * k + 2,
+    )
+    for start, end, word, _ in paths:
+        if k is None or len(word) <= k:
+            key = (start, word, end)
             parity[key] = parity.get(key, 0) ^ 1
-            if max_path_length is None or depth + 1 < max_path_length:
-                walk(start, nxt, labels, depth + 1)
-            labels.pop()
 
-    for start in range(len(m.generators)):
-        walk(start, start, [], 0)
-
-    ops = frozenset(k for k, p in parity.items() if p)
+    ops = frozenset(key for key, p in parity.items() if p)
     max_len = max((len(w) for _, w, _ in ops), default=0)
     return TypeAModule(gens, ops, max_len, bounded=bounded)
 

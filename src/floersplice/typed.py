@@ -62,10 +62,11 @@ class TypeDModule:
                 cols[src] ^= 1 << dst
         return cols
 
-    def out_edges(self) -> dict[int, list[tuple[str, int]]]:
+    def out_edges(self, labels: tuple[str, ...] = LABELS) -> dict[int, list[tuple[str, int]]]:
         adj: dict[int, list[tuple[str, int]]] = {i: [] for i in range(len(self.generators))}
         for src, lab, dst in sorted(self.edges):
-            adj[src].append((lab, dst))
+            if lab in labels:
+                adj[src].append((lab, dst))
         return adj
 
     def iota_indices(self, idem: int) -> list[int]:
@@ -78,6 +79,26 @@ class TypeDModule:
     def format_vector(self, v: int) -> str:
         names = [self.generators[i].id for i in gf2.bits(v)]
         return "+".join(names) if names else "0"
+
+
+def walk_paths(adj: dict[int, list[tuple[str, int]]], step, state, max_len: int | None = None):
+    """Yield (start, end, state, length) for every directed path of 1..max_len edges.
+
+    Each path's state begins as `state` at its start and is extended by
+    step(state, label) along every edge.  The walk keeps an explicit stack,
+    so path length is bounded by max_len (or by acyclicity of adj when
+    max_len is None), never by the interpreter's recursion limit.
+    """
+    for start in adj:
+        stack = [(start, state, 0)]
+        while stack:
+            node, prefix, length = stack.pop()
+            if length == max_len:
+                continue
+            for label, nxt in adj[node]:
+                extended = step(prefix, label)
+                yield start, nxt, extended, length + 1
+                stack.append((nxt, extended, length + 1))
 
 
 def _acyclic(n: int, edges, labels: tuple[str, ...] | None = None) -> bool:

@@ -72,7 +72,6 @@ def test_row_and_transpose():
     assert gf2.row_of(cols, 0) == 0b11
     assert gf2.row_of(cols, 1) == 0b01
     assert gf2.row_of(cols, 2) == 0b10
-    assert gf2.transpose(cols, 3) == [0b11, 0b01, 0b10]
 
 
 def test_bits():

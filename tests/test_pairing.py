@@ -104,7 +104,7 @@ def test_pairing_with_unbounded_side(trefoil):
 
 def test_both_sides_unbounded_rejected():
     d_unknot = solve_gradings(build_cfd(simplify(unknot()), 0))
-    a_unknot = derive_cfa(d_unknot, max_path_length=6)
+    a_unknot = derive_cfa(d_unknot, max_word_length=6)
     with pytest.raises(ValueError):
         box_tensor(a_unknot, d_unknot)
 

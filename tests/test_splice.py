@@ -92,11 +92,19 @@ class TestSpliceReport:
         assert d["computed"] == [r.computed.rank0, r.computed.rank1]
         assert isinstance(r.to_json(), str)
 
-    def test_unknot_side_out_of_scope_still_computes(self, trefoil, unknot_complex):
+    def test_unknot_side_out_of_scope_still_computes(
+        self, trefoil, mirror_trefoil, unknot_complex
+    ):
         r = splice_report(trefoil, 1, unknot_complex, 0)
         assert r.prediction == OUT_OF_SCOPE
         assert r.computed.total == 1
         assert r.agree
+        # Capped type A walks on the unknot side reach paths of about 1200
+        # edges here, far past any recursion limit.
+        for c2, n2 in ((trefoil, 400), (mirror_trefoil, -400)):
+            r = splice_report(unknot_complex, 0, c2, n2)
+            assert r.computed.total == 1
+            assert r.agree
 
 
 class TestIncompatibleBases:

@@ -88,12 +88,24 @@ class TestDerive:
         d = build_cfd(simplify(unknot()), 0)
         with pytest.raises(ValueError):
             derive_cfa(d)
-        a = derive_cfa(d, max_path_length=4)
+        a = derive_cfa(d, max_word_length=4)
         assert not a.bounded
         ops = ops_by_ids(a)
         assert ("x0", ("3", "2"), "x0") in ops  # the D_12 self edge
         # circuits of the self edge merge into longer words
         assert ("x0", ("3", "23", "2"), "x0") in ops
+
+    def test_word_cap_is_exact(self, trefoil, mirror_trefoil, t25, figure_eight):
+        """A word-length cap keeps exactly the uncapped operations that fit it."""
+        for c in (trefoil, mirror_trefoil, t25, figure_eight):
+            for n in range(-9, 10):
+                d = solve_gradings(build_cfd(simplify(c), n))
+                if not d.is_bounded():
+                    continue
+                full = derive_cfa(d).operations
+                for k in range(8):
+                    capped = derive_cfa(d, max_word_length=k).operations
+                    assert capped == {op for op in full if len(op[1]) <= k}, (c.name, n, k)
 
     def test_f2_cancellation(self):
         """Two distinct paths with the same source, word, and target cancel."""
