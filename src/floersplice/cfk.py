@@ -309,6 +309,16 @@ class SimplifiedBases:
     steps: list[int] | None
     bases_compatible: bool
 
+    def require_compatible(self) -> SimplifiedBases:
+        """Self, or ValueError if the bases are not filtration compatible (see build_cfd)."""
+        if not self.bases_compatible:
+            raise ValueError(
+                f"{self.complex.name}: the vertical and horizontal reductions produced"
+                " bases that are not filtration compatible; re-present the complex"
+                " in a basis where they are"
+            )
+        return self
+
 
 def _reduce_pairing(columns: list[int], order: list[int]):
     """Lowest-one column reduction in the given processing order.
@@ -518,8 +528,9 @@ def simplify(c: KnotComplex) -> SimplifiedBases:
 
 
 def knot_invariants(s: SimplifiedBases) -> dict:
-    """tau, genus, and the staircase data when the complex has L-space form."""
+    """tau, genus, whether the bases are compatible, and staircase data in L-space form."""
     out = {"tau": s.tau, "genus": s.genus, "lspace_form": s.lspace_form}
+    out["bases_compatible"] = s.bases_compatible
     if s.lspace_form:
         out["sign"] = s.sign
         out["step_vector"] = list(s.steps or [])

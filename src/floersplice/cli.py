@@ -51,7 +51,7 @@ def _cmd_validate(args) -> int:
         print(f"warning: {w}")
     if not report.ok:
         return 1
-    s = simplify(c)
+    s = simplify(c).require_compatible()
     print(f"tau={s.tau} genus={s.genus} lspace_form={s.lspace_form}")
     return 0
 
@@ -144,7 +144,7 @@ def _cmd_predict(args) -> int:
         report = validate_complex(c)
         if not report.ok:
             raise FormatError(f"{c.name}: failed checks: {', '.join(report.failures())}")
-    s1, s2 = simplify(c1), simplify(c2)
+    s1, s2 = (simplify(c).require_compatible() for c in (c1, c2))
     result = predict_lspace(s1.tau, s1.lspace_form, args.n1, s2.tau, s2.lspace_form, args.n2)
     print(result)
     return 0

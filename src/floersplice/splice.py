@@ -14,12 +14,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import REEB_LABELS
-from .boxtensor import box_tensor
+from .boxtensor import ChainComplex, box_tensor
 from .cfk import KnotComplex, simplify, validate_complex
 from .homology import GradedRanks, graded_homology, lspace_verdict
-from .typea import derive_cfa
+from .typea import TypeAModule, derive_cfa
 from .typed import build_cfd, find_durable_pairs, solve_gradings, validate_type_d, walk_paths
 
 OUT_OF_SCOPE = "out-of-scope"
@@ -123,64 +124,87 @@ class SpliceReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _longest_reeb_path(d) -> int:
-    """Length of the longest non-identity labeled directed path (d bounded)."""
-    paths = walk_paths(d.out_edges(REEB_LABELS), lambda state, label: None, None)
-    return max((length for *_, length in paths), default=0)
+class FramedSide:
+    """One framed complement, prepared once per splice_report or survey call.
+
+    Holds the simplified bases `s`, the graded type D module `d` and its
+    boundedness.  The longest Reeb path, the durable pairs and the type A
+    module (one per word cap) are computed on first use and then kept.
+    """
+
+    def __init__(self, c: KnotComplex, n: int):
+        report = validate_complex(c)
+        if not report.ok:
+            raise ValueError(f"{c.name}: validation failed: {', '.join(report.failures())}")
+        s = simplify(c)
+        d = build_cfd(s, n)
+        dreport = validate_type_d(d)
+        if not dreport.ok:
+            raise InvariantViolation(f"{c.name}[{n}]: {'; '.join(dreport.problems)}")
+        self.n, self.s, self.d, self.bounded = n, s, solve_gradings(d), d.is_bounded()
+        self._cfa: dict[int | None, TypeAModule] = {}
+
+    def __str__(self) -> str:
+        return f"{self.s.complex.name}[{self.n}]"
+
+    @cached_property
+    def longest_reeb_path(self) -> int:
+        """Length of the longest non-identity labeled directed path (d bounded)."""
+        paths = walk_paths(self.d.out_edges(REEB_LABELS), lambda state, label: None, None)
+        return max((length for *_, length in paths), default=0)
+
+    @cached_property
+    def durable_pairs(self) -> list[tuple[int, int, str]]:
+        return find_durable_pairs(self.d, self.s)
+
+    def cfa(self, max_word_length: int | None) -> TypeAModule:
+        if max_word_length not in self._cfa:
+            self._cfa[max_word_length] = derive_cfa(self.d, max_word_length=max_word_length)
+        return self._cfa[max_word_length]
+
+    def box_with(self, other: FramedSide) -> ChainComplex:
+        """Chain complex of the splice: this side's type A module boxed with other's type D."""
+        if self.bounded:
+            a = self.cfa(None)
+        else:
+            if not other.bounded:
+                raise ValueError("both framed complements are unbounded; cannot pair")
+            # Only operations whose word can match a path on the bounded side matter.
+            a = self.cfa(other.longest_reeb_path)
+        box = box_tensor(a, other.d)
+        where = f"{self} x {other}: box tensor differential"
+        if not box.d_squared_is_zero():
+            raise InvariantViolation(f"{where} does not square to zero")
+        if not box.boundary_flips_grading():
+            raise InvariantViolation(f"{where} does not flip the grading")
+        return box
 
 
-def _prepare_side(c: KnotComplex, n: int):
-    report = validate_complex(c)
-    if not report.ok:
-        raise ValueError(f"{c.name}: validation failed: {', '.join(report.failures())}")
-    s = simplify(c)
-    d = build_cfd(s, n)
-    dreport = validate_type_d(d)
-    if not dreport.ok:
-        raise InvariantViolation(f"{c.name}[{n}]: {'; '.join(dreport.problems)}")
-    return s, solve_gradings(d)
-
-
-def splice_pair(c1: KnotComplex, n1: int, c2: KnotComplex, n2: int):
-    """Build the chain complex of the splice; returns (s1, d1, s2, d2, box)."""
-    s1, d1 = _prepare_side(c1, n1)
-    s2, d2 = _prepare_side(c2, n2)
-    if d1.is_bounded():
-        a1 = derive_cfa(d1)
-    else:
-        if not d2.is_bounded():
-            raise ValueError("both framed complements are unbounded; cannot pair")
-        # Only operations whose word can match a path on the bounded side matter.
-        a1 = derive_cfa(d1, max_word_length=_longest_reeb_path(d2))
-    box = box_tensor(a1, d2)
-    if not box.d_squared_is_zero():
-        raise InvariantViolation("box tensor differential does not square to zero")
-    if not box.boundary_flips_grading():
-        raise InvariantViolation("box tensor differential does not flip the grading")
-    return s1, d1, s2, d2, box
-
-
-def splice_report(c1: KnotComplex, n1: int, c2: KnotComplex, n2: int) -> SpliceReport:
-    s1, d1, s2, d2, box = splice_pair(c1, n1, c2, n2)
-    ranks = graded_homology(box)
+def _splice(side1: FramedSide, side2: FramedSide) -> SpliceReport:
+    s1, s2, n1, n2 = side1.s, side2.s, side1.n, side2.n
+    ranks = graded_homology(side1.box_with(side2))
+    if ranks.euler_abs != abs(n1 * n2 - 1):
+        raise InvariantViolation(
+            f"{side1} x {side2}: graded homology: |rank1 - rank0| = {ranks.euler_abs}"
+            f" breaks the Euler identity |n1*n2 - 1| = {abs(n1 * n2 - 1)}"
+        )
     verdict = lspace_verdict(ranks)
     prediction = predict_lspace(s1.tau, s1.lspace_form, n1, s2.tau, s2.lspace_form, n2)
     agree = True if prediction == OUT_OF_SCOPE else (prediction == verdict)
 
     fast: bool | None = None
-    if d1.is_bounded() and d2.is_bounded():
-        pairs1 = find_durable_pairs(d1, s1)
-        pairs2 = find_durable_pairs(d2, s2)
+    if side1.bounded and side2.bounded:
+        pairs1, pairs2 = side1.durable_pairs, side2.durable_pairs
         if any(p[2] == "durable" for p in pairs1) and pairs2:
             fast = True
             if verdict:
                 raise InvariantViolation(
-                    "durable-pair shortcut contradicts the computed verdict"
+                    f"{side1} x {side2}: durable-pair shortcut contradicts the computed verdict"
                 )
 
     return SpliceReport(
-        knot1=KnotSummary(c1.name, s1.tau, s1.genus, s1.lspace_form),
-        knot2=KnotSummary(c2.name, s2.tau, s2.genus, s2.lspace_form),
+        knot1=KnotSummary(s1.complex.name, s1.tau, s1.genus, s1.lspace_form),
+        knot2=KnotSummary(s2.complex.name, s2.tau, s2.genus, s2.lspace_form),
         n1=n1,
         n2=n2,
         t1=n1 - 2 * s1.tau,
@@ -193,17 +217,30 @@ def splice_report(c1: KnotComplex, n1: int, c2: KnotComplex, n2: int) -> SpliceR
     )
 
 
+def splice_report(c1: KnotComplex, n1: int, c2: KnotComplex, n2: int) -> SpliceReport:
+    return _splice(FramedSide(c1, n1), FramedSide(c2, n2))
+
+
 def survey(
     c1: KnotComplex,
     range1: tuple[int, int],
     c2: KnotComplex,
     range2: tuple[int, int],
 ) -> list[SpliceReport]:
-    """One report per framing pair over the inclusive integer ranges."""
+    """One report per framing pair over the inclusive integer ranges.
+
+    Each side is prepared once, on first use in row order, so a failure
+    surfaces at the same row as with one splice_report call per row.
+    """
+    sides2: dict[int, FramedSide] = {}
     reports = []
     for n1 in range(range1[0], range1[1] + 1):
+        side1 = None
         for n2 in range(range2[0], range2[1] + 1):
-            reports.append(splice_report(c1, n1, c2, n2))
+            side1 = side1 or FramedSide(c1, n1)
+            if n2 not in sides2:
+                sides2[n2] = FramedSide(c2, n2)
+            reports.append(_splice(side1, sides2[n2]))
     return reports
 
 

@@ -30,21 +30,26 @@ class DGen:
     role: str        # xi, eta_alias, kappa, lambda, mu, nu
 
 
-@dataclass
+@dataclass(frozen=True)
 class TypeDModule:
     generators: list[DGen]
     edges: frozenset[tuple[int, str, int]]  # (src index, label, dst index)
     gradings: list[int] | None = None
+    # label -> columns of D_label over all generators, built once from edges
+    mats: dict[str, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [g.id for g in self.generators]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate generator ids")
+        mats = {label: [0] * len(ids) for label in LABELS}
         for src, label, dst in self.edges:
             if label not in LABELS:
                 raise ValueError(f"unknown coefficient-map label {label!r}")
             if not (0 <= src < len(ids) and 0 <= dst < len(ids)):
                 raise ValueError("edge endpoint out of range")
+            mats[label][src] ^= 1 << dst
+        object.__setattr__(self, "mats", mats)
 
     # -- basic queries ------------------------------------------------------
 
@@ -55,12 +60,8 @@ class TypeDModule:
         raise KeyError(gen_id)
 
     def matrix(self, label: str) -> list[int]:
-        """Columns of D_label over all generators."""
-        cols = [0] * len(self.generators)
-        for src, lab, dst in self.edges:
-            if lab == label:
-                cols[src] ^= 1 << dst
-        return cols
+        """Columns of D_label over all generators (shared: do not mutate)."""
+        return self.mats[label]
 
     def out_edges(self, labels: tuple[str, ...] = LABELS) -> dict[int, list[tuple[str, int]]]:
         adj: dict[int, list[tuple[str, int]]] = {i: [] for i in range(len(self.generators))}
@@ -154,12 +155,7 @@ def build_cfd(s: SimplifiedBases, n: int) -> TypeDModule:
     vectors at its own filtration level; presentations whose reductions
     miss that property are refused.
     """
-    if not s.bases_compatible:
-        raise ValueError(
-            f"{s.complex.name}: the vertical and horizontal reductions produced"
-            " bases that are not filtration compatible; re-present the complex"
-            " in a basis where they are"
-        )
+    s.require_compatible()
     gens: list[DGen] = [DGen(f"x{p}", 0, "xi") for p in range(len(s.xi))]
     index: dict[str, int] = {g.id: i for i, g in enumerate(gens)}
     parity: dict[tuple[int, str, int], int] = {}
@@ -278,12 +274,11 @@ def validate_type_d(m: TypeDModule) -> TypeDReport:
                 f"{m.generators[dst].id} violates idempotents"
             )
 
-    mats = {lab: m.matrix(lab) for lab in LABELS}
     structure_ok = True
     for out_label in LABELS:
         total = [0] * len(m.generators)
         for j, k in label_factorizations(out_label):
-            comp = gf2.compose(mats[k], mats[j])
+            comp = gf2.compose(m.mats[k], m.mats[j])
             total = [a ^ b for a, b in zip(total, comp)]
         if any(total):
             structure_ok = False
@@ -372,7 +367,7 @@ def bk_prime(s: SimplifiedBases, k: int) -> list[int]:
 def _row_functional(m: TypeDModule, u: int, label: str) -> int:
     """The functional u composed with D_label: bit j set iff <u, D(e_j)> = 1."""
     out = 0
-    for j, col in enumerate(m.matrix(label)):
+    for j, col in enumerate(m.mats[label]):
         if bin(u & col).count("1") % 2:
             out |= 1 << j
     return out
@@ -385,7 +380,7 @@ def _has_incoming(m: TypeDModule, v: int, label: str) -> bool:
     for a combination it asks whether v lies in the image, which is the
     basis-independent reading.
     """
-    cols = m.matrix(label)
+    cols = m.mats[label]
     if v & (v - 1) == 0:
         return _row_functional(m, v, label) != 0
     return gf2.in_span([c for c in cols if c], v)
@@ -412,10 +407,9 @@ def durability(m: TypeDModule, v: int) -> dict:
     if len(idems) != 1:
         raise ValueError("vector mixes idempotents")
     idem = idems.pop()
-    mats = {lab: m.matrix(lab) for lab in LABELS}
 
     def apply(label: str, w: int) -> int:
-        return gf2.apply_columns(mats[label], w)
+        return gf2.apply_columns(m.mats[label], w)
 
     if idem == 0:
         no_incoming = not any(_has_incoming(m, v, lab) for lab in LABELS)
@@ -482,7 +476,7 @@ def durability(m: TypeDModule, v: int) -> dict:
         elif incoming_ok:
             for l_last in LABELS:
                 for l_prev in LABELS:
-                    comp = gf2.compose(mats[l_last], mats[l_prev])
+                    comp = gf2.compose(m.mats[l_last], m.mats[l_prev])
                     if any(comp) and _hits_v(m, v, comp):
                         incoming_ok = False
                         break
@@ -492,8 +486,8 @@ def durability(m: TypeDModule, v: int) -> dict:
         outgoing_ok = all(apply(lab, v) == 0 for lab in LABELS if lab != "23")
         durable = incoming_ok and outgoing_ok
 
-        d3_comp = mats["3"]
-        d123_chain = gf2.compose(mats["1"], gf2.compose(mats["2"], mats["3"]))
+        d3_comp = m.mats["3"]
+        d123_chain = gf2.compose(m.mats["1"], gf2.compose(m.mats["2"], m.mats["3"]))
         weakly = (
             apply("2", v) == 0
             and not _hits_v(m, v, d3_comp)
@@ -540,7 +534,7 @@ def find_durable_pairs(m: TypeDModule, s: SimplifiedBases) -> list[tuple[int, in
             seen.add(row)
             candidates.append(row)
 
-    d123 = m.matrix("123")
+    d123 = m.mats["123"]
     pairs: list[tuple[int, int, str]] = []
     found: set[tuple[int, int]] = set()
     for x in candidates:

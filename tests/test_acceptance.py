@@ -31,9 +31,9 @@ from floersplice.cfk import (
 )
 from floersplice.homology import graded_homology
 from floersplice.splice import (
+    FramedSide,
     conjecture_check,
     predict_lspace,
-    splice_pair,
     splice_report,
     survey,
 )
@@ -161,7 +161,7 @@ def test_criterion_07_structural_guards():
     for key, (c1, r1, c2, r2) in SWEEPS.items():
         for n1 in range(r1[0], r1[1] + 1):
             for n2 in range(r2[0], r2[1] + 1):
-                *_, box = splice_pair(c1, n1, c2, n2)
+                box = FramedSide(c1, n1).box_with(FramedSide(c2, n2))
                 ok &= box.d_squared_is_zero()
                 ok &= box.boundary_flips_grading()
     report_line(7, ok, "d^2 = 0, structure equations, box guards on all pairings")

@@ -172,6 +172,7 @@ class TestKnotInvariants:
             "tau": 1,
             "genus": 1,
             "lspace_form": True,
+            "bases_compatible": True,
             "sign": "+",
             "step_vector": [1, 1],
         }
@@ -182,7 +183,11 @@ class TestKnotInvariants:
 
     def test_figure_eight(self, figure_eight):
         inv = knot_invariants(simplify(figure_eight))
-        assert inv == {"tau": 0, "genus": 1, "lspace_form": False}
+        assert inv == {"tau": 0, "genus": 1, "lspace_form": False, "bases_compatible": True}
+
+    def test_incompatible_bases_flagged(self):
+        c = filtered_change(staircase([1, 1], "+"), [(2, 1, 0)])
+        assert knot_invariants(simplify(c))["bases_compatible"] is False
 
     def test_staircase_round_trip(self):
         for steps in ([1, 1], [1, 1, 1, 1], [2, 1, 1, 2], [2, 2]):

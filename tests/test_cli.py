@@ -3,7 +3,9 @@
 import json
 from pathlib import Path
 
+from floersplice.cfk import serialize_complex, staircase
 from floersplice.cli import main
+from test_cfk import filtered_change
 
 DATA = Path(__file__).parent / "data"
 TREFOIL = str(DATA / "trefoil.cfk")
@@ -110,6 +112,19 @@ def test_predict(capsys):
     assert out.strip() == "True"
     code, out, _ = run(capsys, "predict", TREFOIL, "1", UNKNOT, "0")
     assert out.strip() == "out-of-scope"
+
+
+def test_incompatible_bases_refused(tmp_path, capsys):
+    """A trefoil re-presented so its reductions give filtration-incompatible
+    bases would read lspace_form=False and predict False at (3, 2), where the
+    true answer is True; both commands refuse it instead."""
+    path = tmp_path / "retrefoil.cfk"
+    path.write_text(serialize_complex(filtered_change(staircase([1, 1], "+"), [(2, 1, 0)])))
+    for argv in (("validate", str(path)), ("predict", str(path), "3", TREFOIL, "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert "not filtration compatible" in err
+        assert "lspace_form" not in out and "False" not in out
 
 
 def test_missing_file(capsys):

@@ -4,14 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+from floersplice.homology import GradedRanks
 from floersplice.splice import (
     OUT_OF_SCOPE,
+    FramedSide,
+    InvariantViolation,
     conjecture_check,
     predict_lspace,
     splice_report,
     survey,
     survey_summary,
 )
+from floersplice.typea import derive_cfa
 
 
 class TestPredictor:
@@ -107,6 +111,36 @@ class TestSpliceReport:
             assert r.agree
 
 
+class TestGuardMessages:
+    """Each run-time guard names both framed sides and the stage that failed."""
+
+    @pytest.mark.parametrize(
+        "target, attr, value, match",
+        [
+            ("floersplice.boxtensor.ChainComplex", "d_squared_is_zero", False,
+             r"^trefoil\[3\] x trefoil\[2\]: box tensor differential does not square"),
+            ("floersplice.boxtensor.ChainComplex", "boundary_flips_grading", False,
+             r"^trefoil\[3\] x trefoil\[2\]: box tensor differential does not flip"),
+            ("floersplice.splice", "graded_homology", GradedRanks(4, 0),
+             r"^trefoil\[3\] x trefoil\[2\]: graded homology: \|rank1 - rank0\| = 4 "
+             r"breaks the Euler identity \|n1\*n2 - 1\| = 5"),
+        ],
+        ids=["d-squared", "grading-flip", "euler"],
+    )
+    def test_pairing_guards(self, monkeypatch, trefoil, target, attr, value, match):
+        monkeypatch.setattr(f"{target}.{attr}", lambda *args: value)
+        with pytest.raises(InvariantViolation, match=match):
+            splice_report(trefoil, 3, trefoil, 2)
+
+    def test_durable_contradiction(self, monkeypatch, figure_eight, trefoil):
+        monkeypatch.setattr("floersplice.splice.lspace_verdict", lambda ranks: True)
+        with pytest.raises(
+            InvariantViolation,
+            match=r"^figure_eight\[1\] x trefoil\[4\]: durable-pair shortcut contradicts",
+        ):
+            splice_report(figure_eight, 1, trefoil, 4)
+
+
 class TestIncompatibleBases:
     def test_incompatible_reduction_refused(self):
         """A presentation whose reductions give filtration-incompatible bases
@@ -134,7 +168,40 @@ class TestSurvey:
         assert summary["agreements"] == 9
         assert summary["lspaces"] == sum(1 for r in reports if r.verdict)
 
-    def test_rows_are_independent(self, trefoil):
-        one = splice_report(trefoil, 2, trefoil, 3)
-        many = survey(trefoil, (2, 2), trefoil, (3, 3))
-        assert many[0].to_dict() == one.to_dict()
+    @pytest.mark.parametrize(
+        "k1, range1, k2, range2",
+        [
+            ("trefoil", (2, 2), "trefoil", (3, 3)),
+            # side 1 unbounded: its type A module is capped by each side 2
+            ("unknot_complex", (0, 0), "trefoil", (-3, 3)),
+            ("trefoil", (-3, 3), "unknot_complex", (0, 0)),
+            ("trefoil", (-3, 3), "mirror_trefoil", (-3, 3)),
+        ],
+        ids=["single", "unknot0-trefoil", "trefoil-unknot0", "trefoil-mirror"],
+    )
+    def test_rows_are_independent(self, request, k1, range1, k2, range2):
+        """A survey, which prepares each side once, equals its rows computed one by one."""
+        c1, c2 = request.getfixturevalue(k1), request.getfixturevalue(k2)
+        rows = [
+            splice_report(c1, n1, c2, n2).to_dict()
+            for n1 in range(range1[0], range1[1] + 1)
+            for n2 in range(range2[0], range2[1] + 1)
+        ]
+        assert [r.to_dict() for r in survey(c1, range1, c2, range2)] == rows
+
+    def test_side_keeps_one_type_a_module_per_cap(self, unknot_complex):
+        side = FramedSide(unknot_complex, 0)
+        for cap in (3, 7, 3):
+            ops = derive_cfa(side.d, max_word_length=cap).operations
+            assert side.cfa(cap).operations == ops, cap
+        assert side.cfa(3) is side.cfa(3)
+        assert side.cfa(3).operations != side.cfa(7).operations
+
+    def test_survey_raises_as_its_row(self, unknot_complex):
+        with pytest.raises(ValueError) as one:
+            splice_report(unknot_complex, 0, unknot_complex, 0)
+        with pytest.raises(ValueError) as many:
+            survey(unknot_complex, (0, 0), unknot_complex, (0, 0))
+        assert str(many.value) == str(one.value) == (
+            "both framed complements are unbounded; cannot pair"
+        )

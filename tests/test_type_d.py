@@ -1,8 +1,11 @@
 """Type D construction, structure equations, gradings, and durability."""
 
+import dataclasses
+
 import pytest
 
 from floersplice import gf2
+from floersplice.algebra import LABELS
 from floersplice.cfk import simplify, unknot
 from floersplice.typed import (
     bk_prime,
@@ -87,6 +90,26 @@ class TestBuild:
         assert ("x0", "1", "mu1") in ids
         assert ("x0", "3", "mu1") in ids
         assert not any(g.role == "nu" for g in d.generators)
+
+
+class TestModule:
+    def test_frozen(self, trefoil):
+        d = cfd(trefoil, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.edges = frozenset()
+
+    def test_matrices_match_edges(self, request):
+        for name in ("trefoil", "mirror_trefoil", "t25", "figure_eight", "unknot_complex"):
+            c = request.getfixturevalue(name)
+            s = simplify(c)
+            for n in range(-3, 4):
+                d = solve_gradings(build_cfd(s, n))
+                for label in LABELS:
+                    cols = [0] * len(d.generators)
+                    for src, lab, dst in d.edges:
+                        if lab == label:
+                            cols[src] ^= 1 << dst
+                    assert d.matrix(label) == cols, (c.name, n, label)
 
 
 class TestValidation:
