@@ -59,8 +59,7 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
     Raises ValueError when both sides are unbounded or when the type D side
     has an identity-labeled cycle.
     """
-    d_bounded = d.is_bounded()
-    if not a.bounded and not d_bounded:
+    if not a.bounded and not d.bounded:
         raise ValueError("box tensor requires at least one bounded side")
     if d.gradings is None:
         d = solve_gradings(d)
@@ -83,7 +82,7 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
         key = (pair_index[src], pair_index[dst])
         parity[key] = parity.get(key, 0) ^ 1
 
-    ops = a.ops_by_word()
+    ops = a.by_word
 
     # (c) internal differential of the type A side
     for src, dst in ops.get((), []):

@@ -123,7 +123,6 @@ def parse_complex(text: str, name: str = "complex") -> KnotComplex:
     alex: dict[str, int] = {}
     entries: list[tuple[str, str, int]] = []
     stair: KnotComplex | None = None
-    saw_gen_lines = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -131,6 +130,8 @@ def parse_complex(text: str, name: str = "complex") -> KnotComplex:
             continue
         tokens = line.split()
         kind = tokens[0]
+        if stair is not None or (kind == "staircase" and gens):
+            raise FormatError("staircase line cannot be combined with other lines", lineno)
         if kind == "gen":
             if len(tokens) != 3:
                 raise FormatError("expected `gen <name> <alexander>`", lineno)
@@ -143,9 +144,7 @@ def parse_complex(text: str, name: str = "complex") -> KnotComplex:
                 raise FormatError(f"duplicate generator {g!r}", lineno)
             gens.append(g)
             alex[g] = a
-            saw_gen_lines = True
         elif kind == "d":
-            saw_gen_lines = True
             rest = line[1:].strip()
             if "=" not in rest:
                 raise FormatError("expected `d <name> = <terms>`", lineno)
@@ -174,8 +173,6 @@ def parse_complex(text: str, name: str = "complex") -> KnotComplex:
                     raise FormatError(f"unknown generator {dst!r}", lineno)
                 entries.append((src, dst, k))
         elif kind == "staircase":
-            if saw_gen_lines or stair is not None:
-                raise FormatError("staircase line cannot be combined with other lines", lineno)
             if len(tokens) < 3:
                 raise FormatError("expected `staircase <+|-> <b1> ... <b2k>`", lineno)
             try:
@@ -344,27 +341,16 @@ def _reduce_pairing(columns: list[int], order: list[int]):
             out |= 1 << order[p]
         return out
 
-    reduced: list[int] = [0] * npos      # reduced boundary, position coords
-    chain: list[int] = [0] * npos        # accumulated basis vector, position coords
-    low_to_col: dict[int, int] = {}
-    pairs_by_col: dict[int, int] = {}
-
-    for p in range(npos):
-        b = to_pos(columns[order[p]])
-        v = 1 << p
-        while b:
-            low = b.bit_length() - 1
-            if low not in low_to_col:
-                break
-            other = low_to_col[low]
-            b ^= reduced[other]
-            v ^= chain[other]
-        reduced[p] = b
-        chain[p] = v
-        if b:
-            low = b.bit_length() - 1
-            low_to_col[low] = p
-            pairs_by_col[p] = low
+    # Column p (tagged p) reduces to the boundary reduced[p] of the basis
+    # vector chain[p], its combination; both in position coordinates.
+    ech = gf2.Echelon()
+    reduced: list[int] = []
+    chain: list[int] = []
+    for p, g in enumerate(order):
+        b, v = ech.add(to_pos(columns[g]), p)
+        reduced.append(b)
+        chain.append(v)
+    pairs_by_col = {p: b.bit_length() - 1 for p, b in enumerate(reduced) if b}
 
     paired_positions = set(pairs_by_col) | set(pairs_by_col.values())
     unpaired = [

@@ -13,14 +13,15 @@ from pathlib import Path
 
 from .cfk import FormatError, KnotComplex, parse_complex, simplify, validate_complex
 from .splice import (
+    FramedSide,
     InvariantViolation,
     predict_lspace,
     splice_report,
     survey,
     survey_summary,
 )
-from .typea import derive_cfa, ops_text
-from .typed import build_cfd, find_durable_pairs, solve_gradings, to_dot, validate_type_d
+from .typea import ops_text
+from .typed import to_dot
 
 
 def _load(path: str) -> KnotComplex:
@@ -56,21 +57,8 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _build(args):
-    c = _load(args.file)
-    report = validate_complex(c)
-    if not report.ok:
-        raise FormatError(f"{args.file}: failed checks: {', '.join(report.failures())}")
-    s = simplify(c)
-    d = solve_gradings(build_cfd(s, args.framing))
-    return s, d
-
-
 def _cmd_cfd(args) -> int:
-    _, d = _build(args)
-    dreport = validate_type_d(d)
-    if not dreport.ok:
-        raise InvariantViolation("; ".join(dreport.problems))
+    d = FramedSide(_load(args.file), args.framing).d
     if args.format == "dot":
         sys.stdout.write(to_dot(d))
         return 0
@@ -78,14 +66,12 @@ def _cmd_cfd(args) -> int:
         print(f"gen {g.id} iota{g.idempotent} role={g.role} gr={d.gradings[i]}")
     for src, label, dst in sorted(d.edges):
         print(f"{d.generators[src].id} --D{label or 'empty'}--> {d.generators[dst].id}")
-    print(f"bounded={dreport.bounded}")
+    print(f"bounded={d.bounded}")
     return 0
 
 
 def _cmd_cfa(args) -> int:
-    _, d = _build(args)
-    a = derive_cfa(d)
-    sys.stdout.write(ops_text(a))
+    sys.stdout.write(ops_text(FramedSide(_load(args.file), args.framing).cfa(None)))
     return 0
 
 
@@ -128,8 +114,8 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_durable(args) -> int:
-    s, d = _build(args)
-    pairs = find_durable_pairs(d, s)
+    side = FramedSide(_load(args.file), args.framing)
+    pairs, d = side.durable_pairs, side.d
     if not pairs:
         print("no durable or weakly durable pairs found")
         return 0

@@ -36,14 +36,15 @@ def row_of(cols: list[int], i: int) -> int:
 def rank(vectors: list[int]) -> int:
     """Rank of the span of the given vectors."""
     ech = Echelon()
-    return sum(ech.add(v, 0) for v in vectors)  # combinations are unused: one tag
+    return sum(ech.add(v, 0)[0] != 0 for v in vectors)  # combinations are unused: one tag
 
 
 class Echelon:
-    """Incremental reduced echelon basis, keeping expression coefficients.
+    """Incremental echelon basis, keeping expression coefficients.
 
-    add(v, tag) reduces v against the basis; reduce(v) returns (residue,
-    combination) where combination is the bitmask of tags used.
+    Each vector added carries a tag, a bit index.  reduce(v) returns
+    (residue, combination): v minus the basis vectors whose tags the
+    combination bitmask names.
     """
 
     def __init__(self) -> None:
@@ -64,13 +65,18 @@ class Echelon:
             combo ^= c
         return v, combo
 
-    def add(self, v: int, tag: int) -> bool:
-        """Insert v (tagged by bit `tag`); returns False if v was dependent."""
+    def add(self, v: int, tag: int) -> tuple[int, int]:
+        """Reduce v, tagged by bit `tag`, and keep its residue if nonzero.
+
+        Returns (residue, combination): the residue is the XOR of the added
+        vectors whose tags the combination names, v's own tag included, and
+        it is 0 exactly when v lies in the span of the vectors added before.
+        """
         res, combo = self.reduce(v)
-        if res == 0:
-            return False
-        self.pivots[self._top(res)] = (res, combo ^ (1 << tag))
-        return True
+        combo ^= 1 << tag
+        if res:
+            self.pivots[self._top(res)] = (res, combo)
+        return res, combo
 
 
 def solve(basis: list[int], target: int) -> int | None:
@@ -94,9 +100,8 @@ def span_basis(vectors: list[int]) -> list[int]:
     out: list[int] = []
     ech = Echelon()
     for i, v in enumerate(vectors):
-        res, _ = ech.reduce(v)
+        res, _ = ech.add(v, i)
         if res:
-            ech.add(v, i)
             out.append(res)
     return out
 
@@ -111,17 +116,12 @@ def intersect(u: list[int], w: list[int]) -> list[int]:
     w = span_basis(w)
     if not u or not w:
         return []
-    cols = list(u) + list(w)
-    n = len(cols)
     kernel: list[int] = []
     ech = Echelon()
-    for j in range(n):
-        res, combo = ech.reduce(cols[j])
-        combo ^= 1 << j
+    for j, col in enumerate(u + w):
+        res, combo = ech.add(col, j)
         if res == 0:
             kernel.append(combo)
-        else:
-            ech.pivots[res.bit_length() - 1] = (res, combo)
     out = []
     for combo in kernel:
         vec = 0

@@ -127,9 +127,9 @@ class SpliceReport:
 class FramedSide:
     """One framed complement, prepared once per splice_report or survey call.
 
-    Holds the simplified bases `s`, the graded type D module `d` and its
-    boundedness.  The longest Reeb path, the durable pairs and the type A
-    module (one per word cap) are computed on first use and then kept.
+    Holds the simplified bases `s` and the graded type D module `d`.  The
+    longest Reeb path, the durable pairs and the type A module (one per word
+    cap) are computed on first use and then kept.
     """
 
     def __init__(self, c: KnotComplex, n: int):
@@ -141,7 +141,7 @@ class FramedSide:
         dreport = validate_type_d(d)
         if not dreport.ok:
             raise InvariantViolation(f"{c.name}[{n}]: {'; '.join(dreport.problems)}")
-        self.n, self.s, self.d, self.bounded = n, s, solve_gradings(d), d.is_bounded()
+        self.n, self.s, self.d = n, s, solve_gradings(d)
         self._cfa: dict[int | None, TypeAModule] = {}
 
     def __str__(self) -> str:
@@ -164,10 +164,10 @@ class FramedSide:
 
     def box_with(self, other: FramedSide) -> ChainComplex:
         """Chain complex of the splice: this side's type A module boxed with other's type D."""
-        if self.bounded:
+        if self.d.bounded:
             a = self.cfa(None)
         else:
-            if not other.bounded:
+            if not other.d.bounded:
                 raise ValueError("both framed complements are unbounded; cannot pair")
             # Only operations whose word can match a path on the bounded side matter.
             a = self.cfa(other.longest_reeb_path)
@@ -193,7 +193,7 @@ def _splice(side1: FramedSide, side2: FramedSide) -> SpliceReport:
     agree = True if prediction == OUT_OF_SCOPE else (prediction == verdict)
 
     fast: bool | None = None
-    if side1.bounded and side2.bounded:
+    if side1.d.bounded and side2.d.bounded:
         pairs1, pairs2 = side1.durable_pairs, side2.durable_pairs
         if any(p[2] == "durable" for p in pairs1) and pairs2:
             fast = True

@@ -23,21 +23,22 @@ class AGen:
     grading: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class TypeAModule:
     generators: list[AGen]
     operations: frozenset[tuple[int, tuple[str, ...], int]]  # (input, word, output)
-    max_word_length: int
     bounded: bool = True
-    _by_word: dict[tuple[str, ...], list[tuple[int, int]]] = field(default=None, repr=False)
+    # word -> (input, output) pairs of its operations, and the longest word,
+    # built once from operations
+    by_word: dict[tuple[str, ...], list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
+    max_word_length: int = field(init=False, compare=False)
 
-    def ops_by_word(self) -> dict[tuple[str, ...], list[tuple[int, int]]]:
-        if self._by_word is None:
-            table: dict[tuple[str, ...], list[tuple[int, int]]] = {}
-            for src, word, dst in sorted(self.operations):
-                table.setdefault(word, []).append((src, dst))
-            object.__setattr__(self, "_by_word", table)
-        return self._by_word
+    def __post_init__(self):
+        by_word: dict[tuple[str, ...], list[tuple[int, int]]] = {}
+        for src, word, dst in sorted(self.operations):
+            by_word.setdefault(word, []).append((src, dst))
+        object.__setattr__(self, "by_word", by_word)
+        object.__setattr__(self, "max_word_length", max(map(len, by_word), default=0))
 
     def index_of(self, gen_id: str) -> int:
         for i, g in enumerate(self.generators):
@@ -57,8 +58,7 @@ def derive_cfa(m: TypeDModule, max_word_length: int | None = None) -> TypeAModul
     identity edge, on no cycle.  Source gradings are solved if absent; the
     derived module flips the grading of every iota_0 generator.
     """
-    bounded = m.is_bounded()
-    if not bounded and max_word_length is None:
+    if not m.bounded and max_word_length is None:
         raise ValueError("type D module is unbounded; a word-length cap is required")
     if m.gradings is None:
         m = solve_gradings(m)
@@ -82,8 +82,7 @@ def derive_cfa(m: TypeDModule, max_word_length: int | None = None) -> TypeAModul
             parity[key] = parity.get(key, 0) ^ 1
 
     ops = frozenset(key for key, p in parity.items() if p)
-    max_len = max((len(w) for _, w, _ in ops), default=0)
-    return TypeAModule(gens, ops, max_len, bounded=bounded)
+    return TypeAModule(gens, ops, bounded=m.bounded)
 
 
 @dataclass

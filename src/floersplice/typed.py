@@ -37,6 +37,8 @@ class TypeDModule:
     gradings: list[int] | None = None
     # label -> columns of D_label over all generators, built once from edges
     mats: dict[str, list[int]] = field(init=False, repr=False, compare=False)
+    # whether the labeled graph (all labels) has no directed cycle
+    bounded: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [g.id for g in self.generators]
@@ -50,6 +52,7 @@ class TypeDModule:
                 raise ValueError("edge endpoint out of range")
             mats[label][src] ^= 1 << dst
         object.__setattr__(self, "mats", mats)
+        object.__setattr__(self, "bounded", _acyclic(len(ids), self.edges))
 
     # -- basic queries ------------------------------------------------------
 
@@ -72,10 +75,6 @@ class TypeDModule:
 
     def iota_indices(self, idem: int) -> list[int]:
         return [i for i, g in enumerate(self.generators) if g.idempotent == idem]
-
-    def is_bounded(self) -> bool:
-        """True when the labeled graph (all labels) has no directed cycle."""
-        return _acyclic(len(self.generators), self.edges)
 
     def format_vector(self, v: int) -> str:
         names = [self.generators[i].id for i in gf2.bits(v)]
@@ -292,7 +291,7 @@ def validate_type_d(m: TypeDModule) -> TypeDReport:
         structure_ok=structure_ok,
         idempotents_ok=idem_ok,
         empty_cycle_free=empty_free,
-        bounded=m.is_bounded(),
+        bounded=m.bounded,
         problems=problems,
     )
 

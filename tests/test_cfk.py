@@ -65,6 +65,18 @@ class TestParsing:
         with pytest.raises(FormatError):
             parse_complex("generator a 0\n")
 
+    @pytest.mark.parametrize("text", [
+        "staircase + 1 1\ngen x 0\n",
+        "gen x 0\nstaircase + 1 1\n",
+        "staircase + 1 1\nstaircase + 1 1\n",
+        "# comment\n\nstaircase + 1 1\nd x0 = x1\n",
+    ])
+    def test_staircase_line_stands_alone(self, text):
+        """A staircase line combined with any other directive is refused at the later line."""
+        with pytest.raises(FormatError, match="cannot be combined") as e:
+            parse_complex(text)
+        assert e.value.line == len(text.splitlines())
+
 
 class TestStaircase:
     def test_trefoil_shape(self):

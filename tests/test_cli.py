@@ -62,6 +62,20 @@ def test_cfa_text(capsys):
     assert "m2(x1, rho3) = kap1_1" in out
 
 
+def test_side_commands_refuse_bad_input(tmp_path, capsys):
+    """cfd, cfa and durable refuse an unreduced complex, and cfa refuses the
+    0-framed unknot, whose type A module would need a word-length cap."""
+    bad = tmp_path / "bad.cfk"
+    bad.write_text("gen x 0\ngen y 0\nd x = y\n")
+    for command in ("cfd", "cfa", "durable"):
+        code, out, err = run(capsys, command, str(bad), "--framing", "1")
+        assert code == 1, command
+        assert "reduced" in err and not out
+    code, out, err = run(capsys, "cfa", UNKNOT, "--framing", "0")
+    assert code == 1
+    assert "word-length cap is required" in err and not out
+
+
 def test_splice_json(capsys):
     code, out, _ = run(capsys, "splice", TREFOIL, "3", TREFOIL, "2", "--json")
     assert code == 0

@@ -35,6 +35,21 @@ def test_solve(vs, target):
 
 
 @given(vectors)
+def test_echelon_add(vs):
+    """Each residue is the XOR of the tagged inputs its combination names,
+    and it is 0 exactly when the input lies in the span of earlier inputs."""
+    ech = gf2.Echelon()
+    for i, v in enumerate(vs):
+        res, combo = ech.add(v, i)
+        named = 0
+        for j in gf2.bits(combo):
+            named ^= vs[j]
+        assert combo >> (i + 1) == 0
+        assert res == named
+        assert (res == 0) == (v in span_set(vs[:i]))
+
+
+@given(vectors)
 def test_span_basis(vs):
     basis = gf2.span_basis(vs)
     assert span_set(basis) == span_set(vs)

@@ -95,7 +95,7 @@ def test_pairing_with_unbounded_side(trefoil):
     """The 0-framed unknot complement pairs despite its directed loop."""
     a, _ = modules(trefoil, 2)
     d_unknot = solve_gradings(build_cfd(simplify(unknot()), 0))
-    assert not d_unknot.is_bounded()
+    assert not d_unknot.bounded
     box = box_tensor(a, d_unknot)
     assert box.d_squared_is_zero()
     r = graded_homology(box)

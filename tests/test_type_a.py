@@ -100,7 +100,7 @@ class TestDerive:
         for c in (trefoil, mirror_trefoil, t25, figure_eight):
             for n in range(-9, 10):
                 d = solve_gradings(build_cfd(simplify(c), n))
-                if not d.is_bounded():
+                if not d.bounded:
                     continue
                 full = derive_cfa(d).operations
                 for k in range(8):
@@ -153,7 +153,6 @@ class TestValidate:
         a = TypeAModule(
             [AGen("a", 0, 0), AGen("b", 0, 0)],
             frozenset({(0, ("1", "2"), 1)}),
-            max_word_length=2,
         )
         report = validate_cfa(a)
         assert not report.merged_ok
