@@ -76,11 +76,10 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
         (a.generators[ai].grading + d.gradings[di]) % 2 for ai, di in pairs
     ]
 
-    parity: dict[tuple[int, int], int] = {}
+    boundary = [0] * len(pairs)
 
     def add(src: tuple[int, int], dst: tuple[int, int]) -> None:
-        key = (pair_index[src], pair_index[dst])
-        parity[key] = parity.get(key, 0) ^ 1
+        boundary[pair_index[src]] ^= 1 << pair_index[dst]
 
     ops = a.by_word
 
@@ -106,11 +105,6 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
     for start, end, labels, _ in paths:
         for asrc, adst in ops.get(labels, []):
             add((asrc, start), (adst, end))
-
-    boundary = [0] * len(pairs)
-    for (src_i, dst_i), p in parity.items():
-        if p:
-            boundary[src_i] |= 1 << dst_i
 
     labels = [(a.generators[ai].id, d.generators[di].id) for ai, di in pairs]
     return ChainComplex(labels, gradings, boundary)

@@ -10,7 +10,8 @@ dependent unstable chain joining xi_0 to eta_0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 
 from . import gf2
 from .algebra import (
@@ -332,7 +333,11 @@ def solve_gradings(m: TypeDModule) -> TypeDModule:
                         "inconsistent grading cycle through edge "
                         f"{m.generators[esrc].id} -D{label or '_empty'}->"
                     )
-    return replace(m, gradings=[g for g in gr])
+    # copy.copy skips __post_init__, so the graded module shares the source's
+    # mats and bounded instead of building them again.
+    graded = copy.copy(m)
+    object.__setattr__(graded, "gradings", gr)
+    return graded
 
 
 def check_gradings(m: TypeDModule) -> bool:
@@ -363,33 +368,50 @@ def bk_prime(s: SimplifiedBases, k: int) -> list[int]:
     return gf2.intersect(gf2.intersect(bk, even_xi), odd_eta)
 
 
-def _row_functional(m: TypeDModule, u: int, label: str) -> int:
-    """The functional u composed with D_label: bit j set iff <u, D(e_j)> = 1."""
-    out = 0
-    for j, col in enumerate(m.mats[label]):
-        if bin(u & col).count("1") % 2:
-            out |= 1 << j
-    return out
+# A B'_k basis of at most SPAN_CAP vectors contributes every nonzero element
+# of its span (at most 2**SPAN_CAP - 1) to the durable candidates; a larger
+# one contributes only its basis vectors.  Fewer candidates can only miss
+# pairs, which is sound: the shortcut only ever certifies non-L-spaces.
+SPAN_CAP = 12
+
+# The outgoing chains allowed from an iota_0 durable generator: after a label
+# prefix in the table, a nonzero map may carry only the labels it lists.  A
+# prefix outside the table constrains nothing further.
+_CHAIN_NEXT = {
+    (): ("3", "123"),
+    ("123",): ("23",),
+    ("3",): ("23", "2"),
+    ("3", "2"): ("123",),
+}
 
 
-def _has_incoming(m: TypeDModule, v: int, label: str) -> bool:
-    """Whether the projection onto v composed with D_label is nonzero.
+def _hits(v: int, cols: list[int]) -> bool:
+    """Whether the map with columns `cols` projects onto v.
 
-    For a single generator this is the coordinate projection (a nonzero row);
-    for a combination it asks whether v lies in the image, which is the
+    This is the one incoming rule of the durable conditions.  For a single
+    generator it is the coordinate projection: row v of the map is nonzero.
+    For a combination it is membership of v in the image, the
     basis-independent reading.
     """
-    cols = m.mats[label]
     if v & (v - 1) == 0:
-        return _row_functional(m, v, label) != 0
+        return any(c & v for c in cols)
     return gf2.in_span([c for c in cols if c], v)
 
 
-def _hits_v(m: TypeDModule, v: int, composite_cols: list[int]) -> bool:
-    if v & (v - 1) == 0:
-        i = v.bit_length() - 1
-        return gf2.row_of(composite_cols, i) != 0
-    return gf2.in_span([c for c in composite_cols if c], v)
+def _chains_allowed(m: TypeDModule, v: int) -> bool:
+    """Whether every nonzero outgoing chain from v follows _CHAIN_NEXT."""
+    stack = [((), v)]
+    while stack:
+        prefix, w = stack.pop()
+        for label in LABELS:
+            image = gf2.apply_columns(m.mats[label], w)
+            if not image:
+                continue
+            if label not in _CHAIN_NEXT[prefix]:
+                return False
+            if prefix + (label,) in _CHAIN_NEXT:
+                stack.append((prefix + (label,), image))
+    return True
 
 
 def durability(m: TypeDModule, v: int) -> dict:
@@ -398,7 +420,8 @@ def durability(m: TypeDModule, v: int) -> dict:
     v is a bitmask over the module's generators, nonzero and supported in a
     single idempotent.  All conditions reduce to finite-depth checks: the
     constraints on outgoing compositions only mention the first three maps,
-    and a composition is nonzero only if all its prefixes are.
+    and a composition is nonzero only if all its prefixes are.  Incoming
+    maps are judged by _hits.
     """
     if v == 0:
         raise ValueError("durability of the zero vector is undefined")
@@ -406,91 +429,35 @@ def durability(m: TypeDModule, v: int) -> dict:
     if len(idems) != 1:
         raise ValueError("vector mixes idempotents")
     idem = idems.pop()
+    mats = m.mats
 
     def apply(label: str, w: int) -> int:
-        return gf2.apply_columns(m.mats[label], w)
+        return gf2.apply_columns(mats[label], w)
 
     if idem == 0:
-        no_incoming = not any(_has_incoming(m, v, lab) for lab in LABELS)
-
-        chains_ok = True
-        for l1 in LABELS:
-            w1 = apply(l1, v)
-            if not w1:
-                continue
-            if l1 not in ("3", "123"):
-                chains_ok = False
-                break
-            for l2 in LABELS:
-                w2 = apply(l2, w1)
-                if not w2:
-                    continue
-                if l1 == "123" and l2 != "23":
-                    chains_ok = False
-                if l1 == "3" and l2 not in ("23", "2"):
-                    chains_ok = False
-                if not chains_ok:
-                    break
-                for l3 in LABELS:
-                    w3 = apply(l3, w2)
-                    if w3 and l2 == "2" and l3 != "123":
-                        chains_ok = False
-                        break
-                if not chains_ok:
-                    break
-            if not chains_ok:
-                break
-        durable = no_incoming and chains_ok
-
-        d123 = apply("123", v)
+        durable = not any(_hits(v, mats[lab]) for lab in LABELS) and _chains_allowed(m, v)
         d3 = apply("3", v)
         weakly = (
             apply("1", v) == 0
             and apply("12", v) == 0
-            and apply("2", d123) == 0
+            and apply("2", apply("123", v)) == 0
             and apply("1", apply("2", d3)) == 0
             and apply("12", apply("2", d3)) == 0
         )
     else:
-        incoming_ok = True
-        for l1 in LABELS:
-            if not _has_incoming(m, v, l1):
-                continue
-            if l1 not in ("1", "123"):
-                incoming_ok = False
-                break
-        if incoming_ok and v & (v - 1) == 0:
-            # No composition of length >= 2 may project onto v: it suffices
-            # that every depth-2 functional vanishes.
-            for l_last in LABELS:
-                u1 = _row_functional(m, v, l_last)
-                if not u1:
-                    continue
-                for l_prev in LABELS:
-                    if _row_functional(m, u1, l_prev):
-                        incoming_ok = False
-                        break
-                if not incoming_ok:
-                    break
-        elif incoming_ok:
-            for l_last in LABELS:
-                for l_prev in LABELS:
-                    comp = gf2.compose(m.mats[l_last], m.mats[l_prev])
-                    if any(comp) and _hits_v(m, v, comp):
-                        incoming_ok = False
-                        break
-                if not incoming_ok:
-                    break
-
-        outgoing_ok = all(apply(lab, v) == 0 for lab in LABELS if lab != "23")
-        durable = incoming_ok and outgoing_ok
-
-        d3_comp = m.mats["3"]
-        d123_chain = gf2.compose(m.mats["1"], gf2.compose(m.mats["2"], m.mats["3"]))
+        incoming = [lab for lab in LABELS if _hits(v, mats[lab])]
+        # No composite D_J.D_K may project onto v.  Only labels J with D_J
+        # projecting onto v need checking: Im(D_J.D_K) lies in Im(D_J), and a
+        # zero row of D_J stays zero in D_J.D_K.
+        durable = (
+            all(apply(lab, v) == 0 for lab in LABELS if lab != "23")
+            and set(incoming) <= {"1", "123"}
+            and not any(_hits(v, gf2.compose(mats[j], mats[k])) for j in incoming for k in LABELS)
+        )
         weakly = (
             apply("2", v) == 0
-            and not _hits_v(m, v, d3_comp)
-            and not _hits_v(m, v, d123_chain)
+            and not _hits(v, mats["3"])
+            and not _hits(v, gf2.compose(mats["1"], gf2.compose(mats["2"], mats["3"])))
         )
 
     return {"durable": durable, "weakly_durable": weakly or durable}
@@ -499,57 +466,33 @@ def durability(m: TypeDModule, v: int) -> dict:
 def find_durable_pairs(m: TypeDModule, s: SimplifiedBases) -> list[tuple[int, int, str]]:
     """Pairs (x, y = D_123 x) with both components (weakly) durable.
 
-    Candidates are the nonzero elements of every B'_k together with the xi
-    basis vectors and eta rows (which covers the designated generators of
-    L-space-form complexes).  Vectors are bitmasks over module generators;
-    iota_0 coordinates coincide with xi indices by construction.
+    Candidates are the nonzero elements of every B'_k (only its basis
+    vectors past SPAN_CAP) together with the xi basis vectors and eta rows
+    (which covers the designated generators of L-space-form complexes).
+    Vectors are bitmasks over module generators; iota_0 coordinates
+    coincide with xi indices by construction.
     """
     candidates: list[int] = []
-    seen: set[int] = set()
-
-    levels = sorted(set(s.xi_alex) | set(s.eta_alex))
-    for k in levels:
+    for k in sorted(set(s.xi_alex) | set(s.eta_alex)):
         basis = bk_prime(s, k)
-        if len(basis) > 12:
-            vectors = basis
+        if len(basis) > SPAN_CAP:
+            candidates += basis
         else:
-            vectors = []
-            for mask in range(1, 1 << len(basis)):
-                vec = 0
-                for i in gf2.bits(mask):
-                    vec ^= basis[i]
-                vectors.append(vec)
-        for vec in vectors:
-            if vec and vec not in seen:
-                seen.add(vec)
-                candidates.append(vec)
-    for p in range(len(s.xi)):
-        vec = 1 << p
-        if vec not in seen:
-            seen.add(vec)
-            candidates.append(vec)
-    for row in s.b_matrix:
-        if row and row not in seen:
-            seen.add(row)
-            candidates.append(row)
+            candidates += [gf2.apply_columns(basis, mask) for mask in range(1, 1 << len(basis))]
+    candidates += [1 << p for p in range(len(s.xi))]
+    candidates += s.b_matrix
 
-    d123 = m.mats["123"]
     pairs: list[tuple[int, int, str]] = []
-    found: set[tuple[int, int]] = set()
-    for x in candidates:
-        y = gf2.apply_columns(d123, x)
-        if not y or (x, y) in found:
+    for x in dict.fromkeys(candidates):
+        y = gf2.apply_columns(m.mats["123"], x)
+        if not y:
             continue
         dx = durability(m, x)
         dy = durability(m, y)
         if dx["durable"] and dy["durable"]:
-            strength = "durable"
+            pairs.append((x, y, "durable"))
         elif dx["weakly_durable"] and dy["weakly_durable"]:
-            strength = "weak"
-        else:
-            continue
-        found.add((x, y))
-        pairs.append((x, y, strength))
+            pairs.append((x, y, "weak"))
     pairs.sort(key=lambda t: (t[2] != "durable", t[0]))
     return pairs
 

@@ -1,13 +1,17 @@
 """Type D construction, structure equations, gradings, and durability."""
 
 import dataclasses
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
-from floersplice import gf2
-from floersplice.algebra import LABELS
+from floersplice import gf2, typed
+from floersplice.algebra import LABELS, REEB_IDEMPOTENTS
 from floersplice.cfk import simplify, unknot
 from floersplice.typed import (
+    DGen,
+    TypeDModule,
     bk_prime,
     build_cfd,
     check_gradings,
@@ -163,6 +167,14 @@ class TestGradings:
             if lab == "123":
                 assert d.gradings[src] == d.gradings[dst]
 
+    def test_graded_module_shares_matrices(self, trefoil):
+        """Grading copies the module: its matrices and boundedness are not rebuilt."""
+        d = cfd(trefoil, 2)
+        graded = solve_gradings(d)
+        assert graded.mats is d.mats
+        assert graded.bounded is d.bounded
+        assert graded.edges == d.edges and d.gradings is None
+
     def test_single_generator_anchor(self):
         d = solve_gradings(cfd(unknot(), 0))
         assert d.gradings == [0]
@@ -252,7 +264,115 @@ class TestDurability:
             durability(d, v)
 
 
+def _hits_reference(v, cols):
+    """Incoming rule: a nonzero row of a single generator, image membership otherwise."""
+    if gf2.bits(v) == [v.bit_length() - 1]:
+        return gf2.row_of(cols, v.bit_length() - 1) != 0
+    return gf2.in_span(cols, v)
+
+
+def _words(m):
+    """Columns of D_w for every label word w of length 1..3, w[0] applied first."""
+    out = {}
+    for length in (1, 2, 3):
+        for w in product(LABELS, repeat=length):
+            inner = out[w[:-1]] if length > 1 else [1 << i for i in range(len(m.generators))]
+            out[w] = gf2.compose(m.matrix(w[-1]), inner)
+    return out
+
+
+def _durability_reference(m, words, v):
+    """Every durable condition evaluated on every word, with no short-circuit."""
+    image = {w: gf2.apply_columns(cols, v) for w, cols in words.items()}
+    hit = {w: _hits_reference(v, words[w]) for w in words if len(w) <= 2}
+    if m.generators[gf2.bits(v)[0]].idempotent == 0:
+        chains = [
+            w in {("3",), ("123",)} if len(w) == 1
+            else w in {("123", "23"), ("3", "23"), ("3", "2")} if len(w) == 2
+            else w[1] != "2" or w[2] == "123"
+            for w in words if image[w]
+        ]
+        durable = not any([hit[(lab,)] for lab in LABELS]) and all(chains)
+        weak_words = [("1",), ("12",), ("123", "2"), ("3", "2", "1"), ("3", "2", "12")]
+        weakly = not any([image[w] for w in weak_words])
+    else:
+        outgoing = [image[(lab,)] == 0 for lab in LABELS if lab != "23"]
+        incoming = [lab in ("1", "123") for lab in LABELS if hit[(lab,)]]
+        deep = [not hit[w] for w in words if len(w) == 2]
+        durable = all(outgoing) and all(incoming) and all(deep)
+        weakly = image[("2",)] == 0 and not hit[("3",)] and not _hits_reference(v, words["3", "2", "1"])
+    return {"durable": durable, "weakly_durable": weakly or durable}
+
+
+def test_durability_matches_reference(trefoil, figure_eight, mirror_trefoil):
+    """durability agrees with the brute-force reference on every nonzero
+    single-idempotent vector of small modules."""
+    checked = 0
+    for c in (trefoil, figure_eight, mirror_trefoil):
+        s = simplify(c)
+        for n in range(-3, 4):
+            d = build_cfd(s, n)
+            words = _words(d)
+            for idem in (0, 1):
+                idx = d.iota_indices(idem)
+                for mask in range(1, 1 << len(idx)):
+                    v = sum(1 << idx[i] for i in gf2.bits(mask))
+                    assert durability(d, v) == _durability_reference(d, words, v), (
+                        c.name, n, d.format_vector(v))
+                    checked += 1
+    assert checked == 1614
+
+
+def _hand_built():
+    """Modules reaching conditions the knot modules leave untested: a chain
+    x0 -D3-> k -D2-> x1 -D_L-> x2 for every label L, and D3 onto k1 + k2,
+    where the row of k1 is nonzero but k1 is not in the image."""
+    for label in LABELS:
+        last = REEB_IDEMPOTENTS[label][1] if label else 0
+        gens = [DGen("x0", 0, "xi"), DGen("k", 1, "kappa"), DGen("x1", 0, "xi"), DGen("x2", last, "xi")]
+        yield TypeDModule(gens, frozenset({(0, "3", 1), (1, "2", 2), (2, label, 3)}))
+    gens = [DGen("x0", 0, "xi"), DGen("k1", 1, "kappa"), DGen("k2", 1, "kappa")]
+    yield TypeDModule(gens, frozenset({(0, "3", 1), (0, "3", 2)}))
+
+
+def test_durability_matches_reference_on_hand_built_modules():
+    verdicts = set()
+    for d in _hand_built():
+        words = _words(d)
+        for v in range(1, 1 << len(d.generators)):
+            if len({d.generators[i].idempotent for i in gf2.bits(v)}) == 1:
+                expected = _durability_reference(d, words, v)
+                assert durability(d, v) == expected, (sorted(d.edges), d.format_vector(v))
+                verdicts.add(tuple(expected.values()))
+    assert len(verdicts) == 3  # durable, weakly durable only, neither
+
+
 class TestFindDurablePairs:
+    @pytest.mark.parametrize("size", [typed.SPAN_CAP, typed.SPAN_CAP + 1])
+    def test_span_cap(self, monkeypatch, size):
+        """Up to SPAN_CAP vectors a B'_k basis gives its whole span as
+        candidates; past it, only the basis vectors themselves."""
+        gens = [DGen(f"x{i}", 0, "xi") for i in range(size)]
+        gens += [DGen(f"k{i}", 1, "kappa") for i in range(size)]
+        m = TypeDModule(gens, frozenset((i, "123", size + i) for i in range(size)))
+        s = SimpleNamespace(xi_alex=[0], eta_alex=[], xi=["x0"], b_matrix=[])
+        basis = [0b11 << i for i in range(size - 1)] + [1 << (size - 1)]
+        received = []
+
+        def record(m_, v):
+            received.append(v)
+            return {"durable": False, "weakly_durable": False}
+
+        monkeypatch.setattr(typed, "bk_prime", lambda s_, k: basis)
+        monkeypatch.setattr(typed, "durability", record)
+        assert typed.find_durable_pairs(m, s) == []
+        xs, ys = received[0::2], received[1::2]
+        assert ys == [x << size for x in xs]
+        if size > typed.SPAN_CAP:
+            assert xs == basis + [1]  # the xi basis vector x0 follows
+        else:
+            assert sorted(xs) == list(range(1, 1 << size))
+
     def test_figure_eight_always_durable(self, figure_eight):
         s = simplify(figure_eight)
         for n in range(-3, 4):
