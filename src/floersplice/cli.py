@@ -71,7 +71,7 @@ def _cmd_cfd(args) -> int:
 
 
 def _cmd_cfa(args) -> int:
-    sys.stdout.write(ops_text(FramedSide(_load(args.file), args.framing).cfa(None)))
+    sys.stdout.write(ops_text(FramedSide(_load(args.file), args.framing).cfa))
     return 0
 
 

@@ -12,6 +12,8 @@ generator shortcut.
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -20,8 +22,8 @@ from .algebra import REEB_LABELS
 from .boxtensor import ChainComplex, box_tensor
 from .cfk import KnotComplex, simplify, validate_complex
 from .homology import GradedRanks, graded_homology, lspace_verdict
-from .typea import TypeAModule, derive_cfa
-from .typed import build_cfd, find_durable_pairs, solve_gradings, validate_type_d, walk_paths
+from .typea import TypeAModule, derive_cfa, reeb_words
+from .typed import build_cfd, find_durable_pairs, solve_gradings, validate_type_d
 
 OUT_OF_SCOPE = "out-of-scope"
 
@@ -128,8 +130,8 @@ class FramedSide:
     """One framed complement, prepared once per splice_report or survey call.
 
     Holds the simplified bases `s` and the graded type D module `d`.  The
-    longest Reeb path, the durable pairs and the type A module (one per word
-    cap) are computed on first use and then kept.
+    longest Reeb path, the words of its Reeb paths, the durable pairs and
+    the whole type A module are computed on first use and then kept.
     """
 
     def __init__(self, c: KnotComplex, n: int):
@@ -142,35 +144,61 @@ class FramedSide:
         if not dreport.ok:
             raise InvariantViolation(f"{c.name}[{n}]: {'; '.join(dreport.problems)}")
         self.n, self.s, self.d = n, s, solve_gradings(d)
-        self._cfa: dict[int | None, TypeAModule] = {}
 
     def __str__(self) -> str:
         return f"{self.s.complex.name}[{self.n}]"
 
     @cached_property
-    def longest_reeb_path(self) -> int:
-        """Length of the longest non-identity labeled directed path (d bounded)."""
-        paths = walk_paths(self.d.out_edges(REEB_LABELS), lambda state, label: None, None)
-        return max((length for *_, length in paths), default=0)
+    def longest_reeb_path(self) -> float:
+        """Edges on the longest Reeb-labeled directed path; inf when d is unbounded.
+
+        One pass over the acyclic graph in topological order.
+        """
+        if not self.d.bounded:
+            return math.inf
+        adj = self.d.out_edges(REEB_LABELS)
+        into = Counter(dst for out in adj.values() for _, dst in out)
+        depth = dict.fromkeys(adj, 0)  # edges on the longest path ending at each node
+        ready = [node for node in adj if not into[node]]
+        while ready:
+            node = ready.pop()
+            for _, nxt in adj[node]:
+                depth[nxt] = max(depth[nxt], depth[node] + 1)
+                into[nxt] -= 1
+                if not into[nxt]:
+                    ready.append(nxt)
+        return max(depth.values(), default=0)
+
+    @cached_property
+    def reeb_words(self) -> dict[tuple[int, str], int]:
+        return reeb_words(self.d)
 
     @cached_property
     def durable_pairs(self) -> list[tuple[int, int, str]]:
         return find_durable_pairs(self.d, self.s)
 
-    def cfa(self, max_word_length: int | None) -> TypeAModule:
-        if max_word_length not in self._cfa:
-            self._cfa[max_word_length] = derive_cfa(self.d, max_word_length=max_word_length)
-        return self._cfa[max_word_length]
+    @cached_property
+    def cfa(self) -> TypeAModule:
+        return derive_cfa(self.d)
 
     def box_with(self, other: FramedSide) -> ChainComplex:
-        """Chain complex of the splice: this side's type A module boxed with other's type D."""
-        if self.d.bounded:
-            a = self.cfa(None)
+        """Chain complex of the splice: this side's type A module boxed with other's type D.
+
+        Only operations whose word labels a Reeb path of other can pair.  They
+        are derived alone when this side is unbounded, or deeper than a
+        bounded other and not yet derived whole; otherwise the whole module is
+        derived once and kept.  Both routes give the same box complex.
+        """
+        if not self.d.bounded and not other.d.bounded:
+            raise ValueError("both framed complements are unbounded; cannot pair")
+        if not self.d.bounded or (
+            other.d.bounded
+            and "cfa" not in vars(self)
+            and self.longest_reeb_path > other.longest_reeb_path
+        ):
+            a = derive_cfa(self.d, max_word_length=other.longest_reeb_path, words=other.reeb_words)
         else:
-            if not other.d.bounded:
-                raise ValueError("both framed complements are unbounded; cannot pair")
-            # Only operations whose word can match a path on the bounded side matter.
-            a = self.cfa(other.longest_reeb_path)
+            a = self.cfa
         box = box_tensor(a, other.d)
         where = f"{self} x {other}: box tensor differential"
         if not box.d_squared_is_zero():
@@ -240,6 +268,8 @@ def survey(
             side1 = side1 or FramedSide(c1, n1)
             if n2 not in sides2:
                 sides2[n2] = FramedSide(c2, n2)
+            if side1.d.bounded and range2[0] < range2[1]:
+                side1.cfa  # side 1 meets every framing of range2: derive it whole, once
             reports.append(_splice(side1, sides2[n2]))
     return reports
 

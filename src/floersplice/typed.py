@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from . import gf2
 from .algebra import (
@@ -40,6 +42,11 @@ class TypeDModule:
     mats: dict[str, list[int]] = field(init=False, repr=False, compare=False)
     # whether the labeled graph (all labels) has no directed cycle
     bounded: bool = field(init=False, repr=False, compare=False)
+    # label word -> that composite map as the durable check reads it, filled
+    # by _hits on first use (shared with the graded copy, like mats)
+    images: dict[tuple[str, ...], _Image] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self):
         ids = [g.id for g in self.generators]
@@ -86,9 +93,11 @@ def walk_paths(adj: dict[int, list[tuple[str, int]]], step, state, max_len: int 
     """Yield (start, end, state, length) for every directed path of 1..max_len edges.
 
     Each path's state begins as `state` at its start and is extended by
-    step(state, label) along every edge.  The walk keeps an explicit stack,
-    so path length is bounded by max_len (or by acyclicity of adj when
-    max_len is None), never by the interpreter's recursion limit.
+    step(state, label) along every edge; a step that returns None cuts the
+    path there (it is neither yielded nor extended).  The walk keeps an
+    explicit stack, so path length is bounded by max_len (or by acyclicity
+    of adj, or by the cuts, when max_len is None), never by the
+    interpreter's recursion limit.
     """
     for start in adj:
         stack = [(start, state, 0)]
@@ -98,6 +107,8 @@ def walk_paths(adj: dict[int, list[tuple[str, int]]], step, state, max_len: int 
                 continue
             for label, nxt in adj[node]:
                 extended = step(prefix, label)
+                if extended is None:
+                    continue
                 yield start, nxt, extended, length + 1
                 stack.append((nxt, extended, length + 1))
 
@@ -385,17 +396,41 @@ _CHAIN_NEXT = {
 }
 
 
-def _hits(v: int, cols: list[int]) -> bool:
-    """Whether the map with columns `cols` projects onto v.
+class _Image:
+    """A composite map's columns, the rows where it is nonzero and, built on
+    first need, an echelon basis of its image."""
 
-    This is the one incoming rule of the durable conditions.  For a single
-    generator it is the coordinate projection: row v of the map is nonzero.
-    For a combination it is membership of v in the image, the
-    basis-independent reading.
+    def __init__(self, cols: list[int]):
+        self.cols, self.rows, self.basis = cols, reduce(or_, cols, 0), None
+
+    def spans(self, v: int) -> bool:
+        if self.basis is None:
+            basis = gf2.Echelon()
+            for c in self.cols:
+                basis.add(c, 0)
+            self.basis = basis
+        return self.basis.reduce(v)[0] == 0
+
+
+def _hits(v: int, m: TypeDModule, *word: str) -> bool:
+    """Whether the composite map D_word[0]...D_word[-1] projects onto v.
+
+    The last label of the word is applied first.  This is the one incoming
+    rule of the durable conditions.  For a single generator it is the
+    coordinate projection: row v of the map is nonzero.  For a combination
+    it is membership of v in the image, the basis-independent reading.  The
+    map depends only on the module, so it is composed once per module and
+    word, in m.images.
     """
+    image = m.images.get(word)
+    if image is None:
+        cols = m.mats[word[-1]]
+        for label in reversed(word[:-1]):
+            cols = gf2.compose(m.mats[label], cols)
+        image = m.images[word] = _Image(cols)
     if v & (v - 1) == 0:
-        return any(c & v for c in cols)
-    return gf2.in_span([c for c in cols if c], v)
+        return bool(image.rows & v)
+    return image.spans(v)
 
 
 def _chains_allowed(m: TypeDModule, v: int) -> bool:
@@ -435,7 +470,7 @@ def durability(m: TypeDModule, v: int) -> dict:
         return gf2.apply_columns(mats[label], w)
 
     if idem == 0:
-        durable = not any(_hits(v, mats[lab]) for lab in LABELS) and _chains_allowed(m, v)
+        durable = not any(_hits(v, m, lab) for lab in LABELS) and _chains_allowed(m, v)
         d3 = apply("3", v)
         weakly = (
             apply("1", v) == 0
@@ -445,19 +480,19 @@ def durability(m: TypeDModule, v: int) -> dict:
             and apply("12", apply("2", d3)) == 0
         )
     else:
-        incoming = [lab for lab in LABELS if _hits(v, mats[lab])]
+        incoming = [lab for lab in LABELS if _hits(v, m, lab)]
         # No composite D_J.D_K may project onto v.  Only labels J with D_J
         # projecting onto v need checking: Im(D_J.D_K) lies in Im(D_J), and a
         # zero row of D_J stays zero in D_J.D_K.
         durable = (
             all(apply(lab, v) == 0 for lab in LABELS if lab != "23")
             and set(incoming) <= {"1", "123"}
-            and not any(_hits(v, gf2.compose(mats[j], mats[k])) for j in incoming for k in LABELS)
+            and not any(_hits(v, m, j, k) for j in incoming for k in LABELS)
         )
         weakly = (
             apply("2", v) == 0
-            and not _hits(v, mats["3"])
-            and not _hits(v, gf2.compose(mats["1"], gf2.compose(mats["2"], mats["3"])))
+            and not _hits(v, m, "3")
+            and not _hits(v, m, "1", "2", "3")
         )
 
     return {"durable": durable, "weakly_durable": weakly or durable}

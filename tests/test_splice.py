@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from floersplice.algebra import REEB_LABELS
+from floersplice.boxtensor import box_tensor
 from floersplice.homology import GradedRanks
 from floersplice.splice import (
     OUT_OF_SCOPE,
@@ -16,6 +18,7 @@ from floersplice.splice import (
     survey_summary,
 )
 from floersplice.typea import derive_cfa
+from floersplice.typed import walk_paths
 
 
 class TestPredictor:
@@ -111,6 +114,15 @@ class TestSpliceReport:
             assert r.agree
 
 
+    def test_deep_framings(self, trefoil, mirror_trefoil):
+        """Deep side 1 against a short side 2: only pairable operations are derived."""
+        cases = ((trefoil, 1100, trefoil, 3), (mirror_trefoil, -1100, mirror_trefoil, -3))
+        for c1, n1, c2, n2 in cases:
+            r = splice_report(c1, n1, c2, n2)
+            assert r.computed.total == abs(n1 * n2 - 1)
+            assert r.agree
+
+
 class TestGuardMessages:
     """Each run-time guard names both framed sides and the stage that failed."""
 
@@ -172,7 +184,7 @@ class TestSurvey:
         "k1, range1, k2, range2",
         [
             ("trefoil", (2, 2), "trefoil", (3, 3)),
-            # side 1 unbounded: its type A module is capped by each side 2
+            # side 1 unbounded: its type A module is pruned against each side 2
             ("unknot_complex", (0, 0), "trefoil", (-3, 3)),
             ("trefoil", (-3, 3), "unknot_complex", (0, 0)),
             ("trefoil", (-3, 3), "mirror_trefoil", (-3, 3)),
@@ -189,13 +201,12 @@ class TestSurvey:
         ]
         assert [r.to_dict() for r in survey(c1, range1, c2, range2)] == rows
 
-    def test_side_keeps_one_type_a_module_per_cap(self, unknot_complex):
-        side = FramedSide(unknot_complex, 0)
-        for cap in (3, 7, 3):
-            ops = derive_cfa(side.d, max_word_length=cap).operations
-            assert side.cfa(cap).operations == ops, cap
-        assert side.cfa(3) is side.cfa(3)
-        assert side.cfa(3).operations != side.cfa(7).operations
+    def test_side_keeps_one_whole_type_a_module(self, trefoil, unknot_complex):
+        side = FramedSide(trefoil, 3)
+        assert side.cfa is side.cfa
+        assert side.cfa.operations == derive_cfa(side.d).operations
+        with pytest.raises(ValueError, match="word-length cap is required"):
+            FramedSide(unknot_complex, 0).cfa
 
     def test_survey_raises_as_its_row(self, unknot_complex):
         with pytest.raises(ValueError) as one:
@@ -205,3 +216,78 @@ class TestSurvey:
         assert str(many.value) == str(one.value) == (
             "both framed complements are unbounded; cannot pair"
         )
+
+
+FIXTURES = ("trefoil", "mirror_trefoil", "figure_eight", "t25", "unknot_complex")
+
+
+class TestRoutes:
+    """box_with derives only the pairable type A operations where that is cheaper;
+    its box complexes must equal those of the whole module, bit for bit."""
+
+    @staticmethod
+    def check(side1, side2):
+        via_box_with = side1.box_with(side2)
+        k = side2.longest_reeb_path
+        if side1.d.bounded:
+            whole = box_tensor(side1.cfa, side2.d)
+        else:
+            whole = box_tensor(derive_cfa(side1.d, max_word_length=k), side2.d)
+        if side2.d.bounded:
+            a = derive_cfa(side1.d, max_word_length=k, words=side2.reeb_words)
+            pruned = box_tensor(a, side2.d)
+            assert pruned == whole, f"{side1} x {side2}"
+        assert via_box_with == whole, f"{side1} x {side2}"
+
+    @pytest.mark.parametrize("k1", FIXTURES)
+    def test_fixture_grid(self, request, k1):
+        c1 = request.getfixturevalue(k1)
+        sides2 = [
+            FramedSide(request.getfixturevalue(k2), n2) for k2 in FIXTURES for n2 in range(-4, 7)
+        ]
+        for n1 in range(-7, 10):
+            side1 = FramedSide(c1, n1)
+            for side2 in sides2:
+                if side1.d.bounded or side2.d.bounded:
+                    self.check(side1, side2)
+
+    def test_deep_and_unbounded_sides(self, trefoil, mirror_trefoil, unknot_complex):
+        """Fresh sides, so box_with picks its route from the two sides alone."""
+        cases = [
+            (unknot_complex, 0, c, n, False)
+            for c in (trefoil, mirror_trefoil)
+            for n in (-120, -3, 3, 120)
+        ]
+        cases += [
+            (trefoil, 82, mirror_trefoil, -5, False),
+            (mirror_trefoil, -90, trefoil, 3, False),
+            (trefoil, 60, trefoil, 61, True),
+        ]
+        for c1, n1, c2, n2, whole in cases:
+            side1, side2 = FramedSide(c1, n1), FramedSide(c2, n2)
+            side1.box_with(side2)
+            assert ("cfa" in vars(side1)) == whole, f"{side1} x {side2}"
+            self.check(FramedSide(c1, n1), side2)
+
+    def test_longest_reeb_path_matches_enumeration(
+        self, trefoil, mirror_trefoil, figure_eight, t25, unknot_complex
+    ):
+        from test_connected_sum import tensor_product
+
+        complexes = [trefoil, mirror_trefoil, figure_eight, t25, unknot_complex]
+        complexes += [
+            tensor_product(figure_eight, trefoil, "fig8#trefoil"),
+            tensor_product(trefoil, trefoil, "trefoil#trefoil"),
+        ]
+        bounded = 0
+        for c in complexes:
+            for n in range(-15, 16):
+                side = FramedSide(c, n)
+                if not side.d.bounded:
+                    assert side.longest_reeb_path == float("inf")
+                    continue
+                paths = walk_paths(side.d.out_edges(REEB_LABELS), lambda state, label: state, 0)
+                longest = max((length for *_, length in paths), default=0)
+                assert side.longest_reeb_path == longest, str(side)
+                bounded += 1
+        assert bounded == 201
