@@ -11,9 +11,9 @@ over F2:
       the internal differential on the right factor;
   (c) an empty-word operation (m_1) on the type A side.
 
-Type D paths longer than the type A module's maximal word length cannot
-pair and are not enumerated, which keeps the sum finite whenever at least
-one side is bounded.
+Counted mod 2, the type D paths that spell a word are one composite map
+(TypeDModule.composite), so (a) pairs each operation with the map of its
+word.  The sum is finite because the type A side has finitely many words.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gf2
-from .algebra import EMPTY, REEB_LABELS
-from .typed import TypeDModule, solve_gradings, walk_paths
+from .algebra import EMPTY
+from .typed import TypeDModule, solve_gradings
 from .typea import TypeAModule
 
 
@@ -98,13 +98,13 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
                 if ag.idempotent == idem:
                     add((ai, dsrc), (ai, ddst))
 
-    # (a) Reeb-labeled paths, depth-capped by the longest pairable word
-    paths = walk_paths(
-        d.out_edges(REEB_LABELS), lambda labels, label: labels + (label,), (), a.max_word_length
-    )
-    for start, end, labels, _ in paths:
-        for asrc, adst in ops.get(labels, []):
-            add((asrc, start), (adst, end))
+    # (a) Reeb-labeled paths, as the composite map of each nonempty word
+    for word, arrows in ops.items():
+        if word:
+            for start, ends in d.composite(word).cols.items():
+                for end in gf2.bits(ends):
+                    for asrc, adst in arrows:
+                        add((asrc, start), (adst, end))
 
     labels = [(a.generators[ai].id, d.generators[di].id) for ai, di in pairs]
     return ChainComplex(labels, gradings, boundary)

@@ -8,14 +8,16 @@ from __future__ import annotations
 
 
 def apply_columns(cols: list[int], v: int) -> int:
-    """Matrix times vector: XOR of the columns selected by v's bits."""
+    """Matrix times vector: XOR of the columns selected by v's bits.
+
+    Visits only the set bits, lowest first, so a sparse v costs its bit
+    count, not its top bit.
+    """
     out = 0
-    i = 0
     while v:
-        if v & 1:
-            out ^= cols[i]
-        v >>= 1
-        i += 1
+        low = v & -v
+        out ^= cols[low.bit_length() - 1]
+        v ^= low
     return out
 
 
@@ -136,10 +138,8 @@ def intersect(u: list[int], w: list[int]) -> list[int]:
 def bits(v: int) -> list[int]:
     """Indices of set bits, ascending."""
     out = []
-    i = 0
     while v:
-        if v & 1:
-            out.append(i)
-        v >>= 1
-        i += 1
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
     return out

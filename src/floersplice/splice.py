@@ -22,7 +22,7 @@ from .algebra import REEB_LABELS
 from .boxtensor import ChainComplex, box_tensor
 from .cfk import KnotComplex, simplify, validate_complex
 from .homology import GradedRanks, graded_homology, lspace_verdict
-from .typea import TypeAModule, derive_cfa, reeb_words
+from .typea import TypeAModule, derive_cfa
 from .typed import build_cfd, find_durable_pairs, solve_gradings, validate_type_d
 
 OUT_OF_SCOPE = "out-of-scope"
@@ -130,8 +130,8 @@ class FramedSide:
     """One framed complement, prepared once per splice_report or survey call.
 
     Holds the simplified bases `s` and the graded type D module `d`.  The
-    longest Reeb path, the words of its Reeb paths, the durable pairs and
-    the whole type A module are computed on first use and then kept.
+    longest Reeb path, the durable pairs and the whole type A module are
+    computed on first use and then kept.
     """
 
     def __init__(self, c: KnotComplex, n: int):
@@ -170,10 +170,6 @@ class FramedSide:
         return max(depth.values(), default=0)
 
     @cached_property
-    def reeb_words(self) -> dict[tuple[int, str], int]:
-        return reeb_words(self.d)
-
-    @cached_property
     def durable_pairs(self) -> list[tuple[int, int, str]]:
         return find_durable_pairs(self.d, self.s)
 
@@ -184,21 +180,19 @@ class FramedSide:
     def box_with(self, other: FramedSide) -> ChainComplex:
         """Chain complex of the splice: this side's type A module boxed with other's type D.
 
-        Only operations whose word labels a Reeb path of other can pair.  They
-        are derived alone when this side is unbounded, or deeper than a
-        bounded other and not yet derived whole; otherwise the whole module is
-        derived once and kept.  Both routes give the same box complex.
+        The whole type A module pairs when this side already has it (survey
+        derives it for a side that meets many framings).  Otherwise only the
+        operations whose word has a nonzero composite map in other are
+        derived; an unbounded side is capped at other's longest Reeb path.
+        Both routes give the same box complex.
         """
         if not self.d.bounded and not other.d.bounded:
             raise ValueError("both framed complements are unbounded; cannot pair")
-        if not self.d.bounded or (
-            other.d.bounded
-            and "cfa" not in vars(self)
-            and self.longest_reeb_path > other.longest_reeb_path
-        ):
-            a = derive_cfa(self.d, max_word_length=other.longest_reeb_path, words=other.reeb_words)
-        else:
+        if "cfa" in vars(self):
             a = self.cfa
+        else:
+            cap = None if self.d.bounded else other.longest_reeb_path
+            a = derive_cfa(self.d, max_word_length=cap, against=other.d)
         box = box_tensor(a, other.d)
         where = f"{self} x {other}: box tensor differential"
         if not box.d_squared_is_zero():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import REEB_IDEMPOTENTS, REEB_LABELS, is_merged, swap_and_merge, word_grading
+from .algebra import REEB_IDEMPOTENTS, is_merged, swap_and_merge, word_grading
 from .typed import TypeDModule, solve_gradings, walk_paths
 
 
@@ -47,27 +47,10 @@ class TypeAModule:
         raise KeyError(gen_id)
 
 
-def reeb_words(m: TypeDModule) -> dict[tuple[int, str], int]:
-    """The label tuples of m's Reeb-labeled paths, with (), as a prefix table.
-
-    The word () has id 0, and a word w + (label,) has id table[id(w), label].
-    The set is closed under prefixes, so the table holds it in one entry per
-    word.  An unbounded m has infinitely many and is refused.
-    """
-    if not m.bounded:
-        raise ValueError("type D module is unbounded; its Reeb path words are infinite")
-    table: dict[tuple[int, str], int] = {}
-    for _ in walk_paths(
-        m.out_edges(REEB_LABELS), lambda i, label: table.setdefault((i, label), len(table) + 1), 0
-    ):
-        pass
-    return table
-
-
 def derive_cfa(
     m: TypeDModule,
     max_word_length: int | None = None,
-    words: dict[tuple[int, str], int] | None = None,
+    against: TypeDModule | None = None,
 ) -> TypeAModule:
     """Enumerate coefficient-map paths and emit merged-word operations.
 
@@ -79,10 +62,11 @@ def derive_cfa(
     identity edge, on no cycle.  Source gradings are solved if absent; the
     derived module flips the grading of every iota_0 generator.
 
-    With words, a prefix table from reeb_words, only the operations whose
-    word is in the table are kept, and a path is cut once its word minus
-    the last letter is not: extending a path merges at most that last
-    letter, so every later word keeps the rest as a prefix.
+    With against, the type D module the result will be paired with, only
+    the operations whose word has a nonzero composite map in against are
+    kept, and a path is cut once its word minus the last letter has none:
+    extending a path merges at most that last letter, so every later map
+    has this one as a factor.
     """
     if not m.bounded and max_word_length is None:
         raise ValueError("type D module is unbounded; a word-length cap is required")
@@ -97,23 +81,14 @@ def derive_cfa(
     k = max_word_length
     adj = m.out_edges()
     cap = None if k is None else 3 * k + 2
-    if words is None:
+    if against is None:
         paths = walk_paths(adj, lambda word, label: swap_and_merge((label,), word), (), cap)
     else:
-        def step(state, label):
-            word, head = state  # head: the id of word[:-1]
+        def step(word, label):
             merged = swap_and_merge((label,), word)
-            for letter in merged[max(len(word) - 1, 0):-1]:
-                head = words.get((head, letter))
-                if head is None:
-                    return None
-            return merged, head
+            return merged if against.composite(merged[:-1]).cols else None
 
-        paths = (
-            (start, end, word, n)
-            for start, end, (word, head), n in walk_paths(adj, step, ((), 0), cap)
-            if not word or (head, word[-1]) in words
-        )
+        paths = (p for p in walk_paths(adj, step, (), cap) if against.composite(p[2]).cols)
 
     parity: dict[tuple[int, tuple[str, ...], int], int] = {}
     for start, end, word, _ in paths:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 
 from . import gf2
@@ -42,11 +42,9 @@ class TypeDModule:
     mats: dict[str, list[int]] = field(init=False, repr=False, compare=False)
     # whether the labeled graph (all labels) has no directed cycle
     bounded: bool = field(init=False, repr=False, compare=False)
-    # label word -> that composite map as the durable check reads it, filled
-    # by _hits on first use (shared with the graded copy, like mats)
-    images: dict[tuple[str, ...], _Image] = field(
-        init=False, default_factory=dict, repr=False, compare=False
-    )
+    # path-order label word -> its composite map, filled by composite on first
+    # use (shared with the graded copy, like mats)
+    composites: dict[tuple[str, ...], Composite] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [g.id for g in self.generators]
@@ -61,6 +59,8 @@ class TypeDModule:
             mats[label][src] ^= 1 << dst
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "bounded", _acyclic(len(ids), self.edges))
+        identity = Composite({i: 1 << i for i in range(len(ids))})
+        object.__setattr__(self, "composites", {(): identity})
 
     # -- basic queries ------------------------------------------------------
 
@@ -73,6 +73,34 @@ class TypeDModule:
     def matrix(self, label: str) -> list[int]:
         """Columns of D_label over all generators (shared: do not mutate)."""
         return self.mats[label]
+
+    def composite(self, word: tuple[str, ...]) -> Composite:
+        """The map D_word[-1]...D_word[0] of a path-order label word (shared: do not mutate).
+
+        Its column at a start counts, mod 2, the paths from there whose labels
+        spell the word.  It is built from its longest cached prefix, one label
+        matrix at a time, and cached.  A map that vanishes is returned as it
+        is: its extensions vanish too and are not stored.
+        """
+        cache = self.composites
+        if word in cache:
+            return cache[word]
+        # The cached words are closed under prefixes: bisect for the longest one.
+        n, hi = 0, len(word) - 1
+        while n < hi:
+            mid = (n + hi + 1) // 2
+            if word[:mid] in cache:
+                n = mid
+            else:
+                hi = mid - 1
+        comp = cache[word[:n]]
+        while comp.cols and n < len(word):
+            mat = self.mats[word[n]]
+            n += 1
+            comp = cache[word[:n]] = Composite(
+                {s: e for s, c in comp.cols.items() if (e := gf2.apply_columns(mat, c))}
+            )
+        return comp
 
     def out_edges(self, labels: tuple[str, ...] = LABELS) -> dict[int, list[tuple[str, int]]]:
         adj: dict[int, list[tuple[str, int]]] = {i: [] for i in range(len(self.generators))}
@@ -87,6 +115,28 @@ class TypeDModule:
     def format_vector(self, v: int) -> str:
         names = [self.generators[i].id for i in gf2.bits(v)]
         return "+".join(names) if names else "0"
+
+
+class Composite:
+    """A composite map's nonzero columns, start -> ends; the rows where it is
+    nonzero and an echelon basis of its image are built on first need."""
+
+    def __init__(self, cols: dict[int, int]):
+        self.cols = cols
+
+    @cached_property
+    def rows(self) -> int:
+        return reduce(or_, self.cols.values(), 0)
+
+    @cached_property
+    def basis(self) -> gf2.Echelon:
+        basis = gf2.Echelon()
+        for c in self.cols.values():
+            basis.add(c, 0)
+        return basis
+
+    def spans(self, v: int) -> bool:
+        return self.basis.reduce(v)[0] == 0
 
 
 def walk_paths(adj: dict[int, list[tuple[str, int]]], step, state, max_len: int | None = None):
@@ -396,22 +446,6 @@ _CHAIN_NEXT = {
 }
 
 
-class _Image:
-    """A composite map's columns, the rows where it is nonzero and, built on
-    first need, an echelon basis of its image."""
-
-    def __init__(self, cols: list[int]):
-        self.cols, self.rows, self.basis = cols, reduce(or_, cols, 0), None
-
-    def spans(self, v: int) -> bool:
-        if self.basis is None:
-            basis = gf2.Echelon()
-            for c in self.cols:
-                basis.add(c, 0)
-            self.basis = basis
-        return self.basis.reduce(v)[0] == 0
-
-
 def _hits(v: int, m: TypeDModule, *word: str) -> bool:
     """Whether the composite map D_word[0]...D_word[-1] projects onto v.
 
@@ -419,15 +453,9 @@ def _hits(v: int, m: TypeDModule, *word: str) -> bool:
     rule of the durable conditions.  For a single generator it is the
     coordinate projection: row v of the map is nonzero.  For a combination
     it is membership of v in the image, the basis-independent reading.  The
-    map depends only on the module, so it is composed once per module and
-    word, in m.images.
+    map depends only on the module, so m.composite builds it once.
     """
-    image = m.images.get(word)
-    if image is None:
-        cols = m.mats[word[-1]]
-        for label in reversed(word[:-1]):
-            cols = gf2.compose(m.mats[label], cols)
-        image = m.images[word] = _Image(cols)
+    image = m.composite(word[::-1])
     if v & (v - 1) == 0:
         return bool(image.rows & v)
     return image.spans(v)

@@ -92,3 +92,20 @@ def test_row_and_transpose():
 def test_bits():
     assert gf2.bits(0) == []
     assert gf2.bits(0b1011) == [0, 1, 3]
+
+
+# Sparse vectors up to 2**5000: a few set bits, possibly far apart.
+sparse = st.sets(st.integers(0, 4999), max_size=12).map(lambda s: sum(1 << i for i in s))
+WIDE_COLS = [(i * 0x9E3779B97F4A7C15) % (1 << 64) for i in range(5000)]
+
+
+@given(sparse)
+def test_set_bit_visits_match_per_bit_reference(v):
+    """bits and apply_columns visit only the set bits; the result is that of
+    a scan over every bit position up to the top one."""
+    positions = [i for i in range(v.bit_length()) if (v >> i) & 1]
+    assert gf2.bits(v) == positions
+    out = 0
+    for i in positions:
+        out ^= WIDE_COLS[i]
+    assert gf2.apply_columns(WIDE_COLS, v) == out

@@ -115,8 +115,12 @@ class TestSpliceReport:
 
 
     def test_deep_framings(self, trefoil, mirror_trefoil):
-        """Deep side 1 against a short side 2: only pairable operations are derived."""
-        cases = ((trefoil, 1100, trefoil, 3), (mirror_trefoil, -1100, mirror_trefoil, -3))
+        """Deep framings: only the type A operations the other side can pair are derived."""
+        cases = (
+            (trefoil, 1100, trefoil, 3),
+            (mirror_trefoil, -1100, mirror_trefoil, -3),
+            (trefoil, 200, trefoil, 201),
+        )
         for c1, n1, c2, n2 in cases:
             r = splice_report(c1, n1, c2, n2)
             assert r.computed.total == abs(n1 * n2 - 1)
@@ -234,7 +238,7 @@ class TestRoutes:
         else:
             whole = box_tensor(derive_cfa(side1.d, max_word_length=k), side2.d)
         if side2.d.bounded:
-            a = derive_cfa(side1.d, max_word_length=k, words=side2.reeb_words)
+            a = derive_cfa(side1.d, max_word_length=k, against=side2.d)
             pruned = box_tensor(a, side2.d)
             assert pruned == whole, f"{side1} x {side2}"
         assert via_box_with == whole, f"{side1} x {side2}"
@@ -261,7 +265,7 @@ class TestRoutes:
         cases += [
             (trefoil, 82, mirror_trefoil, -5, False),
             (mirror_trefoil, -90, trefoil, 3, False),
-            (trefoil, 60, trefoil, 61, True),
+            (trefoil, 60, trefoil, 61, False),
         ]
         for c1, n1, c2, n2, whole in cases:
             side1, side2 = FramedSide(c1, n1), FramedSide(c2, n2)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from floersplice import gf2, typed
-from floersplice.algebra import LABELS, REEB_IDEMPOTENTS
+from floersplice.algebra import LABELS, REEB_IDEMPOTENTS, REEB_LABELS
 from floersplice.cfk import simplify, unknot
 from floersplice.typed import (
     DGen,
@@ -20,6 +20,7 @@ from floersplice.typed import (
     solve_gradings,
     to_dot,
     validate_type_d,
+    walk_paths,
 )
 
 
@@ -168,10 +169,11 @@ class TestGradings:
                 assert d.gradings[src] == d.gradings[dst]
 
     def test_graded_module_shares_matrices(self, trefoil):
-        """Grading copies the module: its matrices and boundedness are not rebuilt."""
+        """Grading copies the module: its matrices, boundedness and composite maps are shared."""
         d = cfd(trefoil, 2)
         graded = solve_gradings(d)
         assert graded.mats is d.mats
+        assert graded.composites is d.composites
         assert graded.bounded is d.bounded
         assert graded.edges == d.edges and d.gradings is None
 
@@ -321,6 +323,30 @@ def test_durability_matches_reference(trefoil, figure_eight, mirror_trefoil):
                         c.name, n, d.format_vector(v))
                     checked += 1
     assert checked == 1614
+
+
+def test_composite_counts_paths(trefoil, mirror_trefoil, figure_eight, t25, unknot_complex):
+    """composite(word) is the mod-2 count of the paths that spell the word,
+    for every Reeb word of up to four letters.  Longest words come first, so
+    maps are built through several labels and stop at a vanishing prefix."""
+    words = [w for length in (4, 3, 2, 1) for w in product(REEB_LABELS, repeat=length)]
+    vanished_prefix = unbounded = 0
+    for c in (trefoil, mirror_trefoil, figure_eight, t25, unknot_complex):
+        s = simplify(c)
+        for n in range(-5, 6):
+            d = build_cfd(s, n)
+            unbounded += not d.bounded
+            counts: dict[tuple[str, ...], dict[int, int]] = {}
+            paths = walk_paths(d.out_edges(REEB_LABELS), lambda w, label: w + (label,), (), 4)
+            for start, end, w, _ in paths:
+                cols = counts.setdefault(w, {})
+                cols[start] = cols.get(start, 0) ^ (1 << end)
+            for w in words:
+                expected = {i: ends for i, ends in counts.get(w, {}).items() if ends}
+                assert d.composite(w).cols == expected, (c.name, n, w)
+                vanished_prefix += not d.composite(w[:-1]).cols
+            assert d.composite(()).cols == {i: 1 << i for i in range(len(d.generators))}
+    assert unbounded == 6 and vanished_prefix > 0  # unknot at n = 0..5
 
 
 def _hand_built():
