@@ -386,16 +386,8 @@ def _staircase_recognizer(xi_alex, eta_alex, xi, eta):
         p, q = xs[0], es[0]
         if xi[p] != eta[q]:
             return False, None, None
-        if q != 0:
-            if q % 2 == 1 and not (p == 0 or p % 2 == 1):
-                return False, None, None
-            if q % 2 == 0 and not (p == 0 or p % 2 == 0):
-                return False, None, None
-        if p != 0:
-            if p % 2 == 1 and not (q == 0 or q % 2 == 1):
-                return False, None, None
-            if p % 2 == 0 and not (q == 0 or q % 2 == 0):
-                return False, None, None
+        if p and q and (p - q) % 2:
+            return False, None, None
 
     occupied = sorted(levels)
     steps = [occupied[i + 1] - occupied[i] for i in range(len(occupied) - 1)]

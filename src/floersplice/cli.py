@@ -20,7 +20,7 @@ from .splice import (
     survey,
     survey_summary,
 )
-from .typea import ops_text
+from .typea import ops_lines
 from .typed import to_dot
 
 
@@ -71,7 +71,7 @@ def _cmd_cfd(args) -> int:
 
 
 def _cmd_cfa(args) -> int:
-    sys.stdout.write(ops_text(FramedSide(_load(args.file), args.framing).cfa))
+    sys.stdout.writelines(ops_lines(FramedSide(_load(args.file), args.framing).cfa))
     return 0
 
 

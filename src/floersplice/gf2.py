@@ -124,14 +124,8 @@ def intersect(u: list[int], w: list[int]) -> list[int]:
         res, combo = ech.add(col, j)
         if res == 0:
             kernel.append(combo)
-    out = []
-    for combo in kernel:
-        vec = 0
-        for i in range(len(u)):
-            if (combo >> i) & 1:
-                vec ^= u[i]
-        if vec:
-            out.append(vec)
+    mask = (1 << len(u)) - 1
+    out = [vec for combo in kernel if (vec := apply_columns(u, combo & mask))]
     return span_basis(out)
 
 

@@ -12,13 +12,10 @@ generator shortcut.
 from __future__ import annotations
 
 import json
-import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import REEB_LABELS
 from .boxtensor import ChainComplex, box_tensor
 from .cfk import KnotComplex, simplify, validate_complex
 from .homology import GradedRanks, graded_homology, lspace_verdict
@@ -130,8 +127,8 @@ class FramedSide:
     """One framed complement, prepared once per splice_report or survey call.
 
     Holds the simplified bases `s` and the graded type D module `d`.  The
-    longest Reeb path, the durable pairs and the whole type A module are
-    computed on first use and then kept.
+    durable pairs and the whole type A module are computed on first use and
+    then kept.
     """
 
     def __init__(self, c: KnotComplex, n: int):
@@ -149,27 +146,6 @@ class FramedSide:
         return f"{self.s.complex.name}[{self.n}]"
 
     @cached_property
-    def longest_reeb_path(self) -> float:
-        """Edges on the longest Reeb-labeled directed path; inf when d is unbounded.
-
-        One pass over the acyclic graph in topological order.
-        """
-        if not self.d.bounded:
-            return math.inf
-        adj = self.d.out_edges(REEB_LABELS)
-        into = Counter(dst for out in adj.values() for _, dst in out)
-        depth = dict.fromkeys(adj, 0)  # edges on the longest path ending at each node
-        ready = [node for node in adj if not into[node]]
-        while ready:
-            node = ready.pop()
-            for _, nxt in adj[node]:
-                depth[nxt] = max(depth[nxt], depth[node] + 1)
-                into[nxt] -= 1
-                if not into[nxt]:
-                    ready.append(nxt)
-        return max(depth.values(), default=0)
-
-    @cached_property
     def durable_pairs(self) -> list[tuple[int, int, str]]:
         return find_durable_pairs(self.d, self.s)
 
@@ -183,16 +159,11 @@ class FramedSide:
         The whole type A module pairs when this side already has it (survey
         derives it for a side that meets many framings).  Otherwise only the
         operations whose word has a nonzero composite map in other are
-        derived; an unbounded side is capped at other's longest Reeb path.
-        Both routes give the same box complex.
+        derived, which also ends the walk of an unbounded side; derive_cfa
+        refuses a pair of unbounded sides.  Both routes give the same box
+        complex.
         """
-        if not self.d.bounded and not other.d.bounded:
-            raise ValueError("both framed complements are unbounded; cannot pair")
-        if "cfa" in vars(self):
-            a = self.cfa
-        else:
-            cap = None if self.d.bounded else other.longest_reeb_path
-            a = derive_cfa(self.d, max_word_length=cap, against=other.d)
+        a = self.cfa if "cfa" in vars(self) else derive_cfa(self.d, against=other.d)
         box = box_tensor(a, other.d)
         where = f"{self} x {other}: box tensor differential"
         if not box.d_squared_is_zero():

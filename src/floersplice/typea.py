@@ -47,29 +47,32 @@ class TypeAModule:
         raise KeyError(gen_id)
 
 
-def derive_cfa(
-    m: TypeDModule,
-    max_word_length: int | None = None,
-    against: TypeDModule | None = None,
-) -> TypeAModule:
+def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModule:
     """Enumerate coefficient-map paths and emit merged-word operations.
 
-    The source module must be bounded (acyclic) unless max_word_length is
-    given, in which case only operations whose word has at most that many
-    letters are kept and the result is marked unbounded.  Such a word comes
-    from a path of at most 3k+2 edges: each non-identity label adds at least
-    one of the word's at most 3k digits, and a built module has at most one
-    identity edge, on no cycle.  Source gradings are solved if absent; the
-    derived module flips the grading of every iota_0 generator.
+    Source gradings are solved if absent; the derived module flips the
+    grading of every iota_0 generator.
 
     With against, the type D module the result will be paired with, only
     the operations whose word has a nonzero composite map in against are
     kept, and a path is cut once its word minus the last letter has none:
     extending a path merges at most that last letter, so every later map
     has this one as a factor.
+
+    The walk ends when m is bounded (acyclic) or when against is; an
+    unbounded m without a bounded against is refused.  A nonzero map of a
+    j-letter word needs a j-edge Reeb path in against, so with L the
+    longest Reeb path of a bounded against, every path kept or extended
+    has a word of at most L + 1 letters.  Those hold at most 3(L + 1)
+    digits and each non-identity label adds at least one, so a path has
+    boundedly many non-identity edges; between two of them it runs along
+    identity edges only, which in a validated module close no cycle.
     """
-    if not m.bounded and max_word_length is None:
-        raise ValueError("type D module is unbounded; a word-length cap is required")
+    if not m.bounded:
+        if against is None:
+            raise ValueError("type D module is unbounded; only a bounded partner ends its walk")
+        if not against.bounded:
+            raise ValueError("both framed complements are unbounded; cannot pair")
     if m.gradings is None:
         m = solve_gradings(m)
 
@@ -78,23 +81,20 @@ def derive_cfa(
         for i, g in enumerate(m.generators)
     ]
 
-    k = max_word_length
     adj = m.out_edges()
-    cap = None if k is None else 3 * k + 2
     if against is None:
-        paths = walk_paths(adj, lambda word, label: swap_and_merge((label,), word), (), cap)
+        paths = walk_paths(adj, lambda word, label: swap_and_merge((label,), word), ())
     else:
         def step(word, label):
             merged = swap_and_merge((label,), word)
             return merged if against.composite(merged[:-1]).cols else None
 
-        paths = (p for p in walk_paths(adj, step, (), cap) if against.composite(p[2]).cols)
+        paths = (p for p in walk_paths(adj, step, ()) if against.composite(p[2]).cols)
 
     parity: dict[tuple[int, tuple[str, ...], int], int] = {}
     for start, end, word, _ in paths:
-        if k is None or len(word) <= k:
-            key = (start, word, end)
-            parity[key] = parity.get(key, 0) ^ 1
+        key = (start, word, end)
+        parity[key] = parity.get(key, 0) ^ 1
 
     ops = frozenset(key for key, p in parity.items() if p)
     return TypeAModule(gens, ops, bounded=m.bounded)
@@ -147,11 +147,17 @@ def validate_cfa(a: TypeAModule) -> TypeAReport:
     return TypeAReport(idem_ok, merged_ok, grading_ok, problems)
 
 
-def ops_text(a: TypeAModule) -> str:
-    """Stable text dump: one `m{k+1}(<gen>, <letters>) = <gen>` line per op."""
+def ops_lines(a: TypeAModule) -> list[str]:
+    """One `m{k+1}(<gen>, <letters>) = <gen>` line per op, each ending in a newline, sorted."""
     lines = []
     for src, word, dst in a.operations:
         letters = " ".join(f"rho{w}" for w in word)
         inner = f"{a.generators[src].id}, {letters}" if word else a.generators[src].id
-        lines.append(f"m{len(word) + 1}({inner}) = {a.generators[dst].id}")
-    return "\n".join(sorted(lines)) + ("\n" if lines else "")
+        lines.append(f"m{len(word) + 1}({inner}) = {a.generators[dst].id}\n")
+    lines.sort()
+    return lines
+
+
+def ops_text(a: TypeAModule) -> str:
+    """Stable text dump: the lines of ops_lines, joined."""
+    return "".join(ops_lines(a))

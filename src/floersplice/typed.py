@@ -139,22 +139,19 @@ class Composite:
         return self.basis.reduce(v)[0] == 0
 
 
-def walk_paths(adj: dict[int, list[tuple[str, int]]], step, state, max_len: int | None = None):
-    """Yield (start, end, state, length) for every directed path of 1..max_len edges.
+def walk_paths(adj: dict[int, list[tuple[str, int]]], step, state):
+    """Yield (start, end, state, length) for every directed path of one or more edges.
 
     Each path's state begins as `state` at its start and is extended by
     step(state, label) along every edge; a step that returns None cuts the
     path there (it is neither yielded nor extended).  The walk keeps an
-    explicit stack, so path length is bounded by max_len (or by acyclicity
-    of adj, or by the cuts, when max_len is None), never by the
-    interpreter's recursion limit.
+    explicit stack, so path length is bounded by acyclicity of adj or by
+    the cuts, never by the interpreter's recursion limit.
     """
     for start in adj:
         stack = [(start, state, 0)]
         while stack:
             node, prefix, length = stack.pop()
-            if length == max_len:
-                continue
             for label, nxt in adj[node]:
                 extended = step(prefix, label)
                 if extended is None:

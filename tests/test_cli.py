@@ -64,7 +64,7 @@ def test_cfa_text(capsys):
 
 def test_side_commands_refuse_bad_input(tmp_path, capsys):
     """cfd, cfa and durable refuse an unreduced complex, and cfa refuses the
-    0-framed unknot, whose type A module would need a word-length cap."""
+    0-framed unknot, whose walk only a bounded partner would end."""
     bad = tmp_path / "bad.cfk"
     bad.write_text("gen x 0\ngen y 0\nd x = y\n")
     for command in ("cfd", "cfa", "durable"):
@@ -73,7 +73,7 @@ def test_side_commands_refuse_bad_input(tmp_path, capsys):
         assert "reduced" in err and not out
     code, out, err = run(capsys, "cfa", UNKNOT, "--framing", "0")
     assert code == 1
-    assert "word-length cap is required" in err and not out
+    assert "only a bounded partner ends its walk" in err and not out
 
 
 def test_splice_json(capsys):

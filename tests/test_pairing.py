@@ -103,10 +103,19 @@ def test_pairing_with_unbounded_side(trefoil):
 
 
 def test_both_sides_unbounded_rejected():
+    """Two unbounded sides are refused, by derive_cfa before it walks and by
+    box_tensor for a type A module built by hand."""
+    from floersplice.typea import AGen, TypeAModule
+    from floersplice.typed import DGen, TypeDModule
+
     d_unknot = solve_gradings(build_cfd(simplify(unknot()), 0))
-    a_unknot = derive_cfa(d_unknot, max_word_length=6)
-    with pytest.raises(ValueError):
-        box_tensor(a_unknot, d_unknot)
+    loop = TypeDModule([DGen("y", 0, "xi")], frozenset({(0, "12", 0)}))
+    for m, against in ((d_unknot, loop), (loop, d_unknot)):
+        with pytest.raises(ValueError, match="both framed complements are unbounded"):
+            derive_cfa(m, against=against)
+    a_loop = TypeAModule([AGen("y", 0, 1)], frozenset({(0, ("3", "2"), 0)}), bounded=False)
+    with pytest.raises(ValueError, match="at least one bounded side"):
+        box_tensor(a_loop, d_unknot)
 
 
 def test_empty_against_module(trefoil):

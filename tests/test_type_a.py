@@ -84,28 +84,37 @@ class TestDerive:
             empty_edges = {(s, t) for s, lab, t in d.edges if lab == ""}
             assert m1_ops == empty_edges
 
-    def test_unbounded_requires_cap(self):
-        d = build_cfd(simplify(unknot()), 0)
-        with pytest.raises(ValueError):
-            derive_cfa(d)
-        a = derive_cfa(d, max_word_length=4)
-        assert not a.bounded
-        ops = ops_by_ids(a)
-        assert ("x0", ("3", "2"), "x0") in ops  # the D_12 self edge
-        # circuits of the self edge merge into longer words
-        assert ("x0", ("3", "23", "2"), "x0") in ops
+    def test_unbounded_needs_bounded_partner(self, monkeypatch):
+        """An unbounded module is walked only against a bounded partner, whose
+        composite maps end every path; any other request is refused before
+        a single edge is walked."""
+        from floersplice import typea
+        from floersplice.typed import DGen, TypeDModule
 
-    def test_word_cap_is_exact(self, trefoil, mirror_trefoil, t25, figure_eight):
-        """A word-length cap keeps exactly the uncapped operations that fit it."""
-        for c in (trefoil, mirror_trefoil, t25, figure_eight):
-            for n in range(-9, 10):
-                d = solve_gradings(build_cfd(simplify(c), n))
-                if not d.bounded:
-                    continue
-                full = derive_cfa(d).operations
-                for k in range(8):
-                    capped = derive_cfa(d, max_word_length=k).operations
-                    assert capped == {op for op in full if len(op[1]) <= k}, (c.name, n, k)
+        d = build_cfd(simplify(unknot()), 0)  # x0 with a D_12 self edge
+        loop = TypeDModule([DGen("y", 0, "xi")], frozenset({(0, "12", 0)}))
+        # a -D3-> b -D23-> c -D2-> e and b -D2-> f: Reeb paths of at most 3 edges
+        chain = TypeDModule(
+            [DGen("a", 0, "xi"), DGen("b", 1, "lambda"), DGen("c", 1, "lambda"),
+             DGen("e", 0, "xi"), DGen("f", 0, "xi")],
+            frozenset({(0, "3", 1), (1, "23", 2), (2, "2", 3), (1, "2", 4)}),
+        )
+        assert not d.bounded and not loop.bounded and chain.bounded
+
+        real_step = typea.swap_and_merge
+        monkeypatch.setattr(typea, "swap_and_merge", lambda *a: pytest.fail("walked an edge"))
+        with pytest.raises(ValueError, match="only a bounded partner ends its walk"):
+            derive_cfa(d)
+        for m, against in ((d, loop), (loop, d), (loop, loop)):
+            with pytest.raises(ValueError, match="both framed complements are unbounded"):
+                derive_cfa(m, against=against)
+
+        monkeypatch.setattr(typea, "swap_and_merge", real_step)
+        a = derive_cfa(d, against=chain)
+        assert not a.bounded
+        # the D_12 self edge, and its circuit twice round, whose words merge;
+        # three times round needs a D3 D23 D23 path, which chain lacks
+        assert ops_by_ids(a) == {("x0", ("3", "2"), "x0"), ("x0", ("3", "23", "2"), "x0")}
 
     def test_f2_cancellation(self):
         """Two distinct paths with the same source, word, and target cancel."""

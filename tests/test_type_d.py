@@ -337,7 +337,9 @@ def test_composite_counts_paths(trefoil, mirror_trefoil, figure_eight, t25, unkn
             d = build_cfd(s, n)
             unbounded += not d.bounded
             counts: dict[tuple[str, ...], dict[int, int]] = {}
-            paths = walk_paths(d.out_edges(REEB_LABELS), lambda w, label: w + (label,), (), 4)
+            paths = walk_paths(
+                d.out_edges(REEB_LABELS), lambda w, label: w + (label,) if len(w) < 4 else None, ()
+            )
             for start, end, w, _ in paths:
                 cols = counts.setdefault(w, {})
                 cols[start] = cols.get(start, 0) ^ (1 << end)
