@@ -146,25 +146,19 @@ def word_grading(word: tuple[str, ...]) -> int:
     return sum(GRADING[w] for w in word) % 2
 
 
+def _label_product(j: str, k: str) -> str | None:
+    """rho_j rho_k of two labels, the empty label acting as the identity; None means zero."""
+    if j == EMPTY:
+        return k
+    if k == EMPTY:
+        return j
+    return PRODUCT_TABLE[j, k]
+
+
 def label_factorizations(label: str) -> list[tuple[str, str]]:
     """All pairs (J, K) of labels (rho_emptyset allowed) with rho_J rho_K = rho_label.
 
     Used by the type D structure equation: the composition D_K . D_J summed
     over these factorizations must vanish for every output label.
     """
-    out = []
-    for j in LABELS:
-        for k in LABELS:
-            if j == EMPTY and k == EMPTY:
-                if label == EMPTY:
-                    out.append((j, k))
-            elif j == EMPTY:
-                if k == label:
-                    out.append((j, k))
-            elif k == EMPTY:
-                if j == label:
-                    out.append((j, k))
-            else:
-                if PRODUCT_TABLE[j, k] == label:
-                    out.append((j, k))
-    return out
+    return [(j, k) for j in LABELS for k in LABELS if _label_product(j, k) == label]

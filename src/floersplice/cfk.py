@@ -417,7 +417,7 @@ def simplify(c: KnotComplex) -> SimplifiedBases:
     vpairs, vunpaired = _reduce_pairing(_vertical_columns(c), vorder)
     if len(vunpaired) != 1:
         raise ValueError(
-            f"vertical reduction left {len(vunpaired)} unpaired generators (expected 1)"
+            f"{c.name}: vertical reduction left {len(vunpaired)} unpaired generators (expected 1)"
         )
 
     # Horizontal side: the grading-raising part, processed in descending A.
@@ -425,7 +425,7 @@ def simplify(c: KnotComplex) -> SimplifiedBases:
     hpairs, hunpaired = _reduce_pairing(_horizontal_columns(c), horder)
     if len(hunpaired) != 1:
         raise ValueError(
-            f"horizontal reduction left {len(hunpaired)} unpaired generators (expected 1)"
+            f"{c.name}: horizontal reduction left {len(hunpaired)} unpaired generators (expected 1)"
         )
 
     def assemble(pairs, unpaired):
@@ -463,20 +463,20 @@ def simplify(c: KnotComplex) -> SimplifiedBases:
 
     tau = xi_alex[0]
     if tau != -eta_alex[0]:
-        raise ValueError(f"A(xi_0) = {tau} does not equal -A(eta_0) = {-eta_alex[0]}")
+        raise ValueError(f"{c.name}: A(xi_0) = {tau} does not equal -A(eta_0) = {-eta_alex[0]}")
     genus = max(abs(A[g]) for g in gens)
 
     b_matrix = []
     for vec in eta:
         coeffs = gf2.solve(xi, vec)
         if coeffs is None:
-            raise ValueError("eta basis does not lie in the xi span at U=0")
+            raise ValueError(f"{c.name}: eta basis does not lie in the xi span at U=0")
         b_matrix.append(coeffs)
     a_matrix = []
     for vec in xi:
         coeffs = gf2.solve(eta, vec)
         if coeffs is None:
-            raise ValueError("xi basis does not lie in the eta span at U=0")
+            raise ValueError(f"{c.name}: xi basis does not lie in the eta span at U=0")
         a_matrix.append(coeffs)
 
     lspace_form, sign, steps = _staircase_recognizer(xi_alex, eta_alex, xi, eta)

@@ -92,7 +92,7 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
         paths = (p for p in walk_paths(adj, step, ()) if against.composite(p[2]).cols)
 
     parity: dict[tuple[int, tuple[str, ...], int], int] = {}
-    for start, end, word, _ in paths:
+    for start, end, word in paths:
         key = (start, word, end)
         parity[key] = parity.get(key, 0) ^ 1
 

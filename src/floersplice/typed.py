@@ -140,7 +140,7 @@ class Composite:
 
 
 def walk_paths(adj: dict[int, list[tuple[str, int]]], step, state):
-    """Yield (start, end, state, length) for every directed path of one or more edges.
+    """Yield (start, end, state) for every directed path of one or more edges.
 
     Each path's state begins as `state` at its start and is extended by
     step(state, label) along every edge; a step that returns None cuts the
@@ -149,15 +149,15 @@ def walk_paths(adj: dict[int, list[tuple[str, int]]], step, state):
     the cuts, never by the interpreter's recursion limit.
     """
     for start in adj:
-        stack = [(start, state, 0)]
+        stack = [(start, state)]
         while stack:
-            node, prefix, length = stack.pop()
+            node, prefix = stack.pop()
             for label, nxt in adj[node]:
                 extended = step(prefix, label)
                 if extended is None:
                     continue
-                yield start, nxt, extended, length + 1
-                stack.append((nxt, extended, length + 1))
+                yield start, nxt, extended
+                stack.append((nxt, extended))
 
 
 def _acyclic(n: int, edges, labels: tuple[str, ...] | None = None) -> bool:
@@ -312,6 +312,10 @@ class TypeDReport:
         return self.structure_ok and self.idempotents_ok and self.empty_cycle_free
 
 
+# output label -> its factorizations (J, K), for the structure equation
+_FACTORIZATIONS = {label: label_factorizations(label) for label in LABELS}
+
+
 def validate_type_d(m: TypeDModule) -> TypeDReport:
     """Check idempotent compatibility, the structure equation, and boundedness."""
     problems: list[str] = []
@@ -333,9 +337,9 @@ def validate_type_d(m: TypeDModule) -> TypeDReport:
             )
 
     structure_ok = True
-    for out_label in LABELS:
+    for out_label, factorizations in _FACTORIZATIONS.items():
         total = [0] * len(m.generators)
-        for j, k in label_factorizations(out_label):
+        for j, k in factorizations:
             comp = gf2.compose(m.mats[k], m.mats[j])
             total = [a ^ b for a, b in zip(total, comp)]
         if any(total):
@@ -442,85 +446,68 @@ _CHAIN_NEXT = {
     ("3", "2"): ("123",),
 }
 
+# The durable and weakly durable conditions, keyed by the idempotent of v: a
+# (strong, weak) pair whose parts are (vanish, unhit), two lists of label
+# words in path order.  Every word in vanish must map v to zero; no word in
+# unhit may project onto v (see _hits).  The iota_0 strong words that vanish
+# are the exits of _CHAIN_NEXT.  The iota_1 strong part asks D_J.D_K to miss
+# v only for J in {1, 123}, the single labels allowed to hit v: Im(D_J.D_K)
+# lies in Im(D_J), and a zero row of D_J stays zero in D_J.D_K.
+_CONDITIONS = {
+    0: (
+        ([p + (lab,) for p, ok in _CHAIN_NEXT.items() for lab in LABELS if lab not in ok],
+         [(lab,) for lab in LABELS]),
+        ([("1",), ("12",), ("123", "2"), ("3", "2", "1"), ("3", "2", "12")], []),
+    ),
+    1: (
+        ([(lab,) for lab in LABELS if lab != "23"],
+         [(lab,) for lab in LABELS if lab not in ("1", "123")]
+         + [(k, j) for j in ("1", "123") for k in LABELS]),
+        ([("2",)], [("3",), ("3", "2", "1")]),
+    ),
+}
 
-def _hits(v: int, m: TypeDModule, *word: str) -> bool:
-    """Whether the composite map D_word[0]...D_word[-1] projects onto v.
 
-    The last label of the word is applied first.  This is the one incoming
-    rule of the durable conditions.  For a single generator it is the
-    coordinate projection: row v of the map is nonzero.  For a combination
-    it is membership of v in the image, the basis-independent reading.  The
-    map depends only on the module, so m.composite builds it once.
+def _hits(v: int, m: TypeDModule, word: tuple[str, ...]) -> bool:
+    """Whether the composite map of a path-order label word projects onto v.
+
+    This is the one incoming rule of the durable conditions.  For a single
+    generator it is the coordinate projection: row v of the map is nonzero.
+    For a combination it is membership of v in the image, the
+    basis-independent reading.  The map depends only on the module, so
+    m.composite builds it once.
     """
-    image = m.composite(word[::-1])
+    image = m.composite(word)
     if v & (v - 1) == 0:
         return bool(image.rows & v)
     return image.spans(v)
-
-
-def _chains_allowed(m: TypeDModule, v: int) -> bool:
-    """Whether every nonzero outgoing chain from v follows _CHAIN_NEXT."""
-    stack = [((), v)]
-    while stack:
-        prefix, w = stack.pop()
-        for label in LABELS:
-            image = gf2.apply_columns(m.mats[label], w)
-            if not image:
-                continue
-            if label not in _CHAIN_NEXT[prefix]:
-                return False
-            if prefix + (label,) in _CHAIN_NEXT:
-                stack.append((prefix + (label,), image))
-    return True
 
 
 def durability(m: TypeDModule, v: int) -> dict:
     """Evaluate the durable and weakly durable conditions on a vector.
 
     v is a bitmask over the module's generators, nonzero and supported in a
-    single idempotent.  All conditions reduce to finite-depth checks: the
+    single idempotent.  The conditions are the words of _CONDITIONS: the
     constraints on outgoing compositions only mention the first three maps,
     and a composition is nonzero only if all its prefixes are.  Incoming
-    maps are judged by _hits.
+    words are judged by _hits, first, since they read the module's cached
+    composite maps; outgoing ones are applied to v one label at a time.
     """
     if v == 0:
         raise ValueError("durability of the zero vector is undefined")
     idems = {m.generators[i].idempotent for i in gf2.bits(v)}
     if len(idems) != 1:
         raise ValueError("vector mixes idempotents")
-    idem = idems.pop()
-    mats = m.mats
+    strong, weak = _CONDITIONS[idems.pop()]
 
-    def apply(label: str, w: int) -> int:
-        return gf2.apply_columns(mats[label], w)
-
-    if idem == 0:
-        durable = not any(_hits(v, m, lab) for lab in LABELS) and _chains_allowed(m, v)
-        d3 = apply("3", v)
-        weakly = (
-            apply("1", v) == 0
-            and apply("12", v) == 0
-            and apply("2", apply("123", v)) == 0
-            and apply("1", apply("2", d3)) == 0
-            and apply("12", apply("2", d3)) == 0
-        )
-    else:
-        incoming = [lab for lab in LABELS if _hits(v, m, lab)]
-        # No composite D_J.D_K may project onto v.  Only labels J with D_J
-        # projecting onto v need checking: Im(D_J.D_K) lies in Im(D_J), and a
-        # zero row of D_J stays zero in D_J.D_K.
-        durable = (
-            all(apply(lab, v) == 0 for lab in LABELS if lab != "23")
-            and set(incoming) <= {"1", "123"}
-            and not any(_hits(v, m, j, k) for j in incoming for k in LABELS)
-        )
-        weakly = (
-            apply("2", v) == 0
-            and not _hits(v, m, "3")
-            and not _hits(v, m, "1", "2", "3")
+    def holds(vanish, unhit) -> bool:
+        return not any(_hits(v, m, word) for word in unhit) and all(
+            reduce(lambda w, label: gf2.apply_columns(m.mats[label], w), word, v) == 0
+            for word in vanish
         )
 
-    return {"durable": durable, "weakly_durable": weakly or durable}
+    durable = holds(*strong)
+    return {"durable": durable, "weakly_durable": durable or holds(*weak)}
 
 
 def find_durable_pairs(m: TypeDModule, s: SimplifiedBases) -> list[tuple[int, int, str]]:

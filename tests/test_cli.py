@@ -141,6 +141,16 @@ def test_incompatible_bases_refused(tmp_path, capsys):
         assert "lspace_form" not in out and "False" not in out
 
 
+def test_simplify_refusal_names_the_complex(tmp_path, capsys):
+    """A complex that passes validate's checks but whose horizontal reduction
+    leaves three unpaired generators is refused under its file's stem."""
+    path = tmp_path / "h.cfk"
+    path.write_text("gen a 0\ngen b 1\ngen c 1\nd b = a\n")
+    code, _, err = run(capsys, "splice", str(path), "1", TREFOIL, "3")
+    assert code == 1
+    assert err == "error: h: horizontal reduction left 3 unpaired generators (expected 1)\n"
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/path.cfk")
     assert code == 1

@@ -9,9 +9,11 @@ figure-eight fixtures cannot see.
 
 import pytest
 
+from floersplice import gf2
 from floersplice.cfk import make_complex, simplify, staircase, validate_complex
 from floersplice.splice import splice_report
-from floersplice.typed import bk_prime, build_cfd, find_durable_pairs, validate_type_d
+from floersplice.typed import bk_prime, build_cfd, durability, find_durable_pairs, validate_type_d
+from test_type_d import _durability_reference, _words
 
 
 def tensor_product(c1, c2, name):
@@ -76,6 +78,30 @@ def test_cfd_structure_and_durable_pairs(fig8_trefoil, double_trefoil):
             assert report.bounded
             pairs = find_durable_pairs(d, s)
             assert any(strength == "durable" for *_, strength in pairs), (c.name, n)
+
+
+def test_durability_matches_reference(fig8_trefoil, double_trefoil):
+    """durability agrees with the brute-force reference on the durable
+    candidates of the sums (every B'_k span element, xi vector and eta row)
+    and on each one's nonzero D_123 image."""
+    checked = combinations = durable = 0
+    for c in (fig8_trefoil, double_trefoil):
+        s = simplify(c)
+        candidates = [1 << p for p in range(len(s.xi))] + s.b_matrix
+        for k in range(-s.genus, s.genus + 1):
+            basis = bk_prime(s, k)
+            candidates += [gf2.apply_columns(basis, mask) for mask in range(1, 1 << len(basis))]
+        for n in range(-4, 5):
+            d = build_cfd(s, n)
+            words = _words(d)
+            images = [gf2.apply_columns(d.mats["123"], x) for x in candidates]
+            for v in dict.fromkeys(candidates + [y for y in images if y]):
+                expected = _durability_reference(d, words, v)
+                assert durability(d, v) == expected, (c.name, n, d.format_vector(v))
+                checked += 1
+                combinations += v & (v - 1) != 0
+                durable += expected["durable"]
+    assert (checked, combinations, durable) == (378, 63, 82)
 
 
 def test_splices_never_lspaces(fig8_trefoil, double_trefoil, trefoil):

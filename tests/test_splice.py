@@ -227,8 +227,8 @@ FIXTURES = ("trefoil", "mirror_trefoil", "figure_eight", "t25", "unknot_complex"
 
 def longest_reeb_path(d):
     """Edges on the longest Reeb-labeled path of a bounded module, by enumeration."""
-    paths = walk_paths(d.out_edges(REEB_LABELS), lambda state, label: state, 0)
-    return max((length for *_, length in paths), default=0)
+    paths = walk_paths(d.out_edges(REEB_LABELS), lambda edges, label: edges + 1, 0)
+    return max((edges for *_, edges in paths), default=0)
 
 
 def capped_cfa(d, k):
@@ -244,7 +244,7 @@ def capped_cfa(d, k):
         return (swap_and_merge((label,), word), edges + 1) if edges < 3 * k + 2 else None
 
     parity = {}
-    for start, end, (word, _), _ in walk_paths(d.out_edges(), step, ((), 0)):
+    for start, end, (word, _) in walk_paths(d.out_edges(), step, ((), 0)):
         if len(word) <= k:
             parity[start, word, end] = parity.get((start, word, end), 0) ^ 1
     gens = [

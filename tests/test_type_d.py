@@ -340,7 +340,7 @@ def test_composite_counts_paths(trefoil, mirror_trefoil, figure_eight, t25, unkn
             paths = walk_paths(
                 d.out_edges(REEB_LABELS), lambda w, label: w + (label,) if len(w) < 4 else None, ()
             )
-            for start, end, w, _ in paths:
+            for start, end, w in paths:
                 cols = counts.setdefault(w, {})
                 cols[start] = cols.get(start, 0) ^ (1 << end)
             for w in words:
