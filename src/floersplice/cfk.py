@@ -11,7 +11,9 @@ recognizer used to detect L-space-knot complexes.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import gf2
 
@@ -30,10 +32,11 @@ class FormatError(ValueError):
 class KnotComplex:
     name: str
     generators: tuple[str, ...]
-    alexander: dict[str, int]
+    alexander: Mapping[str, int]  # a read-only copy of the mapping given
     differential: tuple[tuple[str, str, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "alexander", MappingProxyType(dict(self.alexander)))
         seen = set()
         for g in self.generators:
             if g in seen:
@@ -48,6 +51,10 @@ class KnotComplex:
     def index(self, name: str) -> int:
         return self.generators.index(name)
 
+    def __reduce__(self):
+        # A mappingproxy does not pickle or copy; rebuild from a plain dict.
+        return (KnotComplex, (self.name, self.generators, dict(self.alexander), self.differential))
+
 
 def _canonical_entries(entries) -> tuple[tuple[str, str, int], ...]:
     """Cancel duplicate entries mod 2 and sort deterministically."""
@@ -58,7 +65,7 @@ def _canonical_entries(entries) -> tuple[tuple[str, str, int], ...]:
 
 
 def make_complex(name, generators, alexander, entries) -> KnotComplex:
-    return KnotComplex(name, tuple(generators), dict(alexander), _canonical_entries(entries))
+    return KnotComplex(name, tuple(generators), alexander, _canonical_entries(entries))
 
 
 def staircase(steps: list[int], sign: str, name: str | None = None) -> KnotComplex:

@@ -20,7 +20,13 @@ from .boxtensor import ChainComplex, box_tensor
 from .cfk import KnotComplex, simplify, validate_complex
 from .homology import GradedRanks, graded_homology, lspace_verdict
 from .typea import TypeAModule, derive_cfa
-from .typed import build_cfd, find_durable_pairs, solve_gradings, validate_type_d
+from .typed import (
+    build_cfd,
+    durable_candidates,
+    find_durable_pairs,
+    solve_gradings,
+    validate_type_d,
+)
 
 OUT_OF_SCOPE = "out-of-scope"
 
@@ -123,19 +129,43 @@ class SpliceReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-class FramedSide:
-    """One framed complement, prepared once per splice_report or survey call.
+class Prepared:
+    """What every framing of a complex shares: its validation, its simplified
+    bases `s` and, on first use, its durable-pair candidates."""
 
-    Holds the simplified bases `s` and the graded type D module `d`.  The
-    durable pairs and the whole type A module are computed on first use and
-    then kept.
-    """
-
-    def __init__(self, c: KnotComplex, n: int):
+    def __init__(self, c: KnotComplex):
         report = validate_complex(c)
         if not report.ok:
             raise ValueError(f"{c.name}: validation failed: {', '.join(report.failures())}")
-        s = simplify(c)
+        self.s = simplify(c)
+
+    @cached_property
+    def candidates(self) -> list[int]:
+        return durable_candidates(self.s)
+
+    @staticmethod
+    def of(c: KnotComplex) -> Prepared:
+        """c's Prepared, kept in c's instance dict as cached_property keeps a
+        value (so equality, repr and pickling ignore it); c cannot change.
+        A refusal is not kept: the next call raises it again."""
+        kept = vars(c).get("_prepared")
+        if kept is None:
+            kept = vars(c)["_prepared"] = Prepared(c)
+        return kept
+
+
+class FramedSide:
+    """One framed complement, prepared once per splice_report or survey call.
+
+    Holds the complex's Prepared `knot`, its simplified bases `s` and the
+    graded type D module `d`.  The type D module, the durable pairs and the
+    whole type A module depend on the framing and are never kept across
+    calls; the last two are computed on first use and then kept on the side.
+    """
+
+    def __init__(self, c: KnotComplex, n: int):
+        self.knot = Prepared.of(c)
+        s = self.knot.s
         d = build_cfd(s, n)
         dreport = validate_type_d(d)
         if not dreport.ok:
@@ -147,7 +177,7 @@ class FramedSide:
 
     @cached_property
     def durable_pairs(self) -> list[tuple[int, int, str]]:
-        return find_durable_pairs(self.d, self.s)
+        return find_durable_pairs(self.d, self.s, self.knot.candidates)
 
     @cached_property
     def cfa(self) -> TypeAModule:

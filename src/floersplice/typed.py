@@ -510,14 +510,14 @@ def durability(m: TypeDModule, v: int) -> dict:
     return {"durable": durable, "weakly_durable": durable or holds(*weak)}
 
 
-def find_durable_pairs(m: TypeDModule, s: SimplifiedBases) -> list[tuple[int, int, str]]:
-    """Pairs (x, y = D_123 x) with both components (weakly) durable.
+def durable_candidates(s: SimplifiedBases) -> list[int]:
+    """The vectors find_durable_pairs tries, in first-seen order without repeats.
 
-    Candidates are the nonzero elements of every B'_k (only its basis
-    vectors past SPAN_CAP) together with the xi basis vectors and eta rows
-    (which covers the designated generators of L-space-form complexes).
-    Vectors are bitmasks over module generators; iota_0 coordinates
-    coincide with xi indices by construction.
+    They are the nonzero elements of every B'_k (only its basis vectors
+    past SPAN_CAP) together with the xi basis vectors and eta rows (which
+    covers the designated generators of L-space-form complexes).  They
+    depend on s alone, not on a framing.  Vectors are bitmasks over module
+    generators; iota_0 coordinates coincide with xi indices by construction.
     """
     candidates: list[int] = []
     for k in sorted(set(s.xi_alex) | set(s.eta_alex)):
@@ -528,9 +528,23 @@ def find_durable_pairs(m: TypeDModule, s: SimplifiedBases) -> list[tuple[int, in
             candidates += [gf2.apply_columns(basis, mask) for mask in range(1, 1 << len(basis))]
     candidates += [1 << p for p in range(len(s.xi))]
     candidates += s.b_matrix
+    return list(dict.fromkeys(candidates))
+
+
+def find_durable_pairs(
+    m: TypeDModule, s: SimplifiedBases, candidates: list[int] | None = None
+) -> list[tuple[int, int, str]]:
+    """Pairs (x, y = D_123 x) with both components (weakly) durable.
+
+    x runs over `candidates`, durable_candidates(s) when not given (a caller
+    that judges many framings of one complex passes the list it kept);
+    the durability of each candidate is judged in m.
+    """
+    if candidates is None:
+        candidates = durable_candidates(s)
 
     pairs: list[tuple[int, int, str]] = []
-    for x in dict.fromkeys(candidates):
+    for x in candidates:
         y = gf2.apply_columns(m.mats["123"], x)
         if not y:
             continue

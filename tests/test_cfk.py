@@ -1,5 +1,8 @@
 """Knot complex parsing, staircases, validation, and simplified bases."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +50,26 @@ class TestParsing:
             assert set(back.generators) == set(c.generators)
             assert back.alexander == c.alexander
             assert set(back.differential) == set(c.differential)
+
+    def test_complex_is_read_only(self, figure_eight, trefoil):
+        """A complex keeps its own read-only copy of the gradings."""
+        alex = {"x": 0}
+        c = make_complex("c", ["x"], alex, [])
+        alex["x"] = 5
+        assert c.alexander == {"x": 0}
+        with pytest.raises(TypeError):
+            c.alexander["x"] = 1
+        for c in (figure_eight, trefoil, unknot()):
+            assert parse_complex(serialize_complex(c), name=c.name) == c
+
+    def test_complex_pickles_and_copies(self, figure_eight, t25):
+        """Complexes can be sent to worker processes and copied."""
+        made = make_complex("c", ["x", "y", "z"], {"x": 1, "y": 0, "z": -1}, [("x", "y", 1)])
+        for c in (made, staircase([1, 2, 2, 1], "-"), unknot(), figure_eight, t25):
+            for back in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c), copy.copy(c)):
+                assert back == c and back is not c
+                with pytest.raises(TypeError):
+                    back.alexander[c.generators[0]] = 9
 
     def test_syntax_error_carries_line(self):
         with pytest.raises(FormatError) as e:

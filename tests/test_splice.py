@@ -1,16 +1,20 @@
 """Predictor, conjecture arithmetic, splice reports, and surveys."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from floersplice.algebra import REEB_LABELS, swap_and_merge
 from floersplice.boxtensor import box_tensor
+from floersplice.cfk import make_complex, simplify, staircase, unknot, validate_complex
 from floersplice.homology import GradedRanks
 from floersplice.splice import (
     OUT_OF_SCOPE,
     FramedSide,
     InvariantViolation,
+    Prepared,
     conjecture_check,
     predict_lspace,
     splice_report,
@@ -162,7 +166,6 @@ class TestIncompatibleBases:
         """A presentation whose reductions give filtration-incompatible bases
         is refused rather than run through a construction that presumes
         compatibility (which can mislead the predictor)."""
-        from floersplice.cfk import staircase, simplify
         from test_cfk import filtered_change
 
         for base, moves in [
@@ -317,3 +320,108 @@ class TestRoutes:
         ]
         bounded = sum(FramedSide(c, n).d.bounded for c in complexes for n in range(-15, 16))
         assert bounded == 201
+
+
+def benchmark_complexes() -> dict:
+    """Fresh copies of the ten complexes of the benchmark workloads, by name."""
+    from test_connected_sum import tensor_product
+
+    trefoil = staircase([1, 1], "+", name="trefoil")
+    figure_eight = make_complex(
+        "figure_eight",
+        ["a", "b", "c", "d", "e"],
+        {"a": 1, "b": 0, "c": 0, "d": -1, "e": 0},
+        [("a", "b", 0), ("c", "a", 1), ("c", "d", 0), ("d", "b", 1)],
+    )
+    out = [trefoil, staircase([1, 1], "-", name="mirror_trefoil"), unknot(), figure_eight]
+    out += [
+        tensor_product(figure_eight, trefoil, "fig8#trefoil"),
+        tensor_product(trefoil, trefoil, "trefoil#trefoil"),
+    ]
+    out += [staircase([1] * (2 * k), "+", name=f"staircase_{2 * k}") for k in (4, 8, 12, 16)]
+    return {c.name: c for c in out}
+
+
+class TestPerComplexCache:
+    """Validation, the simplified bases and the durable candidates are computed
+    once per complex object; whatever depends on the framing, once per side."""
+
+    def test_once_per_complex_object(self, monkeypatch):
+        from floersplice import splice
+
+        calls = {"validate_complex": [], "simplify": [], "durable_candidates": []}
+
+        def counted(name, fn):
+            def wrapper(arg):
+                calls[name].append(arg)
+                return fn(arg)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(splice, name, counted(name, getattr(splice, name)))
+        cx = benchmark_complexes()
+        c1, c2 = cx["trefoil"], cx["fig8#trefoil"]
+        survey(c1, (-2, 2), c2, (-2, 2))
+        for n in (-3, 0, 5):
+            splice_report(c1, n, c2, n + 1)
+            splice_report(c2, n, c1, n)
+        s1, s2 = Prepared.of(c1).s, Prepared.of(c2).s
+        assert [id(c) for c in calls["validate_complex"]] == [id(c1), id(c2)]
+        assert [id(c) for c in calls["simplify"]] == [id(c1), id(c2)]
+        assert [id(s) for s in calls["durable_candidates"]] == [id(s1), id(s2)]
+
+        fresh = benchmark_complexes()["trefoil"]
+        assert fresh == c1 and "_prepared" not in vars(fresh)
+        splice_report(fresh, 3, c2, 2)
+        assert [id(c) for c in calls["simplify"]] == [id(c1), id(c2), id(fresh)]
+        assert Prepared.of(fresh).s is not s1
+
+    def test_warm_reports_equal_fresh(self):
+        """Every report is the same whether its complexes were prepared before or
+        are built afresh for it."""
+        cx = benchmark_complexes()
+        trefoil = cx["trefoil"]
+        framings = [(n1, n2) for n1 in range(-4, 5) for n2 in range(-4, 5)]
+
+        def fresh(c):
+            return make_complex(c.name, c.generators, c.alexander, c.differential)
+
+        for c in cx.values():
+            surveyed = [r.to_dict() for r in survey(c, (-4, 4), trefoil, (-4, 4))]
+            warm = [splice_report(c, n1, trefoil, n2).to_dict() for n1, n2 in framings]
+            cold = [splice_report(fresh(c), n1, fresh(trefoil), n2).to_dict() for n1, n2 in framings]
+            assert surveyed == warm == cold, c.name
+
+    def test_kept_results_are_not_pickled(self):
+        """A prepared complex pickles and copies like a fresh one: the copy is
+        equal and prepares itself on its first framing."""
+        c = benchmark_complexes()["fig8#trefoil"]
+        first = splice_report(c, 1, c, -1).to_dict()
+        assert "_prepared" in vars(c)
+        for back in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+            assert back == c and "_prepared" not in vars(back)
+            assert splice_report(back, 1, back, -1).to_dict() == first
+
+    @pytest.mark.parametrize("refused", ["invalid", "incompatible"])
+    def test_refusal_is_raised_again(self, refused):
+        """A refused complex keeps being refused, with the same error, on either side."""
+        from test_cfk import filtered_change
+
+        if refused == "invalid":
+            c = make_complex(
+                "bad", ["x", "y", "z"], {"x": 2, "y": 1, "z": 0}, [("x", "y", 0), ("y", "z", 0)]
+            )
+            assert not validate_complex(c).ok
+            expected = "bad: validation failed: d_squared_zero"
+        else:
+            c = filtered_change(staircase([1, 1, 1, 1], "+"), [(3, 1, 0), (0, 3, 1)])
+            assert not simplify(c).bases_compatible
+            expected = "not filtration compatible"
+        trefoil = staircase([1, 1], "+")
+        for args in [(c, 1, trefoil, 2), (trefoil, 2, c, 1)]:
+            errors = []
+            for _ in range(2):
+                with pytest.raises(ValueError, match=expected) as e:
+                    splice_report(*args)
+                errors.append((type(e.value), str(e.value)))
+            assert errors[0] == errors[1]

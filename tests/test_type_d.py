@@ -363,6 +363,16 @@ def _hand_built():
     yield TypeDModule(gens, frozenset({(0, "3", 1), (0, "3", 2)}))
 
 
+def test_iota_1_identity_edge_is_not_durable():
+    """An iota_1 vector whose only edge is an outgoing identity map is weakly
+    durable but not durable; without the edge it is durable."""
+    gens = [DGen("k1", 1, "kappa"), DGen("k2", 1, "kappa")]
+    assert durability(TypeDModule(gens, frozenset({(0, "", 1)})), 0b01) == {
+        "durable": False, "weakly_durable": True}
+    assert durability(TypeDModule(gens, frozenset()), 0b01) == {
+        "durable": True, "weakly_durable": True}
+
+
 def test_durability_matches_reference_on_hand_built_modules():
     verdicts = set()
     for d in _hand_built():
