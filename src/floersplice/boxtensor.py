@@ -14,10 +14,15 @@ over F2:
 Counted mod 2, the type D paths that spell a word are one composite map
 (TypeDModule.composite), so (a) pairs each operation with the map of its
 word.  The sum is finite because the type A side has finitely many words.
+
+Only the pairs at either end of a nonzero entry are listed; the rest are
+counted per grading from the factors (dim C_g sums #A(i, ga) * #D(i, gd)
+over idempotents i, ga + gd = g), so cost follows entries, not dimension.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import gf2
@@ -31,72 +36,46 @@ class ChainComplex:
     labels: list[tuple[str, str]]   # (type A generator id, type D generator id)
     gradings: list[int]
     boundary: list[int]             # column bitmasks
+    untouched: tuple[int, int] = (0, 0)  # generators outside labels, per grading: all isolated
 
     def dim(self, grading: int) -> int:
-        return sum(1 for g in self.gradings if g == grading)
+        return self.untouched[grading] + self.gradings.count(grading)
 
     def d_squared_is_zero(self) -> bool:
-        square = gf2.compose(self.boundary, self.boundary)
-        return not any(square)
+        return not any(gf2.compose(self.boundary, self.boundary))
 
     def boundary_flips_grading(self) -> bool:
-        for j, col in enumerate(self.boundary):
-            for i in gf2.bits(col):
-                if self.gradings[i] == self.gradings[j]:
-                    return False
-        return True
-
-    def index_of(self, a_id: str, d_id: str) -> int:
-        return self.labels.index((a_id, d_id))
-
-    def row(self, i: int) -> int:
-        return gf2.row_of(self.boundary, i)
+        gr = self.gradings
+        return all(gr[i] != gr[j] for j, col in enumerate(self.boundary) for i in gf2.bits(col))
 
 
 def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
     """Pair a type A module with a type D module.
 
-    Raises ValueError when both sides are unbounded or when the type D side
-    has an identity-labeled cycle.
+    Lists the touched pairs in (type A index, type D index) order.  An
+    untouched pair has no incident entry, so the guards and the homology
+    read the whole complex.  Raises ValueError when both sides are unbounded
+    or when the type D side has an identity-labeled cycle.
     """
     if not a.bounded and not d.bounded:
         raise ValueError("box tensor requires at least one bounded side")
     if d.gradings is None:
         d = solve_gradings(d)
 
-    pairs: list[tuple[int, int]] = []
-    pair_index: dict[tuple[int, int], int] = {}
-    for ai, ag in enumerate(a.generators):
-        for di, dg in enumerate(d.generators):
-            if ag.idempotent == dg.idempotent:
-                pair_index[ai, di] = len(pairs)
-                pairs.append((ai, di))
-
-    gradings = [
-        (a.generators[ai].grading + d.gradings[di]) % 2 for ai, di in pairs
-    ]
-
-    boundary = [0] * len(pairs)
-
-    def add(src: tuple[int, int], dst: tuple[int, int]) -> None:
-        boundary[pair_index[src]] ^= 1 << pair_index[dst]
-
+    count: Counter = Counter()  # (source pair, target pair) -> entries, summed mod 2 below
     ops = a.by_word
 
     # (c) internal differential of the type A side
     for src, dst in ops.get((), []):
-        idem = a.generators[src].idempotent
-        for di, dg in enumerate(d.generators):
-            if dg.idempotent == idem:
-                add((src, di), (dst, di))
+        for di in d.iota_indices(a.generators[src].idempotent):
+            count[(src, di), (dst, di)] += 1
 
     # (b) identity-labeled edges of the type D side
-    for dsrc, label, ddst in sorted(d.edges):
+    for dsrc, label, ddst in d.edges:
         if label == EMPTY:
-            idem = d.generators[dsrc].idempotent
             for ai, ag in enumerate(a.generators):
-                if ag.idempotent == idem:
-                    add((ai, dsrc), (ai, ddst))
+                if ag.idempotent == d.generators[dsrc].idempotent:
+                    count[(ai, dsrc), (ai, ddst)] += 1
 
     # (a) Reeb-labeled paths, as the composite map of each nonempty word
     for word, arrows in ops.items():
@@ -104,7 +83,20 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
             for start, ends in d.composite(word).cols.items():
                 for end in gf2.bits(ends):
                     for asrc, adst in arrows:
-                        add((asrc, start), (adst, end))
+                        count[(asrc, start), (adst, end)] += 1
 
+    entries = [entry for entry, k in count.items() if k % 2]
+    pairs = sorted({pair for entry in entries for pair in entry})
+    index = {pair: i for i, pair in enumerate(pairs)}
+    boundary = [0] * len(pairs)
+    for src, dst in entries:
+        boundary[index[src]] |= 1 << index[dst]
+
+    gradings = [(a.generators[ai].grading + d.gradings[di]) % 2 for ai, di in pairs]
+    untouched = [-gradings.count(0), -gradings.count(1)]
+    count_d = Counter(zip((g.idempotent for g in d.generators), d.gradings))
+    for (idem, ga), na in Counter((g.idempotent, g.grading) for g in a.generators).items():
+        for gd in (0, 1):
+            untouched[(ga + gd) % 2] += na * count_d[idem, gd]
     labels = [(a.generators[ai].id, d.generators[di].id) for ai, di in pairs]
-    return ChainComplex(labels, gradings, boundary)
+    return ChainComplex(labels, gradings, boundary, tuple(untouched))

@@ -24,6 +24,7 @@ from .typed import (
     build_cfd,
     durable_candidates,
     find_durable_pairs,
+    iter_durable_pairs,
     solve_gradings,
     validate_type_d,
 )
@@ -179,6 +180,15 @@ class FramedSide:
     def durable_pairs(self) -> list[tuple[int, int, str]]:
         return find_durable_pairs(self.d, self.s, self.knot.candidates)
 
+    # What the durable-pair shortcut reads of side 1 and of side 2, found at the first hit.
+    @cached_property
+    def has_durable_pair(self) -> bool:
+        return any(p[2] == "durable" for p in iter_durable_pairs(self.d, self.knot.candidates))
+
+    @cached_property
+    def has_pair(self) -> bool:
+        return any(iter_durable_pairs(self.d, self.knot.candidates))
+
     @cached_property
     def cfa(self) -> TypeAModule:
         return derive_cfa(self.d)
@@ -187,11 +197,10 @@ class FramedSide:
         """Chain complex of the splice: this side's type A module boxed with other's type D.
 
         The whole type A module pairs when this side already has it (survey
-        derives it for a side that meets many framings).  Otherwise only the
+        derives it for a side that meets many framings); otherwise only the
         operations whose word has a nonzero composite map in other are
-        derived, which also ends the walk of an unbounded side; derive_cfa
-        refuses a pair of unbounded sides.  Both routes give the same box
-        complex.
+        derived, which also ends an unbounded side's walk (derive_cfa refuses
+        two unbounded sides).  Both routes give the same counted box.
         """
         a = self.cfa if "cfa" in vars(self) else derive_cfa(self.d, against=other.d)
         box = box_tensor(a, other.d)
@@ -215,15 +224,12 @@ def _splice(side1: FramedSide, side2: FramedSide) -> SpliceReport:
     prediction = predict_lspace(s1.tau, s1.lspace_form, n1, s2.tau, s2.lspace_form, n2)
     agree = True if prediction == OUT_OF_SCOPE else (prediction == verdict)
 
-    fast: bool | None = None
-    if side1.d.bounded and side2.d.bounded:
-        pairs1, pairs2 = side1.durable_pairs, side2.durable_pairs
-        if any(p[2] == "durable" for p in pairs1) and pairs2:
-            fast = True
-            if verdict:
-                raise InvariantViolation(
-                    f"{side1} x {side2}: durable-pair shortcut contradicts the computed verdict"
-                )
+    bounded = side1.d.bounded and side2.d.bounded
+    fast = True if bounded and side1.has_durable_pair and side2.has_pair else None
+    if fast and verdict:
+        raise InvariantViolation(
+            f"{side1} x {side2}: durable-pair shortcut contradicts the computed verdict"
+        )
 
     return SpliceReport(
         knot1=KnotSummary(s1.complex.name, s1.tau, s1.genus, s1.lspace_form),

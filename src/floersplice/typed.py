@@ -338,11 +338,11 @@ def validate_type_d(m: TypeDModule) -> TypeDReport:
 
     structure_ok = True
     for out_label, factorizations in _FACTORIZATIONS.items():
-        total = [0] * len(m.generators)
+        total: dict[int, int] = {}
         for j, k in factorizations:
-            comp = gf2.compose(m.mats[k], m.mats[j])
-            total = [a ^ b for a, b in zip(total, comp)]
-        if any(total):
+            for start, ends in m.composite((j, k)).cols.items():
+                total[start] = total.get(start, 0) ^ ends
+        if any(total.values()):
             structure_ok = False
             problems.append(f"structure equation fails at output label {out_label or 'empty'}")
 
@@ -531,31 +531,33 @@ def durable_candidates(s: SimplifiedBases) -> list[int]:
     return list(dict.fromkeys(candidates))
 
 
-def find_durable_pairs(
-    m: TypeDModule, s: SimplifiedBases, candidates: list[int] | None = None
-) -> list[tuple[int, int, str]]:
-    """Pairs (x, y = D_123 x) with both components (weakly) durable.
-
-    x runs over `candidates`, durable_candidates(s) when not given (a caller
-    that judges many framings of one complex passes the list it kept);
-    the durability of each candidate is judged in m.
-    """
-    if candidates is None:
-        candidates = durable_candidates(s)
-
-    pairs: list[tuple[int, int, str]] = []
+def iter_durable_pairs(m: TypeDModule, candidates: list[int]):
+    """Yield (x, y = D_123 x, "durable" or "weak") for each candidate x whose
+    pair is (weakly) durable in m, lazily, so a caller can stop at its first
+    hit; y is judged only when x is at least weakly durable."""
     for x in candidates:
         y = gf2.apply_columns(m.mats["123"], x)
         if not y:
             continue
         dx = durability(m, x)
+        if not dx["weakly_durable"]:
+            continue
         dy = durability(m, y)
         if dx["durable"] and dy["durable"]:
-            pairs.append((x, y, "durable"))
-        elif dx["weakly_durable"] and dy["weakly_durable"]:
-            pairs.append((x, y, "weak"))
-    pairs.sort(key=lambda t: (t[2] != "durable", t[0]))
-    return pairs
+            yield x, y, "durable"
+        elif dy["weakly_durable"]:
+            yield x, y, "weak"
+
+
+def find_durable_pairs(
+    m: TypeDModule, s: SimplifiedBases, candidates: list[int] | None = None
+) -> list[tuple[int, int, str]]:
+    """Every pair of iter_durable_pairs, durable ones first, each kind by x.
+    x runs over durable_candidates(s) unless `candidates` is given (a caller
+    that judges many framings of one complex passes the list it kept)."""
+    if candidates is None:
+        candidates = durable_candidates(s)
+    return sorted(iter_durable_pairs(m, candidates), key=lambda t: (t[2] != "durable", t[0]))
 
 
 # ---------------------------------------------------------------------------

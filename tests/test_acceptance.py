@@ -44,6 +44,7 @@ from floersplice.typed import (
     solve_gradings,
     validate_type_d,
 )
+from test_pairing import assert_counted_box
 
 TREFOIL = staircase([1, 1], "+", name="trefoil")
 MIRROR = staircase([1, 1], "-", name="mirror_trefoil")
@@ -198,11 +199,18 @@ def test_criterion_09_survival_at_double_boundary():
     d = solve_gradings(build_cfd(simplify(TREFOIL), 2))
     a = derive_cfa(d)
     box = box_tensor(a, d)
-    i1 = box.index_of("x2", "x2")          # xbar_0 (x) u_0
-    i2 = box.index_of("kap1_1", "kap1_1")  # ybar (x) v
-    ok = box.boundary[i1] == 0 and box.row(i1) == 0
-    ok &= box.boundary[i2] == 0 and box.row(i2) == 0
-    ok &= box.gradings[i1] != box.gradings[i2]
+    # The whole complex, by matrix products; the counted box must match it.
+    labels, boundary = assert_counted_box(a, d, box)
+    ids = [(a.generators[ai].id, d.generators[di].id) for ai, di in labels]
+    i1 = ids.index(("x2", "x2"))          # xbar_0 (x) u_0
+    i2 = ids.index(("kap1_1", "kap1_1"))  # ybar (x) v
+    ok = True
+    for i in (i1, i2):
+        ok &= ids[i] not in box.labels
+        ok &= boundary[i] == 0 and gf2.row_of(boundary, i) == 0
+    g1, g2 = ((a.generators[ai].grading + d.gradings[di]) % 2
+              for ai, di in (labels[i1], labels[i2]))
+    ok &= g1 != g2
     r = graded_homology(box)
     ok &= r.rank0 >= 1 and r.rank1 >= 1  # both classes persist
     report_line(9, ok, "the two distinguished generators survive with opposite gradings")

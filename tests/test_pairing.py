@@ -28,7 +28,11 @@ FIG8 = make_complex(
 def test_generators_are_idempotent_matched_pairs(trefoil):
     a, d = modules(trefoil, 2)
     box = box_tensor(a, d)
-    assert len(box.labels) == 3 * 3 + 2 * 2
+    labels, _ = assert_counted_box(a, d, box)
+    assert len(labels) == 3 * 3 + 2 * 2
+    assert box.dim(0) + box.dim(1) == len(labels)
+    for ai, di in labels:
+        assert a.generators[ai].idempotent == d.generators[di].idempotent
     for a_id, d_id in box.labels:
         ai = a.index_of(a_id)
         di = d.index_of(d_id)
@@ -58,12 +62,8 @@ def test_d_squared_and_flip_across_matrix(trefoil, mirror_trefoil, t25, figure_e
 def test_survival_generators_isolated(trefoil):
     a, d = modules(trefoil, 2)
     box = box_tensor(a, d)
-    for pair in [("x2", "x2"), ("kap1_1", "kap1_1")]:
-        i = box.index_of(*pair)
-        assert box.boundary[i] == 0
-        assert box.row(i) == 0
-    g1 = box.gradings[box.index_of("x2", "x2")]
-    g2 = box.gradings[box.index_of("kap1_1", "kap1_1")]
+    pairs = [("x2", "x2"), ("kap1_1", "kap1_1")]
+    g1, g2 = assert_isolated(a, d, box, [(a.index_of(x), d.index_of(y)) for x, y in pairs])
     assert g1 != g2
 
 
@@ -83,12 +83,13 @@ def test_durable_times_weak_products_are_isolated(figure_eight, trefoil):
         assert p1 and p2
         x1, y1, _ = p1[0]
         x2, y2, _ = p2[0]
-        for left, right in [(x1, x2), (y1, y2)]:
-            for li in gf2.bits(left):
-                for ri in gf2.bits(right):
-                    idx = box.index_of(d1.generators[li].id, d2.generators[ri].id)
-                    assert box.boundary[idx] == 0
-                    assert box.row(idx) == 0
+        pairs = [
+            (li, ri)
+            for left, right in [(x1, x2), (y1, y2)]
+            for li in gf2.bits(left)
+            for ri in gf2.bits(right)
+        ]
+        assert_isolated(a1, d2, box, pairs)
 
 
 def test_pairing_with_unbounded_side(trefoil):
@@ -186,6 +187,59 @@ def independent_boundary(a, d):
     return labels, boundary
 
 
+def assert_counted_box(a, d, box):
+    """The counted box against the whole reference complex of the matrix route.
+
+    Every reference pair missing from box.labels has a zero row and column
+    there, the reference restricted to box.labels (in its order) is
+    box.boundary, and box.dim(g) counts the reference pairs of grading g.
+    Returns the reference (labels, boundary).
+    """
+    labels, boundary = independent_boundary(a, d)
+    ids = [(a.generators[ai].id, d.generators[di].id) for ai, di in labels]
+    kept = [ids.index(label) for label in box.labels]
+    assert kept == sorted(kept), "touched pairs are listed in reference order"
+    hit = 0
+    for col in boundary:
+        hit |= col
+    for i, col in enumerate(boundary):
+        if i not in kept:
+            assert col == 0 and not (hit >> i) & 1, ids[i]
+    position = {i: k for k, i in enumerate(kept)}
+    restricted = [sum(1 << position[t] for t in gf2.bits(boundary[i])) for i in kept]
+    assert restricted == box.boundary
+    gradings = [(a.generators[ai].grading + d.gradings[di]) % 2 for ai, di in labels]
+    assert [gradings[i] for i in kept] == box.gradings
+    for g in (0, 1):
+        assert box.dim(g) == gradings.count(g)
+    return labels, boundary
+
+
+def assert_isolated(a, d, box, pairs):
+    """Each (a index, d index) pair is absent from the counted box and has a
+    zero row and column in the reference; returns the pairs' gradings, from
+    the factor gradings."""
+    labels, boundary = assert_counted_box(a, d, box)
+    out = []
+    for ai, di in pairs:
+        assert (a.generators[ai].id, d.generators[di].id) not in box.labels
+        i = labels.index((ai, di))
+        assert boundary[i] == 0 and gf2.row_of(boundary, i) == 0
+        out.append((a.generators[ai].grading + d.gradings[di]) % 2)
+    return out
+
+
+def reference_ranks(a, d):
+    """Graded homology ranks of the whole reference complex."""
+    labels, boundary = independent_boundary(a, d)
+    gradings = [(a.generators[ai].grading + d.gradings[di]) % 2 for ai, di in labels]
+    out = [gradings.count(0), gradings.count(1)]
+    for g in (0, 1):
+        r = gf2.rank([col for col, h in zip(boundary, gradings) if h == g])
+        out = [n - r for n in out]
+    return tuple(out)
+
+
 def test_boundary_matches_matrix_product_route(trefoil, t25, figure_eight, mirror_trefoil):
     cases = [(trefoil, 2, trefoil, 2), (trefoil, 3, t25, 4),
              (figure_eight, 0, trefoil, 2), (figure_eight, 1, figure_eight, -1),
@@ -194,12 +248,8 @@ def test_boundary_matches_matrix_product_route(trefoil, t25, figure_eight, mirro
         a, _ = modules(c1, n1)
         _, d = modules(c2, n2)
         box = box_tensor(a, d)
-        labels, boundary = independent_boundary(a, d)
-        expected = [
-            (a.generators[ai].id, d.generators[di].id) for ai, di in labels
-        ]
-        assert expected == box.labels
-        assert boundary == box.boundary, (c1.name, n1, c2.name, n2)
+        assert box.labels, (c1.name, n1, c2.name, n2)
+        assert_counted_box(a, d, box)
 
 
 def test_matrix_product_route_on_unbounded_side(trefoil):
@@ -207,9 +257,31 @@ def test_matrix_product_route_on_unbounded_side(trefoil):
     so the matrix route agrees even though paths are unbounded."""
     a, _ = modules(trefoil, 2)
     d = solve_gradings(build_cfd(simplify(unknot()), 0))
-    box = box_tensor(a, d)
-    _, boundary = independent_boundary(a, d)
-    assert boundary == box.boundary
+    assert_counted_box(a, d, box_tensor(a, d))
+
+
+def test_counted_ranks_match_reference_ranks(trefoil, mirror_trefoil, t25, figure_eight,
+                                             unknot_complex):
+    """Graded ranks of the counted box equal those of the whole reference
+    complex, pairwise over the fixtures; two unbounded sides are refused."""
+    knots = [trefoil, mirror_trefoil, t25, figure_eight, unknot_complex]
+    checked = 0
+    for c1, c2 in itertools.product(knots, repeat=2):
+        s1, s2 = simplify(c1), simplify(c2)
+        ds2 = {n2: solve_gradings(build_cfd(s2, n2)) for n2 in range(-3, 4)}
+        for n1 in range(-4, 5):
+            d1 = solve_gradings(build_cfd(s1, n1))
+            whole = derive_cfa(d1) if d1.bounded else None
+            for n2, d2 in ds2.items():
+                if not (d1.bounded or d2.bounded):
+                    with pytest.raises(ValueError, match="both framed complements are unbounded"):
+                        derive_cfa(d1, against=d2)
+                    continue
+                a = whole or derive_cfa(d1, against=d2)
+                r = graded_homology(box_tensor(a, d2))
+                assert (r.rank0, r.rank1) == reference_ranks(a, d2), (c1.name, n1, c2.name, n2)
+                checked += 1
+    assert checked == 25 * 9 * 7 - 5 * 4  # unknot[0..4] x unknot[0..3] are both unbounded
 
 
 def test_rank_symmetry(trefoil, mirror_trefoil, t25, figure_eight):

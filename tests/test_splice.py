@@ -94,6 +94,21 @@ class TestSpliceReport:
         assert r.prediction is False
         assert r.durable_fast_path is True
 
+    def test_first_hit_durable_facts_match_the_full_list(
+        self, trefoil, mirror_trefoil, t25, figure_eight, unknot_complex
+    ):
+        """The shortcut's two facts, each found at its first hit, agree with
+        the sorted list the durable command prints."""
+        seen = set()
+        for c in (trefoil, mirror_trefoil, t25, figure_eight, unknot_complex):
+            for n in range(-4, 5):
+                side = FramedSide(c, n)
+                pairs = side.durable_pairs
+                assert side.has_durable_pair == any(p[2] == "durable" for p in pairs)
+                assert side.has_pair == bool(pairs)
+                seen.add((side.has_durable_pair, side.has_pair))
+        assert seen == {(False, False), (False, True), (True, True)}
+
     def test_report_fields(self, trefoil, mirror_trefoil):
         r = splice_report(trefoil, 2, mirror_trefoil, -2)
         assert (r.t1, r.t2) == (0, 0)
@@ -119,7 +134,8 @@ class TestSpliceReport:
 
 
     def test_deep_framings(self, trefoil, mirror_trefoil):
-        """Deep framings: only the type A operations the other side can pair are derived."""
+        """Deep framings: only the type A operations the other side can pair are
+        derived, and a box of millions of generators is counted, not built."""
         cases = (
             (trefoil, 1100, trefoil, 3),
             (mirror_trefoil, -1100, mirror_trefoil, -3),
@@ -129,6 +145,12 @@ class TestSpliceReport:
             r = splice_report(c1, n1, c2, n2)
             assert r.computed.total == abs(n1 * n2 - 1)
             assert r.agree
+        r = splice_report(trefoil, 2000, trefoil, 2001)
+        assert (r.computed.rank0, r.computed.rank1) == (4001999, 0)
+        assert r.verdict and r.agree
+        r = splice_report(mirror_trefoil, -2000, trefoil, -2001)
+        assert (r.computed.rank0, r.computed.rank1) == (4003999, 2000)
+        assert not r.verdict and r.agree
 
 
 class TestGuardMessages:

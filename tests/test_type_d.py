@@ -399,17 +399,32 @@ class TestFindDurablePairs:
 
         def record(m_, v):
             received.append(v)
-            return {"durable": False, "weakly_durable": False}
+            return {"durable": False, "weakly_durable": True}
 
         monkeypatch.setattr(typed, "bk_prime", lambda s_, k: basis)
         monkeypatch.setattr(typed, "durability", record)
-        assert typed.find_durable_pairs(m, s) == []
+        pairs = typed.find_durable_pairs(m, s)
         xs, ys = received[0::2], received[1::2]
         assert ys == [x << size for x in xs]
+        assert pairs == [(x, x << size, "weak") for x in sorted(xs)]
         if size > typed.SPAN_CAP:
             assert xs == basis + [1]  # the xi basis vector x0 follows
         else:
             assert sorted(xs) == list(range(1, 1 << size))
+
+    def test_y_is_judged_only_after_a_weakly_durable_x(self, monkeypatch, trefoil):
+        s = simplify(trefoil)
+        m = solve_gradings(build_cfd(s, 2))
+        candidates = typed.durable_candidates(s)
+        received = []
+
+        def record(m_, v):
+            received.append(v)
+            return {"durable": False, "weakly_durable": False}
+
+        monkeypatch.setattr(typed, "durability", record)
+        assert typed.find_durable_pairs(m, s) == []
+        assert received == [x for x in candidates if gf2.apply_columns(m.mats["123"], x)]
 
     def test_figure_eight_always_durable(self, figure_eight):
         s = simplify(figure_eight)
