@@ -54,11 +54,13 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
 
     Lists the touched pairs in (type A index, type D index) order.  An
     untouched pair has no incident entry, so the guards and the homology
-    read the whole complex.  Raises ValueError when both sides are unbounded
-    or when the type D side has an identity-labeled cycle.
+    read the whole complex.  Raises ValueError when a was pruned against
+    a type D module other than d (different generators or edges): it lacks
+    the operations that d would pair.
     """
-    if not a.bounded and not d.bounded:
-        raise ValueError("box tensor requires at least one bounded side")
+    b = a.against
+    if b is not None and b is not d and (b.generators, b.edges) != (d.generators, d.edges):
+        raise ValueError("type A module was pruned against another type D module")
     if d.gradings is None:
         d = solve_gradings(d)
 

@@ -223,8 +223,12 @@ def serialize_complex(c: KnotComplex) -> str:
 
 @dataclass
 class ValidationReport:
+    """Named checks, each passed or failed, with warnings and the problems
+    found by the failed checks; every validator returns one."""
+
     checks: dict[str, bool] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
+    problems: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -233,23 +237,19 @@ class ValidationReport:
     def failures(self) -> list[str]:
         return [k for k, v in self.checks.items() if not v]
 
+    def fail(self, check: str, problem: str) -> None:
+        self.checks[check] = False
+        self.problems.append(problem)
 
-def _vertical_columns(c: KnotComplex) -> list[int]:
-    """Columns of the differential mod U, in generator coordinates."""
+
+def _columns(c: KnotComplex, keep) -> list[int]:
+    """Columns, in generator coordinates, of the entries (src, dst, k) of the
+    differential that keep(src, dst, k) accepts: k = 0 for the part mod U,
+    k = A(dst) - A(src) >= 1 for the grading-raising part."""
     idx = {g: i for i, g in enumerate(c.generators)}
     cols = [0] * len(c.generators)
     for src, dst, k in c.differential:
-        if k == 0:
-            cols[idx[src]] ^= 1 << idx[dst]
-    return cols
-
-
-def _horizontal_columns(c: KnotComplex) -> list[int]:
-    """Columns of the grading-raising part: entries with k = A(dst) - A(src) >= 1."""
-    idx = {g: i for i, g in enumerate(c.generators)}
-    cols = [0] * len(c.generators)
-    for src, dst, k in c.differential:
-        if k >= 1 and k == c.alexander[dst] - c.alexander[src]:
+        if keep(src, dst, k):
             cols[idx[src]] ^= 1 << idx[dst]
     return cols
 
@@ -273,7 +273,7 @@ def validate_complex(c: KnotComplex) -> ValidationReport:
     report.checks["reduced"] = all(A[d] < A[s] for s, d, k in c.differential if k == 0)
 
     n = len(c.generators)
-    rank_v = gf2.rank(_vertical_columns(c))
+    rank_v = gf2.rank(_columns(c, lambda src, dst, k: k == 0))
     report.checks["vertical_homology_rank_one"] = (n - 2 * rank_v) == 1
 
     grades = sorted(A[g] for g in c.generators)
@@ -421,7 +421,7 @@ def simplify(c: KnotComplex) -> SimplifiedBases:
     # ascending (A, input index); the lowest-one pairing then matches each
     # source to its closest target, making arrow lengths canonical.
     vorder = sorted(range(len(gens)), key=lambda i: (A[gens[i]], i))
-    vpairs, vunpaired = _reduce_pairing(_vertical_columns(c), vorder)
+    vpairs, vunpaired = _reduce_pairing(_columns(c, lambda src, dst, k: k == 0), vorder)
     if len(vunpaired) != 1:
         raise ValueError(
             f"{c.name}: vertical reduction left {len(vunpaired)} unpaired generators (expected 1)"
@@ -429,7 +429,8 @@ def simplify(c: KnotComplex) -> SimplifiedBases:
 
     # Horizontal side: the grading-raising part, processed in descending A.
     horder = sorted(range(len(gens)), key=lambda i: (-A[gens[i]], i))
-    hpairs, hunpaired = _reduce_pairing(_horizontal_columns(c), horder)
+    hcols = _columns(c, lambda src, dst, k: 1 <= k == A[dst] - A[src])
+    hpairs, hunpaired = _reduce_pairing(hcols, horder)
     if len(hunpaired) != 1:
         raise ValueError(
             f"{c.name}: horizontal reduction left {len(hunpaired)} unpaired generators (expected 1)"

@@ -15,6 +15,7 @@ from .cfk import FormatError, KnotComplex, parse_complex, simplify, validate_com
 from .splice import (
     FramedSide,
     InvariantViolation,
+    Prepared,
     predict_lspace,
     splice_report,
     survey,
@@ -125,12 +126,7 @@ def _cmd_durable(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    c1, c2 = _load(args.file1), _load(args.file2)
-    for c in (c1, c2):
-        report = validate_complex(c)
-        if not report.ok:
-            raise FormatError(f"{c.name}: failed checks: {', '.join(report.failures())}")
-    s1, s2 = (simplify(c).require_compatible() for c in (c1, c2))
+    s1, s2 = (Prepared.of(_load(f)).s.require_compatible() for f in (args.file1, args.file2))
     result = predict_lspace(s1.tau, s1.lspace_form, args.n1, s2.tau, s2.lspace_form, args.n2)
     print(result)
     return 0

@@ -4,9 +4,10 @@ splice_report runs the full pipeline for a pair of framed complexes: both
 complexes are simplified, the type D modules of the framed complements are
 built and graded, the left side is converted to its type A module, the box
 tensor is taken, and the graded homology decides the L-space question.
-The result is compared against the closed-form predictor, an exact
-rational-arithmetic consistency check, and (when available) the durable
-generator shortcut.
+The result is compared against the closed-form predictor and (when both
+sides are bounded) the durable generator shortcut.  conjecture_check, the
+exact rational reformulation of the splice conditions, stands apart: no
+report calls it; the tests compare it with the predictor.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ class FramedSide:
 
     @cached_property
     def durable_pairs(self) -> list[tuple[int, int, str]]:
-        return find_durable_pairs(self.d, self.s, self.knot.candidates)
+        return find_durable_pairs(self.d, self.s)
 
     # What the durable-pair shortcut reads of side 1 and of side 2, found at the first hit.
     @cached_property

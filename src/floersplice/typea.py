@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import REEB_IDEMPOTENTS, is_merged, swap_and_merge, word_grading
+from .cfk import ValidationReport
 from .typed import TypeDModule, solve_gradings, walk_paths
 
 
@@ -27,7 +28,8 @@ class AGen:
 class TypeAModule:
     generators: list[AGen]
     operations: frozenset[tuple[int, tuple[str, ...], int]]  # (input, word, output)
-    bounded: bool = True
+    # the type D module derive_cfa pruned against; None for a whole module
+    against: TypeDModule | None = field(default=None, repr=False, compare=False)
     # word -> (input, output) pairs of its operations, and the longest word,
     # built once from operations
     by_word: dict[tuple[str, ...], list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
@@ -57,7 +59,8 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
     the operations whose word has a nonzero composite map in against are
     kept, and a path is cut once its word minus the last letter has none:
     extending a path merges at most that last letter, so every later map
-    has this one as a factor.
+    has this one as a factor.  The result keeps against, and box_tensor
+    refuses to pair it with any other module.
 
     The walk ends when m is bounded (acyclic) or when against is; an
     unbounded m without a bounded against is refused.  A nonzero map of a
@@ -97,30 +100,17 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
         parity[key] = parity.get(key, 0) ^ 1
 
     ops = frozenset(key for key, p in parity.items() if p)
-    return TypeAModule(gens, ops, bounded=m.bounded)
+    return TypeAModule(gens, ops, against)
 
 
-@dataclass
-class TypeAReport:
-    idempotents_ok: bool
-    merged_ok: bool
-    grading_ok: bool
-    problems: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.idempotents_ok and self.merged_ok and self.grading_ok
-
-
-def validate_cfa(a: TypeAModule) -> TypeAReport:
+def validate_cfa(a: TypeAModule) -> ValidationReport:
     """Check idempotent compatibility, mergedness, and the grading law.
 
     For an operation with input word of length k the output grading must be
     gr(input) + sum of letter gradings + k + 1 mod 2; an empty word encodes
     a differential, which flips the grading.
     """
-    idem_ok = merged_ok = grading_ok = True
-    problems = []
+    report = ValidationReport(dict.fromkeys(("idempotents", "merged", "grading_law"), True))
     for src, word, dst in sorted(a.operations):
         gs, gd = a.generators[src], a.generators[dst]
         if word:
@@ -131,20 +121,16 @@ def validate_cfa(a: TypeAModule) -> TypeAReport:
                 if REEB_IDEMPOTENTS[w1][1] != REEB_IDEMPOTENTS[w2][0]:
                     ok = False
             if not ok:
-                idem_ok = False
-                problems.append(f"idempotent mismatch in op {gs.id},{word}")
+                report.fail("idempotents", f"idempotent mismatch in op {gs.id},{word}")
             if not is_merged(word):
-                merged_ok = False
-                problems.append(f"unmerged word {word} at {gs.id}")
+                report.fail("merged", f"unmerged word {word} at {gs.id}")
         else:
             if gs.idempotent != gd.idempotent:
-                idem_ok = False
-                problems.append(f"differential {gs.id} -> {gd.id} mixes idempotents")
+                report.fail("idempotents", f"differential {gs.id} -> {gd.id} mixes idempotents")
         want = (gs.grading + word_grading(word) + len(word) + 1) % 2
         if gd.grading != want:
-            grading_ok = False
-            problems.append(f"grading law fails on op {gs.id},{word} -> {gd.id}")
-    return TypeAReport(idem_ok, merged_ok, grading_ok, problems)
+            report.fail("grading_law", f"grading law fails on op {gs.id},{word} -> {gd.id}")
+    return report
 
 
 def ops_lines(a: TypeAModule) -> list[str]:

@@ -23,7 +23,7 @@ from .algebra import (
     REEB_IDEMPOTENTS,
     label_factorizations,
 )
-from .cfk import SimplifiedBases
+from .cfk import SimplifiedBases, ValidationReport
 
 
 @dataclass(frozen=True)
@@ -299,28 +299,16 @@ def build_cfd(s: SimplifiedBases, n: int) -> TypeDModule:
 # Validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TypeDReport:
-    structure_ok: bool
-    idempotents_ok: bool
-    empty_cycle_free: bool
-    bounded: bool
-    problems: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.structure_ok and self.idempotents_ok and self.empty_cycle_free
-
-
 # output label -> its factorizations (J, K), for the structure equation
 _FACTORIZATIONS = {label: label_factorizations(label) for label in LABELS}
 
 
-def validate_type_d(m: TypeDModule) -> TypeDReport:
-    """Check idempotent compatibility, the structure equation, and boundedness."""
-    problems: list[str] = []
+def validate_type_d(m: TypeDModule) -> ValidationReport:
+    """Check idempotent compatibility, the structure equation, and that no
+    identity-labeled maps close a cycle (m.bounded is not a check)."""
+    checks = ("idempotents", "structure_equation", "empty_cycle_free")
+    report = ValidationReport(dict.fromkeys(checks, True))
 
-    idem_ok = True
     for src, label, dst in sorted(m.edges):
         si = m.generators[src].idempotent
         di = m.generators[dst].idempotent
@@ -330,33 +318,26 @@ def validate_type_d(m: TypeDModule) -> TypeDReport:
             left, right = REEB_IDEMPOTENTS[label]
             good = (si, di) == (left, right)
         if not good:
-            idem_ok = False
-            problems.append(
+            report.fail(
+                "idempotents",
                 f"edge {m.generators[src].id} -D{label or '_empty'}-> "
-                f"{m.generators[dst].id} violates idempotents"
+                f"{m.generators[dst].id} violates idempotents",
             )
 
-    structure_ok = True
     for out_label, factorizations in _FACTORIZATIONS.items():
         total: dict[int, int] = {}
         for j, k in factorizations:
             for start, ends in m.composite((j, k)).cols.items():
                 total[start] = total.get(start, 0) ^ ends
         if any(total.values()):
-            structure_ok = False
-            problems.append(f"structure equation fails at output label {out_label or 'empty'}")
+            report.fail(
+                "structure_equation",
+                f"structure equation fails at output label {out_label or 'empty'}",
+            )
 
-    empty_free = _acyclic(len(m.generators), m.edges, labels=(EMPTY,))
-    if not empty_free:
-        problems.append("directed cycle of identity-labeled maps")
-
-    return TypeDReport(
-        structure_ok=structure_ok,
-        idempotents_ok=idem_ok,
-        empty_cycle_free=empty_free,
-        bounded=m.bounded,
-        problems=problems,
-    )
+    if not _acyclic(len(m.generators), m.edges, labels=(EMPTY,)):
+        report.fail("empty_cycle_free", "directed cycle of identity-labeled maps")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -549,15 +530,11 @@ def iter_durable_pairs(m: TypeDModule, candidates: list[int]):
             yield x, y, "weak"
 
 
-def find_durable_pairs(
-    m: TypeDModule, s: SimplifiedBases, candidates: list[int] | None = None
-) -> list[tuple[int, int, str]]:
-    """Every pair of iter_durable_pairs, durable ones first, each kind by x.
-    x runs over durable_candidates(s) unless `candidates` is given (a caller
-    that judges many framings of one complex passes the list it kept)."""
-    if candidates is None:
-        candidates = durable_candidates(s)
-    return sorted(iter_durable_pairs(m, candidates), key=lambda t: (t[2] != "durable", t[0]))
+def find_durable_pairs(m: TypeDModule, s: SimplifiedBases) -> list[tuple[int, int, str]]:
+    """Every pair of iter_durable_pairs over durable_candidates(s), durable
+    ones first, each kind by x."""
+    pairs = iter_durable_pairs(m, durable_candidates(s))
+    return sorted(pairs, key=lambda t: (t[2] != "durable", t[0]))
 
 
 # ---------------------------------------------------------------------------

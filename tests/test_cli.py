@@ -63,12 +63,17 @@ def test_cfa_text(capsys):
 
 
 def test_side_commands_refuse_bad_input(tmp_path, capsys):
-    """cfd, cfa and durable refuse an unreduced complex, and cfa refuses the
-    0-framed unknot, whose walk only a bounded partner would end."""
+    """cfd, cfa, durable and predict refuse an unreduced complex, and cfa
+    refuses the 0-framed unknot, whose walk only a bounded partner would end."""
     bad = tmp_path / "bad.cfk"
     bad.write_text("gen x 0\ngen y 0\nd x = y\n")
-    for command in ("cfd", "cfa", "durable"):
-        code, out, err = run(capsys, command, str(bad), "--framing", "1")
+    for command in (
+        ("cfd", str(bad), "--framing", "1"),
+        ("cfa", str(bad), "--framing", "1"),
+        ("durable", str(bad), "--framing", "1"),
+        ("predict", TREFOIL, "3", str(bad), "1"),
+    ):
+        code, out, err = run(capsys, *command)
         assert code == 1, command
         assert "reduced" in err and not out
     code, out, err = run(capsys, "cfa", UNKNOT, "--framing", "0")

@@ -75,7 +75,7 @@ def test_cfd_structure_and_durable_pairs(fig8_trefoil, double_trefoil):
             d = build_cfd(s, n)
             report = validate_type_d(d)
             assert report.ok, (c.name, n, report.problems)
-            assert report.bounded
+            assert d.bounded
             pairs = find_durable_pairs(d, s)
             assert any(strength == "durable" for *_, strength in pairs), (c.name, n)
 

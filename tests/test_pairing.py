@@ -104,9 +104,7 @@ def test_pairing_with_unbounded_side(trefoil):
 
 
 def test_both_sides_unbounded_rejected():
-    """Two unbounded sides are refused, by derive_cfa before it walks and by
-    box_tensor for a type A module built by hand."""
-    from floersplice.typea import AGen, TypeAModule
+    """Two unbounded sides are refused by derive_cfa, before it walks."""
     from floersplice.typed import DGen, TypeDModule
 
     d_unknot = solve_gradings(build_cfd(simplify(unknot()), 0))
@@ -114,9 +112,35 @@ def test_both_sides_unbounded_rejected():
     for m, against in ((d_unknot, loop), (loop, d_unknot)):
         with pytest.raises(ValueError, match="both framed complements are unbounded"):
             derive_cfa(m, against=against)
-    a_loop = TypeAModule([AGen("y", 0, 1)], frozenset({(0, ("3", "2"), 0)}), bounded=False)
-    with pytest.raises(ValueError, match="at least one bounded side"):
-        box_tensor(a_loop, d_unknot)
+
+
+def test_pruned_module_pairs_only_with_its_partner(trefoil, mirror_trefoil):
+    """A type A module pruned against d2 lacks operations that another module
+    would pair: mirror_trefoil[-4] pruned against itself and boxed with
+    mirror_trefoil[-1] would read (6, 3), where the whole module gives (5, 2).
+    box_tensor refuses every partner whose generators or edges differ from
+    d2's, and accepts d2, its graded copy and an equal rebuild."""
+    s = simplify(mirror_trefoil)
+    d2 = build_cfd(s, -4)
+    pruned = derive_cfa(d2, against=d2)
+    assert pruned.against is d2
+    with pytest.raises(ValueError, match="pruned against another type D module"):
+        box_tensor(pruned, build_cfd(s, -1))
+    whole = derive_cfa(d2)
+    assert whole.against is None
+    r = graded_homology(box_tensor(whole, build_cfd(s, -1)))
+    assert (r.rank0, r.rank1) == (5, 2)
+    for d in (d2, solve_gradings(d2), build_cfd(s, -4)):
+        assert box_tensor(pruned, d) == box_tensor(whole, d)
+
+    sides = [build_cfd(simplify(c), n) for c in (trefoil, mirror_trefoil) for n in (-2, 0, 2)]
+    for d1, d2, d3 in itertools.product(sides, repeat=3):
+        pruned = derive_cfa(d1, against=d2)
+        if (d3.generators, d3.edges) == (d2.generators, d2.edges):
+            assert box_tensor(pruned, d3) == box_tensor(derive_cfa(d1), d3)
+        else:
+            with pytest.raises(ValueError, match="pruned against another type D module"):
+                box_tensor(pruned, d3)
 
 
 def test_empty_against_module(trefoil):

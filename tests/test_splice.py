@@ -276,7 +276,7 @@ def capped_cfa(d, k):
         AGen(g.id, g.idempotent, (d.gradings[i] + (g.idempotent == 0)) % 2)
         for i, g in enumerate(d.generators)
     ]
-    return TypeAModule(gens, frozenset(op for op, p in parity.items() if p), bounded=False)
+    return TypeAModule(gens, frozenset(op for op, p in parity.items() if p))
 
 
 class TestRoutes:

@@ -111,7 +111,7 @@ class TestDerive:
 
         monkeypatch.setattr(typea, "swap_and_merge", real_step)
         a = derive_cfa(d, against=chain)
-        assert not a.bounded
+        assert a.against is chain
         # the D_12 self edge, and its circuit twice round, whose words merge;
         # three times round needs a D3 D23 D23 path, which chain lacks
         assert ops_by_ids(a) == {("x0", ("3", "2"), "x0"), ("x0", ("3", "23", "2"), "x0")}
@@ -164,7 +164,7 @@ class TestValidate:
             frozenset({(0, ("1", "2"), 1)}),
         )
         report = validate_cfa(a)
-        assert not report.merged_ok
+        assert not report.checks["merged"]
 
     def test_identity_only_module(self):
         from floersplice.typed import DGen, TypeDModule

@@ -121,15 +121,16 @@ class TestValidation:
     def test_structure_everywhere(self, trefoil, mirror_trefoil, t25, figure_eight):
         for c in (trefoil, mirror_trefoil, t25, figure_eight):
             for n in range(-4, 5):
-                report = validate_type_d(cfd(c, n))
+                d = cfd(c, n)
+                report = validate_type_d(d)
                 assert report.ok, (c.name, n, report.problems)
-                assert report.bounded, (c.name, n)
+                assert d.bounded, (c.name, n)
 
     def test_unknot_zero_framing_unbounded(self):
         d = cfd(unknot(), 0)
         report = validate_type_d(d)
         assert report.ok
-        assert not report.bounded  # D_12 self edge on the single generator
+        assert not d.bounded  # D_12 self edge on the single generator
 
     def test_idempotent_violation_detected(self, trefoil):
         from dataclasses import replace
@@ -137,7 +138,7 @@ class TestValidation:
         d = cfd(trefoil, 2)
         bad = replace(d, edges=d.edges | {(0, "2", 1)})  # iota_0 source for D_2
         report = validate_type_d(bad)
-        assert not report.idempotents_ok
+        assert not report.checks["idempotents"]
 
 
 class TestGradings:
