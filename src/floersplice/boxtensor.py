@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import gf2
 from .algebra import EMPTY
-from .typed import TypeDModule, solve_gradings
+from .typed import TypeDModule
 from .typea import TypeAModule
 
 
@@ -61,8 +61,6 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
     b = a.against
     if b is not None and b is not d and (b.generators, b.edges) != (d.generators, d.edges):
         raise ValueError("type A module was pruned against another type D module")
-    if d.gradings is None:
-        d = solve_gradings(d)
 
     count: Counter = Counter()  # (source pair, target pair) -> entries, summed mod 2 below
     ops = a.by_word

@@ -48,9 +48,6 @@ class KnotComplex:
             if k < 0:
                 raise ValueError(f"negative U power in entry ({src},{dst},{k})")
 
-    def index(self, name: str) -> int:
-        return self.generators.index(name)
-
     def __reduce__(self):
         # A mappingproxy does not pickle or copy; rebuild from a plain dict.
         return (KnotComplex, (self.name, self.generators, dict(self.alexander), self.differential))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .algebra import REEB_IDEMPOTENTS, is_merged, swap_and_merge, word_grading
 from .cfk import ValidationReport
-from .typed import TypeDModule, solve_gradings, walk_paths
+from .typed import TypeDModule, walk_paths
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,7 @@ class TypeAModule:
 def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModule:
     """Enumerate coefficient-map paths and emit merged-word operations.
 
-    Source gradings are solved if absent; the derived module flips the
-    grading of every iota_0 generator.
+    The derived module flips the grading of every iota_0 generator.
 
     With against, the type D module the result will be paired with, only
     the operations whose word has a nonzero composite map in against are
@@ -76,8 +75,6 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
             raise ValueError("type D module is unbounded; only a bounded partner ends its walk")
         if not against.bounded:
             raise ValueError("both framed complements are unbounded; cannot pair")
-    if m.gradings is None:
-        m = solve_gradings(m)
 
     gens = [
         AGen(g.id, g.idempotent, (m.gradings[i] + (1 if g.idempotent == 0 else 0)) % 2)

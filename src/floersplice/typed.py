@@ -10,7 +10,6 @@ dependent unstable chain joining xi_0 to eta_0.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
@@ -37,13 +36,11 @@ class DGen:
 class TypeDModule:
     generators: list[DGen]
     edges: frozenset[tuple[int, str, int]]  # (src index, label, dst index)
-    gradings: list[int] | None = None
     # label -> columns of D_label over all generators, built once from edges
     mats: dict[str, list[int]] = field(init=False, repr=False, compare=False)
     # whether the labeled graph (all labels) has no directed cycle
     bounded: bool = field(init=False, repr=False, compare=False)
-    # path-order label word -> its composite map, filled by composite on first
-    # use (shared with the graded copy, like mats)
+    # path-order label word -> its composite map, filled by composite on first use
     composites: dict[tuple[str, ...], Composite] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -116,6 +113,42 @@ class TypeDModule:
         names = [self.generators[i].id for i in gf2.bits(v)]
         return "+".join(names) if names else "0"
 
+    @cached_property
+    def gradings(self) -> list[int]:
+        """Relative Z2 gradings, solved along the edges on first read.
+
+        Every edge x -D_I-> y imposes gr(y) = gr(x) + 1 + gr(rho_I) mod 2; the
+        lowest-indexed generator of each connected component is anchored to 0.
+        Raises ValueError naming an edge that closes an inconsistent cycle; a
+        failed solve is not kept, so every read raises again.
+        """
+        n = len(self.generators)
+        gr: list[int | None] = [None] * n
+        neighbors: dict[int, list[tuple[int, int, str, int]]] = {i: [] for i in range(n)}
+        for src, label, dst in sorted(self.edges):
+            step = (1 + GRADING[label]) % 2
+            neighbors[src].append((dst, step, label, src))
+            neighbors[dst].append((src, step, label, src))
+
+        for root in range(n):
+            if gr[root] is not None:
+                continue
+            gr[root] = 0
+            queue = [root]
+            while queue:
+                node = queue.pop()
+                for other, step, label, esrc in neighbors[node]:
+                    want = (gr[node] + step) % 2
+                    if gr[other] is None:
+                        gr[other] = want
+                        queue.append(other)
+                    elif gr[other] != want:
+                        raise ValueError(
+                            "inconsistent grading cycle through edge "
+                            f"{self.generators[esrc].id} -D{label or '_empty'}->"
+                        )
+        return gr
+
 
 class Composite:
     """A composite map's nonzero columns, start -> ends; the rows where it is
@@ -160,30 +193,25 @@ def walk_paths(adj: dict[int, list[tuple[str, int]]], step, state):
                 stack.append((nxt, extended))
 
 
-def _acyclic(n: int, edges, labels: tuple[str, ...] | None = None) -> bool:
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
+def _acyclic(n: int, edges, labels: tuple[str, ...] = LABELS) -> bool:
+    """Whether the edges labeled in labels close no directed cycle.
+
+    Kahn's pass: generators of in-degree 0 are peeled off, each lowering the
+    in-degree of its successors, and every one is peeled iff no cycle blocks.
+    """
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indegree = [0] * n
     for src, lab, dst in edges:
-        if labels is None or lab in labels:
-            adj[src].append(dst)
-    state = [0] * n  # 0 unseen, 1 active, 2 done
-    for root in range(n):
-        if state[root]:
-            continue
-        stack = [(root, iter(adj[root]))]
-        state[root] = 1
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if state[nxt] == 1:
-                    return False
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(adj[nxt])))
-                    break
-            else:
-                state[node] = 2
-                stack.pop()
-    return True
+        if lab in labels:
+            succ[src].append(dst)
+            indegree[dst] += 1
+    peeled = [i for i in range(n) if not indegree[i]]
+    for node in peeled:  # grows while it is read
+        for nxt in succ[node]:
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                peeled.append(nxt)
+    return len(peeled) == n
 
 
 # ---------------------------------------------------------------------------
@@ -345,48 +373,13 @@ def validate_type_d(m: TypeDModule) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def solve_gradings(m: TypeDModule) -> TypeDModule:
-    """Assign relative Z2 gradings along edges.
-
-    Every edge x -D_I-> y imposes gr(y) = gr(x) + 1 + gr(rho_I) mod 2; the
-    lowest-indexed generator of each connected component is anchored to 0.
-    Raises ValueError naming an edge that closes an inconsistent cycle.
-    """
-    n = len(m.generators)
-    gr: list[int | None] = [None] * n
-    neighbors: dict[int, list[tuple[int, int, str, int]]] = {i: [] for i in range(n)}
-    for src, label, dst in sorted(m.edges):
-        step = (1 + GRADING[label]) % 2
-        neighbors[src].append((dst, step, label, src))
-        neighbors[dst].append((src, step, label, src))
-
-    for root in range(n):
-        if gr[root] is not None:
-            continue
-        gr[root] = 0
-        queue = [root]
-        while queue:
-            node = queue.pop()
-            for other, step, label, esrc in neighbors[node]:
-                want = (gr[node] + step) % 2
-                if gr[other] is None:
-                    gr[other] = want
-                    queue.append(other)
-                elif gr[other] != want:
-                    raise ValueError(
-                        "inconsistent grading cycle through edge "
-                        f"{m.generators[esrc].id} -D{label or '_empty'}->"
-                    )
-    # copy.copy skips __post_init__, so the graded module shares the source's
-    # mats and bounded instead of building them again.
-    graded = copy.copy(m)
-    object.__setattr__(graded, "gradings", gr)
-    return graded
+    """The grading stage: read m.gradings, solving them once, and return m."""
+    m.gradings
+    return m
 
 
 def check_gradings(m: TypeDModule) -> bool:
     """Independent re-verification of every edge constraint."""
-    if m.gradings is None:
-        return False
     for src, label, dst in m.edges:
         if m.gradings[dst] != (m.gradings[src] + 1 + GRADING[label]) % 2:
             return False
@@ -541,12 +534,11 @@ def find_durable_pairs(m: TypeDModule, s: SimplifiedBases) -> list[tuple[int, in
 # DOT export
 # ---------------------------------------------------------------------------
 
-def to_dot(m: TypeDModule, name: str = "cfd") -> str:
-    lines = [f"digraph {name} {{"]
-    for i, g in enumerate(m.generators):
-        grading = "" if m.gradings is None else f", grading={m.gradings[i]}"
+def to_dot(m: TypeDModule) -> str:
+    lines = ["digraph cfd {"]
+    for g, grading in zip(m.generators, m.gradings):
         lines.append(
-            f'  "{g.id}" [idempotent={g.idempotent}, role="{g.role}"{grading}];'
+            f'  "{g.id}" [idempotent={g.idempotent}, role="{g.role}", grading={grading}];'
         )
     for src, label, dst in sorted(m.edges):
         lab = label if label else "empty"

@@ -119,7 +119,7 @@ def test_pruned_module_pairs_only_with_its_partner(trefoil, mirror_trefoil):
     would pair: mirror_trefoil[-4] pruned against itself and boxed with
     mirror_trefoil[-1] would read (6, 3), where the whole module gives (5, 2).
     box_tensor refuses every partner whose generators or edges differ from
-    d2's, and accepts d2, its graded copy and an equal rebuild."""
+    d2's, and accepts d2 and an equal rebuild."""
     s = simplify(mirror_trefoil)
     d2 = build_cfd(s, -4)
     pruned = derive_cfa(d2, against=d2)
@@ -130,7 +130,7 @@ def test_pruned_module_pairs_only_with_its_partner(trefoil, mirror_trefoil):
     assert whole.against is None
     r = graded_homology(box_tensor(whole, build_cfd(s, -1)))
     assert (r.rank0, r.rank1) == (5, 2)
-    for d in (d2, solve_gradings(d2), build_cfd(s, -4)):
+    for d in (d2, build_cfd(s, -4)):
         assert box_tensor(pruned, d) == box_tensor(whole, d)
 
     sides = [build_cfd(simplify(c), n) for c in (trefoil, mirror_trefoil) for n in (-2, 0, 2)]
@@ -147,7 +147,7 @@ def test_empty_against_module(trefoil):
     from floersplice.typed import TypeDModule
 
     a, _ = modules(trefoil, 2)
-    empty = TypeDModule([], frozenset(), gradings=[])
+    empty = TypeDModule([], frozenset())
     box = box_tensor(a, empty)
     assert not box.labels
 

@@ -125,7 +125,6 @@ class TestDerive:
         m = TypeDModule(
             [DGen("a", 0, "xi"), DGen("p", 1, "mu"), DGen("q", 1, "mu")],
             frozenset({(0, "1", 1), (0, "1", 2)}),
-            gradings=[0, 0, 0],
         )
         # both edges give (a, ("3",), .) ops to different targets: no overlap
         a = derive_cfa(m)
@@ -141,7 +140,6 @@ class TestDerive:
             frozenset(
                 {(0, "1", 1), (0, "1", 2), (1, "23", 3), (2, "23", 3)}
             ),
-            gradings=[1, 0, 0, 0],
         )
         a2 = derive_cfa(m2)
         words = {(s, w, t) for s, w, t in a2.operations}
@@ -169,7 +167,7 @@ class TestValidate:
     def test_identity_only_module(self):
         from floersplice.typed import DGen, TypeDModule
 
-        m = TypeDModule([DGen("a", 0, "xi")], frozenset(), gradings=[0])
+        m = TypeDModule([DGen("a", 0, "xi")], frozenset())
         a = derive_cfa(m)
         assert not a.operations
         assert validate_cfa(a).ok

@@ -5,9 +5,11 @@ from itertools import product
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from floersplice import gf2, typed
-from floersplice.algebra import LABELS, REEB_IDEMPOTENTS, REEB_LABELS
+from floersplice.algebra import EMPTY, LABELS, REEB_IDEMPOTENTS, REEB_LABELS
 from floersplice.cfk import simplify, unknot
 from floersplice.typed import (
     DGen,
@@ -117,6 +119,42 @@ class TestModule:
                     assert d.matrix(label) == cols, (c.name, n, label)
 
 
+def no_walk_of_n_edges(n, edges):
+    """Brute-force acyclicity: a graph on n vertices has a directed cycle iff
+    it has a walk of n edges.  After k rounds, starts holds the vertices
+    where a walk of k edges begins."""
+    starts = set(range(n))
+    for _ in range(n):
+        starts = {src for src, lab, dst in edges if dst in starts}
+    return not starts
+
+
+# small labeled graphs: self-loops, and parallel edges whose labels differ
+labeled_graphs = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.frozensets(
+            st.tuples(st.integers(0, n - 1), st.sampled_from(LABELS), st.integers(0, n - 1)),
+            max_size=14,
+        ),
+    )
+)
+
+
+@given(labeled_graphs)
+@example((1, frozenset({(0, EMPTY, 0)})))
+@example((2, frozenset({(0, "1", 1), (0, "123", 1), (1, EMPTY, 1)})))
+@example((3, frozenset({(0, "123", 1), (1, EMPTY, 2), (2, "23", 0)})))
+def test_acyclic_matches_brute_force(graph):
+    """bounded (all labels) and the identity-only check of validate_type_d
+    agree with the walk reference."""
+    n, edges = graph
+    m = TypeDModule([DGen(f"g{i}", 0, "xi") for i in range(n)], edges)
+    assert m.bounded == no_walk_of_n_edges(n, edges)
+    identity = {e for e in edges if e[1] == EMPTY}
+    assert typed._acyclic(n, edges, labels=(EMPTY,)) == no_walk_of_n_edges(n, identity)
+
+
 class TestValidation:
     def test_structure_everywhere(self, trefoil, mirror_trefoil, t25, figure_eight):
         for c in (trefoil, mirror_trefoil, t25, figure_eight):
@@ -169,14 +207,12 @@ class TestGradings:
             if lab == "123":
                 assert d.gradings[src] == d.gradings[dst]
 
-    def test_graded_module_shares_matrices(self, trefoil):
-        """Grading copies the module: its matrices, boundedness and composite maps are shared."""
+    def test_grading_returns_the_same_module(self, trefoil):
+        """The gradings are the module's own: solving them returns the module
+        itself, and an unsolved module reads the same list on first use."""
         d = cfd(trefoil, 2)
-        graded = solve_gradings(d)
-        assert graded.mats is d.mats
-        assert graded.composites is d.composites
-        assert graded.bounded is d.bounded
-        assert graded.edges == d.edges and d.gradings is None
+        assert solve_gradings(d) is d
+        assert cfd(trefoil, 2).gradings == d.gradings
 
     def test_single_generator_anchor(self):
         d = solve_gradings(cfd(unknot(), 0))
@@ -191,8 +227,12 @@ class TestGradings:
             [DGen("a", 0, "xi"), DGen("b", 1, "mu")],
             frozenset({(0, "1", 1), (0, "123", 1)}),
         )
-        with pytest.raises(ValueError, match="inconsistent grading cycle"):
+        with pytest.raises(ValueError, match="inconsistent grading cycle") as first:
             solve_gradings(m)
+        # a failed solve is not kept: the next read refuses again, in the same words
+        with pytest.raises(ValueError) as again:
+            m.gradings
+        assert str(again.value) == str(first.value)
 
 
 class TestBkPrime:
@@ -466,3 +506,6 @@ def test_dot_export(trefoil):
     assert '"x0" -> "x2" [label="D12"]' in dot
     assert 'role="kappa"' in dot
     assert "grading=" in dot
+    # an unsolved module solves its gradings for the export: every node carries one
+    nodes = [line for line in to_dot(cfd(trefoil, 0)).splitlines() if "idempotent=" in line]
+    assert nodes and all("grading=" in line for line in nodes)
