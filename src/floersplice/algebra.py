@@ -146,7 +146,7 @@ def word_grading(word: tuple[str, ...]) -> int:
     return sum(GRADING[w] for w in word) % 2
 
 
-def _label_product(j: str, k: str) -> str | None:
+def label_product(j: str, k: str) -> str | None:
     """rho_j rho_k of two labels, the empty label acting as the identity; None means zero."""
     if j == EMPTY:
         return k
@@ -158,7 +158,7 @@ def _label_product(j: str, k: str) -> str | None:
 def label_factorizations(label: str) -> list[tuple[str, str]]:
     """All pairs (J, K) of labels (rho_emptyset allowed) with rho_J rho_K = rho_label.
 
-    Used by the type D structure equation: the composition D_K . D_J summed
-    over these factorizations must vanish for every output label.
+    The type D structure equation says that the composition D_K . D_J summed
+    over these factorizations vanishes for every output label.
     """
-    return [(j, k) for j in LABELS for k in LABELS if _label_product(j, k) == label]
+    return [(j, k) for j in LABELS for k in LABELS if label_product(j, k) == label]

@@ -34,7 +34,16 @@ OUT_OF_SCOPE = "out-of-scope"
 
 
 class InvariantViolation(RuntimeError):
-    """An internal structural guarantee failed (exit code 2 in the CLI)."""
+    """An internal structural guarantee failed (exit code 2 in the CLI); `stage`
+    names the check and `sides` the (complex name, framing) of each side involved."""
+
+    def __init__(self, message: str, stage: str, sides: tuple[tuple[str, int], ...]):
+        super().__init__(message)
+        self.stage = stage
+        self.sides = sides
+
+    def __reduce__(self):  # pickle and copy pass the fields, not only the message
+        return type(self), (str(self), self.stage, self.sides)
 
 
 def predict_lspace(tau1: int, lsf1: bool, n1: int, tau2: int, lsf2: bool, n2: int):
@@ -171,11 +180,18 @@ class FramedSide:
         d = build_cfd(s, n)
         dreport = validate_type_d(d)
         if not dreport.ok:
-            raise InvariantViolation(f"{c.name}[{n}]: {'; '.join(dreport.problems)}")
+            raise InvariantViolation(
+                f"{c.name}[{n}]: {'; '.join(dreport.problems)}", "validate_type_d", ((c.name, n),)
+            )
         self.n, self.s, self.d = n, s, solve_gradings(d)
 
     def __str__(self) -> str:
         return f"{self.s.complex.name}[{self.n}]"
+
+    def violation(self, other: FramedSide, stage: str, detail: str) -> InvariantViolation:
+        """The violation of a check on the splice of this side with other."""
+        sides = ((self.s.complex.name, self.n), (other.s.complex.name, other.n))
+        return InvariantViolation(f"{self} x {other}: {stage}{detail}", stage, sides)
 
     @cached_property
     def durable_pairs(self) -> list[tuple[int, int, str]]:
@@ -205,11 +221,10 @@ class FramedSide:
         """
         a = self.cfa if "cfa" in vars(self) else derive_cfa(self.d, against=other.d)
         box = box_tensor(a, other.d)
-        where = f"{self} x {other}: box tensor differential"
         if not box.d_squared_is_zero():
-            raise InvariantViolation(f"{where} does not square to zero")
+            raise self.violation(other, "box tensor differential", " does not square to zero")
         if not box.boundary_flips_grading():
-            raise InvariantViolation(f"{where} does not flip the grading")
+            raise self.violation(other, "box tensor differential", " does not flip the grading")
         return box
 
 
@@ -217,9 +232,11 @@ def _splice(side1: FramedSide, side2: FramedSide) -> SpliceReport:
     s1, s2, n1, n2 = side1.s, side2.s, side1.n, side2.n
     ranks = graded_homology(side1.box_with(side2))
     if ranks.euler_abs != abs(n1 * n2 - 1):
-        raise InvariantViolation(
-            f"{side1} x {side2}: graded homology: |rank1 - rank0| = {ranks.euler_abs}"
-            f" breaks the Euler identity |n1*n2 - 1| = {abs(n1 * n2 - 1)}"
+        raise side1.violation(
+            side2,
+            "graded homology",
+            f": |rank1 - rank0| = {ranks.euler_abs}"
+            f" breaks the Euler identity |n1*n2 - 1| = {abs(n1 * n2 - 1)}",
         )
     verdict = lspace_verdict(ranks)
     prediction = predict_lspace(s1.tau, s1.lspace_form, n1, s2.tau, s2.lspace_form, n2)
@@ -228,8 +245,8 @@ def _splice(side1: FramedSide, side2: FramedSide) -> SpliceReport:
     bounded = side1.d.bounded and side2.d.bounded
     fast = True if bounded and side1.has_durable_pair and side2.has_pair else None
     if fast and verdict:
-        raise InvariantViolation(
-            f"{side1} x {side2}: durable-pair shortcut contradicts the computed verdict"
+        raise side1.violation(
+            side2, "durable-pair shortcut", " contradicts the computed verdict"
         )
 
     return SpliceReport(

@@ -69,6 +69,12 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
     digits and each non-identity label adds at least one, so a path has
     boundedly many non-identity edges; between two of them it runs along
     identity edges only, which in a validated module close no cycle.
+
+    The pruned walk keeps two dicts for the length of one call: the step
+    from a word along a label (the merged word, or None for a cut) and
+    whether a word's map in against is nonzero.  Both depend only on
+    against, so each distinct word is merged and looked up once however
+    many paths spell it; nothing is kept from one call to the next.
     """
     if not m.bounded:
         if against is None:
@@ -85,11 +91,21 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
     if against is None:
         paths = walk_paths(adj, lambda word, label: swap_and_merge((label,), word), ())
     else:
-        def step(word, label):
-            merged = swap_and_merge((label,), word)
-            return merged if against.composite(merged[:-1]).cols else None
+        steps: dict[tuple[tuple[str, ...], str], tuple[str, ...] | None] = {}
+        kept: dict[tuple[str, ...], bool] = {}
 
-        paths = (p for p in walk_paths(adj, step, ()) if against.composite(p[2]).cols)
+        def step(word, label):
+            if (word, label) not in steps:
+                merged = swap_and_merge((label,), word)
+                steps[word, label] = merged if against.composite(merged[:-1]).cols else None
+            return steps[word, label]
+
+        def keep(word):
+            if word not in kept:
+                kept[word] = bool(against.composite(word).cols)
+            return kept[word]
+
+        paths = (p for p in walk_paths(adj, step, ()) if keep(p[2]))
 
     parity: dict[tuple[int, tuple[str, ...], int], int] = {}
     for start, end, word in paths:

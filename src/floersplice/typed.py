@@ -15,13 +15,7 @@ from functools import cached_property, reduce
 from operator import or_
 
 from . import gf2
-from .algebra import (
-    EMPTY,
-    GRADING,
-    LABELS,
-    REEB_IDEMPOTENTS,
-    label_factorizations,
-)
+from .algebra import EMPTY, GRADING, LABELS, REEB_IDEMPOTENTS, label_product
 from .cfk import SimplifiedBases, ValidationReport
 
 
@@ -38,9 +32,12 @@ class TypeDModule:
     edges: frozenset[tuple[int, str, int]]  # (src index, label, dst index)
     # label -> columns of D_label over all generators, built once from edges
     mats: dict[str, list[int]] = field(init=False, repr=False, compare=False)
+    # src -> its out-edges (label, dst), sorted; every generator has an entry
+    adj: dict[int, list[tuple[str, int]]] = field(init=False, repr=False, compare=False)
     # whether the labeled graph (all labels) has no directed cycle
     bounded: bool = field(init=False, repr=False, compare=False)
-    # path-order label word -> its composite map, filled by composite on first use
+    # path-order label word -> its composite map: the identity and the single
+    # labels from construction, longer words filled by composite on first use
     composites: dict[tuple[str, ...], Composite] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -48,16 +45,23 @@ class TypeDModule:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate generator ids")
         mats = {label: [0] * len(ids) for label in LABELS}
-        for src, label, dst in self.edges:
+        singles: dict[str, dict[int, int]] = {label: {} for label in LABELS}
+        adj: dict[int, list[tuple[str, int]]] = {i: [] for i in range(len(ids))}
+        for src, label, dst in sorted(self.edges):
             if label not in LABELS:
                 raise ValueError(f"unknown coefficient-map label {label!r}")
             if not (0 <= src < len(ids) and 0 <= dst < len(ids)):
                 raise ValueError("edge endpoint out of range")
-            mats[label][src] ^= 1 << dst
+            col = mats[label]
+            col[src] ^= 1 << dst
+            singles[label][src] = col[src]  # edges are distinct: never 0
+            adj[src].append((label, dst))
         object.__setattr__(self, "mats", mats)
-        object.__setattr__(self, "bounded", _acyclic(len(ids), self.edges))
-        identity = Composite({i: 1 << i for i in range(len(ids))})
-        object.__setattr__(self, "composites", {(): identity})
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "bounded", _acyclic(adj))
+        composites = {(label,): Composite(cols) for label, cols in singles.items()}
+        composites[()] = Composite({i: 1 << i for i in range(len(ids))})
+        object.__setattr__(self, "composites", composites)
 
     # -- basic queries ------------------------------------------------------
 
@@ -100,11 +104,10 @@ class TypeDModule:
         return comp
 
     def out_edges(self, labels: tuple[str, ...] = LABELS) -> dict[int, list[tuple[str, int]]]:
-        adj: dict[int, list[tuple[str, int]]] = {i: [] for i in range(len(self.generators))}
-        for src, lab, dst in sorted(self.edges):
-            if lab in labels:
-                adj[src].append((lab, dst))
-        return adj
+        """The sorted adjacency restricted to labels (shared when all labels: do not mutate)."""
+        if labels == LABELS:
+            return self.adj
+        return {src: [e for e in outs if e[0] in labels] for src, outs in self.adj.items()}
 
     def iota_indices(self, idem: int) -> list[int]:
         return [i for i, g in enumerate(self.generators) if g.idempotent == idem]
@@ -125,10 +128,11 @@ class TypeDModule:
         n = len(self.generators)
         gr: list[int | None] = [None] * n
         neighbors: dict[int, list[tuple[int, int, str, int]]] = {i: [] for i in range(n)}
-        for src, label, dst in sorted(self.edges):
-            step = (1 + GRADING[label]) % 2
-            neighbors[src].append((dst, step, label, src))
-            neighbors[dst].append((src, step, label, src))
+        for src, outs in self.adj.items():
+            for label, dst in outs:
+                step = (1 + GRADING[label]) % 2
+                neighbors[src].append((dst, step, label, src))
+                neighbors[dst].append((src, step, label, src))
 
         for root in range(n):
             if gr[root] is not None:
@@ -193,25 +197,25 @@ def walk_paths(adj: dict[int, list[tuple[str, int]]], step, state):
                 stack.append((nxt, extended))
 
 
-def _acyclic(n: int, edges, labels: tuple[str, ...] = LABELS) -> bool:
-    """Whether the edges labeled in labels close no directed cycle.
+def _acyclic(adj: dict[int, list[tuple[str, int]]], labels: tuple[str, ...] = LABELS) -> bool:
+    """Whether the edges of adj labeled in labels close no directed cycle.
 
     Kahn's pass: generators of in-degree 0 are peeled off, each lowering the
     in-degree of its successors, and every one is peeled iff no cycle blocks.
     """
-    succ: list[list[int]] = [[] for _ in range(n)]
-    indegree = [0] * n
-    for src, lab, dst in edges:
-        if lab in labels:
-            succ[src].append(dst)
-            indegree[dst] += 1
-    peeled = [i for i in range(n) if not indegree[i]]
+    indegree = [0] * len(adj)
+    for outs in adj.values():
+        for lab, dst in outs:
+            if lab in labels:
+                indegree[dst] += 1
+    peeled = [i for i, d in enumerate(indegree) if not d]
     for node in peeled:  # grows while it is read
-        for nxt in succ[node]:
-            indegree[nxt] -= 1
-            if not indegree[nxt]:
-                peeled.append(nxt)
-    return len(peeled) == n
+        for lab, nxt in adj[node]:
+            if lab in labels:
+                indegree[nxt] -= 1
+                if not indegree[nxt]:
+                    peeled.append(nxt)
+    return len(peeled) == len(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -327,43 +331,49 @@ def build_cfd(s: SimplifiedBases, n: int) -> TypeDModule:
 # Validation
 # ---------------------------------------------------------------------------
 
-# output label -> its factorizations (J, K), for the structure equation
-_FACTORIZATIONS = {label: label_factorizations(label) for label in LABELS}
+# (J, K) -> rho_J rho_K for each pair of labels whose product is nonzero
+_PRODUCTS = {
+    (j, k): p for j in LABELS for k in LABELS if (p := label_product(j, k)) is not None
+}
 
 
 def validate_type_d(m: TypeDModule) -> ValidationReport:
     """Check idempotent compatibility, the structure equation, and that no
-    identity-labeled maps close a cycle (m.bounded is not a check)."""
+    identity-labeled maps close a cycle (m.bounded is not a check).
+
+    The structure equation is summed over pairs of edges: each path
+    a -D_J-> b -D_K-> c with rho_J rho_K = rho_I adds c to the image of a
+    under the output label I, and every image must vanish mod 2.
+    """
     checks = ("idempotents", "structure_equation", "empty_cycle_free")
     report = ValidationReport(dict.fromkeys(checks, True))
 
-    for src, label, dst in sorted(m.edges):
+    images: dict[tuple[str, int], int] = {}
+    for src, outs in m.adj.items():
         si = m.generators[src].idempotent
-        di = m.generators[dst].idempotent
-        if label == EMPTY:
-            good = si == di
-        else:
-            left, right = REEB_IDEMPOTENTS[label]
-            good = (si, di) == (left, right)
-        if not good:
-            report.fail(
-                "idempotents",
-                f"edge {m.generators[src].id} -D{label or '_empty'}-> "
-                f"{m.generators[dst].id} violates idempotents",
-            )
+        for label, dst in outs:
+            want = (si, si) if label == EMPTY else REEB_IDEMPOTENTS[label]
+            if (si, m.generators[dst].idempotent) != want:
+                report.fail(
+                    "idempotents",
+                    f"edge {m.generators[src].id} -D{label or '_empty'}-> "
+                    f"{m.generators[dst].id} violates idempotents",
+                )
+            for second, end in m.adj[dst]:
+                product = _PRODUCTS.get((label, second))
+                if product is not None:
+                    key = (product, src)
+                    images[key] = images.get(key, 0) ^ 1 << end
 
-    for out_label, factorizations in _FACTORIZATIONS.items():
-        total: dict[int, int] = {}
-        for j, k in factorizations:
-            for start, ends in m.composite((j, k)).cols.items():
-                total[start] = total.get(start, 0) ^ ends
-        if any(total.values()):
+    failing = {label for (label, _), image in images.items() if image}
+    for out_label in LABELS:
+        if out_label in failing:
             report.fail(
                 "structure_equation",
                 f"structure equation fails at output label {out_label or 'empty'}",
             )
 
-    if not _acyclic(len(m.generators), m.edges, labels=(EMPTY,)):
+    if not _acyclic(m.adj, labels=(EMPTY,)):
         report.fail("empty_cycle_free", "directed cycle of identity-labeled maps")
     return report
 

@@ -3,12 +3,20 @@
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from floersplice.algebra import REEB_LABELS, swap_and_merge
 from floersplice.boxtensor import box_tensor
-from floersplice.cfk import make_complex, simplify, staircase, unknot, validate_complex
+from floersplice.cfk import (
+    ValidationReport,
+    make_complex,
+    simplify,
+    staircase,
+    unknot,
+    validate_complex,
+)
 from floersplice.homology import GradedRanks
 from floersplice.splice import (
     OUT_OF_SCOPE,
@@ -173,6 +181,37 @@ class TestGuardMessages:
         monkeypatch.setattr(f"{target}.{attr}", lambda *args: value)
         with pytest.raises(InvariantViolation, match=match):
             splice_report(trefoil, 3, trefoil, 2)
+
+    def test_type_d_refusal_says_where(self, monkeypatch, capsys, trefoil):
+        """A failed validate_type_d names its stage and its one side as
+        fields; the message, the CLI's stderr line and exit code 2 stay."""
+        from floersplice.cli import main
+
+        failed = ValidationReport({"structure_equation": False},
+                                  problems=["structure equation fails at output label 12"])
+        monkeypatch.setattr("floersplice.splice.validate_type_d", lambda d: failed)
+        with pytest.raises(InvariantViolation) as caught:
+            splice_report(trefoil, 3, trefoil, 2)
+        assert str(caught.value) == "trefoil[3]: structure equation fails at output label 12"
+        assert caught.value.stage == "validate_type_d"
+        assert caught.value.sides == (("trefoil", 3),)
+        again = pickle.loads(pickle.dumps(caught.value))
+        assert (str(again), again.stage, again.sides) == (
+            str(caught.value), caught.value.stage, caught.value.sides)
+
+        path = str(Path(__file__).parent / "data" / "trefoil.cfk")
+        assert main(["splice", path, "3", path, "2"]) == 2
+        assert capsys.readouterr().err == (
+            "internal invariant violation: trefoil[3]: structure equation fails at output label 12\n"
+        )
+
+    def test_euler_violation_says_where(self, monkeypatch, trefoil):
+        monkeypatch.setattr("floersplice.splice.graded_homology", lambda box: GradedRanks(4, 0))
+        with pytest.raises(InvariantViolation) as caught:
+            splice_report(trefoil, 3, trefoil, 2)
+        assert caught.value.stage == "graded homology"
+        assert caught.value.sides == (("trefoil", 3), ("trefoil", 2))
+        assert str(caught.value).startswith("trefoil[3] x trefoil[2]: graded homology: ")
 
     def test_durable_contradiction(self, monkeypatch, figure_eight, trefoil):
         monkeypatch.setattr("floersplice.splice.lspace_verdict", lambda ranks: True)

@@ -147,6 +147,41 @@ class TestDerive:
         assert not any(t == 3 and s == 0 for s, w, t in words)
 
 
+FIXTURES = ("trefoil", "mirror_trefoil", "t25", "figure_eight", "unknot_complex")
+
+
+def _paired_ops(whole, against):
+    """The whole module's operations whose word has a nonzero map in against."""
+    return frozenset(op for op in whole.operations if against.composite(op[1]).cols)
+
+
+def test_pruned_walk_keeps_exactly_the_paired_operations(request):
+    """The memoised pruned walk derives the operations of the whole module
+    that its partner pairs, no more and no fewer."""
+    modules = [
+        build_cfd(simplify(request.getfixturevalue(name)), n)
+        for name in FIXTURES
+        for n in range(-6, 7)
+    ]
+    for d1 in modules:
+        if not d1.bounded:
+            continue
+        whole = derive_cfa(d1)
+        for d2 in modules:
+            assert derive_cfa(d1, against=d2).operations == _paired_ops(whole, d2)
+
+
+def test_pruned_walk_keeps_nothing_between_calls(t25, trefoil, unknot_complex):
+    """One module pruned against two partners in turn: the second call owes
+    nothing to the first."""
+    d1 = build_cfd(simplify(t25), 6)
+    whole = derive_cfa(d1)
+    first, second = build_cfd(simplify(trefoil), 2), build_cfd(simplify(unknot_complex), 0)
+    assert _paired_ops(whole, first) != _paired_ops(whole, second)
+    for partner in (first, second, first):
+        assert derive_cfa(d1, against=partner).operations == _paired_ops(whole, partner)
+
+
 class TestValidate:
     def test_grading_law_everywhere(self, trefoil, mirror_trefoil, t25, figure_eight):
         for c in (trefoil, mirror_trefoil, t25, figure_eight):

@@ -9,7 +9,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from floersplice import gf2, typed
-from floersplice.algebra import EMPTY, LABELS, REEB_IDEMPOTENTS, REEB_LABELS
+from floersplice.algebra import (
+    EMPTY,
+    LABELS,
+    REEB_IDEMPOTENTS,
+    REEB_LABELS,
+    label_factorizations,
+)
 from floersplice.cfk import simplify, unknot
 from floersplice.typed import (
     DGen,
@@ -152,7 +158,7 @@ def test_acyclic_matches_brute_force(graph):
     m = TypeDModule([DGen(f"g{i}", 0, "xi") for i in range(n)], edges)
     assert m.bounded == no_walk_of_n_edges(n, edges)
     identity = {e for e in edges if e[1] == EMPTY}
-    assert typed._acyclic(n, edges, labels=(EMPTY,)) == no_walk_of_n_edges(n, identity)
+    assert typed._acyclic(m.adj, labels=(EMPTY,)) == no_walk_of_n_edges(n, identity)
 
 
 class TestValidation:
@@ -177,6 +183,53 @@ class TestValidation:
         bad = replace(d, edges=d.edges | {(0, "2", 1)})  # iota_0 source for D_2
         report = validate_type_d(bad)
         assert not report.checks["idempotents"]
+
+    def test_uncancelled_product_path_refused(self):
+        """x -D1-> y -D2-> z is a nonzero term of output label 12.  The equation
+        is quadratic (the algebra has no differential), so a D_12 edge x -> z
+        does not cancel it; a second path x -D1-> w -D2-> z does."""
+        gens = [DGen("x", 0, "xi"), DGen("y", 1, "kappa"), DGen("z", 0, "xi"),
+                DGen("w", 1, "kappa")]
+        chain = frozenset({(0, "1", 1), (1, "2", 2)})
+        for edges in (chain, chain | {(0, "12", 2)}):
+            report = validate_type_d(TypeDModule(gens, edges))
+            assert report.problems == ["structure equation fails at output label 12"]
+            assert not report.checks["structure_equation"]
+        assert validate_type_d(TypeDModule(gens, chain | {(0, "1", 3), (3, "2", 2)})).ok
+
+    def test_chained_identity_edges_refused(self):
+        gens = [DGen(f"g{i}", 0, "xi") for i in range(3)]
+        report = validate_type_d(TypeDModule(gens, frozenset({(0, EMPTY, 1), (1, EMPTY, 2)})))
+        assert report.problems == ["structure equation fails at output label empty"]
+
+
+def _structure_failures(report):
+    """The output labels of a report's structure-equation problems, in order."""
+    prefix = "structure equation fails at output label "
+    return [
+        EMPTY if (label := p[len(prefix):]) == "empty" else label
+        for p in report.problems
+        if p.startswith(prefix)
+    ]
+
+
+@given(labeled_graphs)
+@example((3, frozenset({(0, "1", 1), (1, "2", 2)})))
+@example((3, frozenset({(0, "1", 1), (1, "2", 2), (0, "12", 2)})))
+@example((2, frozenset({(0, EMPTY, 1), (1, "23", 1), (1, EMPTY, 0)})))
+def test_structure_equation_matches_dense_reference(graph):
+    """validate_type_d, summed over pairs of edges, fails exactly the output
+    labels whose sum of D_K.D_J over the factorizations (J, K) is nonzero."""
+    n, edges = graph
+    d = TypeDModule([DGen(f"g{i}", 0, "xi") for i in range(n)], edges)
+    expected = []
+    for label in LABELS:
+        total = [0] * n
+        for j, k in label_factorizations(label):
+            total = [a ^ b for a, b in zip(total, gf2.compose(d.matrix(k), d.matrix(j)))]
+        if any(total):
+            expected.append(label)
+    assert _structure_failures(validate_type_d(d)) == expected
 
 
 class TestGradings:
