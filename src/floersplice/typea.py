@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import REEB_IDEMPOTENTS, is_merged, swap_and_merge, word_grading
+from .algebra import EMPTY, REEB_IDEMPOTENTS, is_merged, swap_and_merge, word_grading
 from .cfk import ValidationReport
-from .typed import TypeDModule, walk_paths
+from .typed import TypeDModule, _acyclic, walk_paths
 
 
 @dataclass(frozen=True)
@@ -62,55 +62,57 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
     refuses to pair it with any other module.
 
     The walk ends when m is bounded (acyclic) or when against is; an
-    unbounded m without a bounded against is refused.  A nonzero map of a
-    j-letter word needs a j-edge Reeb path in against, so with L the
-    longest Reeb path of a bounded against, every path kept or extended
-    has a word of at most L + 1 letters.  Those hold at most 3(L + 1)
-    digits and each non-identity label adds at least one, so a path has
-    boundedly many non-identity edges; between two of them it runs along
-    identity edges only, which in a validated module close no cycle.
+    unbounded m without a bounded against is refused, and so is an m whose
+    identity-labeled edges close a cycle.  A nonzero map of a j-letter word
+    needs a j-edge Reeb path in against, so with L the longest Reeb path of
+    a bounded against, every path kept or extended has a word of at most
+    L + 1 letters.  Those hold at most 3(L + 1) digits and each
+    non-identity label adds at least one, so a path has boundedly many
+    non-identity edges; between two of them it runs along identity edges
+    only, which close no cycle.
 
-    The pruned walk keeps two dicts for the length of one call: the step
-    from a word along a label (the merged word, or None for a cut) and
-    whether a word's map in against is nonzero.  Both depend only on
-    against, so each distinct word is merged and looked up once however
-    many paths spell it; nothing is kept from one call to the next.
+    Whole or pruned, the module comes from one walk, which keeps two dicts
+    for the length of one call: the step from a word along a label (the
+    merged word, or None for a cut) and whether a word's map in against is
+    nonzero (always, without against; the empty word's map is the
+    identity).  Both depend only on against, so each distinct word is
+    merged and looked up once however many paths spell it; nothing is kept
+    from one call to the next.
     """
     if not m.bounded:
         if against is None:
             raise ValueError("type D module is unbounded; only a bounded partner ends its walk")
         if not against.bounded:
             raise ValueError("both framed complements are unbounded; cannot pair")
+        if not _acyclic(m.adj, labels=(EMPTY,)):
+            raise ValueError("identity-labeled maps close a cycle; the walk would not end")
 
     gens = [
         AGen(g.id, g.idempotent, (m.gradings[i] + (1 if g.idempotent == 0 else 0)) % 2)
         for i, g in enumerate(m.generators)
     ]
 
-    adj = m.out_edges()
-    if against is None:
-        paths = walk_paths(adj, lambda word, label: swap_and_merge((label,), word), ())
-    else:
-        steps: dict[tuple[tuple[str, ...], str], tuple[str, ...] | None] = {}
-        kept: dict[tuple[str, ...], bool] = {}
+    steps: dict[tuple[tuple[str, ...], str], tuple[str, ...] | None] = {}
+    nonzero: dict[tuple[str, ...], bool] = {}
 
-        def step(word, label):
-            if (word, label) not in steps:
-                merged = swap_and_merge((label,), word)
-                steps[word, label] = merged if against.composite(merged[:-1]).cols else None
-            return steps[word, label]
+    def pairs(word):
+        if word not in nonzero:
+            nonzero[word] = against is None or bool(
+                against.composite(word).cols if word else against.generators
+            )
+        return nonzero[word]
 
-        def keep(word):
-            if word not in kept:
-                kept[word] = bool(against.composite(word).cols)
-            return kept[word]
-
-        paths = (p for p in walk_paths(adj, step, ()) if keep(p[2]))
+    def step(word, label):
+        if (word, label) not in steps:
+            merged = swap_and_merge((label,), word)
+            steps[word, label] = merged if pairs(merged[:-1]) else None
+        return steps[word, label]
 
     parity: dict[tuple[int, tuple[str, ...], int], int] = {}
-    for start, end, word in paths:
-        key = (start, word, end)
-        parity[key] = parity.get(key, 0) ^ 1
+    for start, end, word in walk_paths(m.adj, step, ()):
+        if pairs(word):
+            key = (start, word, end)
+            parity[key] = parity.get(key, 0) ^ 1
 
     ops = frozenset(key for key, p in parity.items() if p)
     return TypeAModule(gens, ops, against)

@@ -36,8 +36,8 @@ class TypeDModule:
     adj: dict[int, list[tuple[str, int]]] = field(init=False, repr=False, compare=False)
     # whether the labeled graph (all labels) has no directed cycle
     bounded: bool = field(init=False, repr=False, compare=False)
-    # path-order label word -> its composite map: the identity and the single
-    # labels from construction, longer words filled by composite on first use
+    # nonempty path-order label word -> its composite map: the single labels
+    # from construction, longer words filled by composite on first use
     composites: dict[tuple[str, ...], Composite] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -60,7 +60,6 @@ class TypeDModule:
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "bounded", _acyclic(adj))
         composites = {(label,): Composite(cols) for label, cols in singles.items()}
-        composites[()] = Composite({i: 1 << i for i in range(len(ids))})
         object.__setattr__(self, "composites", composites)
 
     # -- basic queries ------------------------------------------------------
@@ -81,13 +80,16 @@ class TypeDModule:
         Its column at a start counts, mod 2, the paths from there whose labels
         spell the word.  It is built from its longest cached prefix, one label
         matrix at a time, and cached.  A map that vanishes is returned as it
-        is: its extensions vanish too and are not stored.
+        is: its extensions vanish too and are not stored.  The empty word's
+        map, the identity, is not stored: raises ValueError on ().
         """
         cache = self.composites
         if word in cache:
             return cache[word]
-        # The cached words are closed under prefixes: bisect for the longest one.
-        n, hi = 0, len(word) - 1
+        if not word:
+            raise ValueError("the empty word's map is the identity; no composite is stored")
+        # The cached words are closed under nonempty prefixes: bisect for the longest one.
+        n, hi = 1, len(word) - 1
         while n < hi:
             mid = (n + hi + 1) // 2
             if word[:mid] in cache:
@@ -102,12 +104,6 @@ class TypeDModule:
                 {s: e for s, c in comp.cols.items() if (e := gf2.apply_columns(mat, c))}
             )
         return comp
-
-    def out_edges(self, labels: tuple[str, ...] = LABELS) -> dict[int, list[tuple[str, int]]]:
-        """The sorted adjacency restricted to labels (shared when all labels: do not mutate)."""
-        if labels == LABELS:
-            return self.adj
-        return {src: [e for e in outs if e[0] in labels] for src, outs in self.adj.items()}
 
     def iota_indices(self, idem: int) -> list[int]:
         return [i for i, g in enumerate(self.generators) if g.idempotent == idem]

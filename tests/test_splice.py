@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from floersplice.algebra import REEB_LABELS, swap_and_merge
+from floersplice.algebra import EMPTY, swap_and_merge
 from floersplice.boxtensor import box_tensor
 from floersplice.cfk import (
     ValidationReport,
@@ -291,7 +291,7 @@ FIXTURES = ("trefoil", "mirror_trefoil", "figure_eight", "t25", "unknot_complex"
 
 def longest_reeb_path(d):
     """Edges on the longest Reeb-labeled path of a bounded module, by enumeration."""
-    paths = walk_paths(d.out_edges(REEB_LABELS), lambda edges, label: edges + 1, 0)
+    paths = walk_paths(d.adj, lambda edges, label: None if label == EMPTY else edges + 1, 0)
     return max((edges for *_, edges in paths), default=0)
 
 
@@ -308,7 +308,7 @@ def capped_cfa(d, k):
         return (swap_and_merge((label,), word), edges + 1) if edges < 3 * k + 2 else None
 
     parity = {}
-    for start, end, (word, _) in walk_paths(d.out_edges(), step, ((), 0)):
+    for start, end, (word, _) in walk_paths(d.adj, step, ((), 0)):
         if len(word) <= k:
             parity[start, word, end] = parity.get((start, word, end), 0) ^ 1
     gens = [

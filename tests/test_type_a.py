@@ -3,13 +3,37 @@
 import pytest
 
 from floersplice import gf2
+from floersplice.algebra import EMPTY, swap_and_merge
 from floersplice.cfk import simplify, unknot
 from floersplice.typea import derive_cfa, ops_text, validate_cfa
-from floersplice.typed import build_cfd, durability, solve_gradings
+from floersplice.typed import DGen, TypeDModule, build_cfd, durability, solve_gradings, walk_paths
 
 
 def cfa(complex_, n, **kw):
     return derive_cfa(solve_gradings(build_cfd(simplify(complex_), n)), **kw)
+
+
+def hand_built():
+    """Small bounded modules, by name, that the knot modules do not reach."""
+    return {
+        # a -D3-> b -D23-> c -D2-> e and b -D2-> f: Reeb paths of at most 3 edges
+        "chain": TypeDModule(
+            [DGen("a", 0, "xi"), DGen("b", 1, "lambda"), DGen("c", 1, "lambda"),
+             DGen("e", 0, "xi"), DGen("f", 0, "xi")],
+            frozenset({(0, "3", 1), (1, "23", 2), (2, "2", 3), (1, "2", 4)}),
+        ),
+        # a -D1-> p and a -D1-> q
+        "fork": TypeDModule(
+            [DGen("a", 0, "xi"), DGen("p", 1, "mu"), DGen("q", 1, "mu")],
+            frozenset({(0, "1", 1), (0, "1", 2)}),
+        ),
+        # the fork closed by p -D23-> z and q -D23-> z: two paths a -> z of one word
+        "diamond": TypeDModule(
+            [DGen("a", 0, "xi"), DGen("p", 1, "mu"), DGen("q", 1, "mu"), DGen("z", 1, "mu")],
+            frozenset({(0, "1", 1), (0, "1", 2), (1, "23", 3), (2, "23", 3)}),
+        ),
+        "single": TypeDModule([DGen("a", 0, "xi")], frozenset()),
+    }
 
 
 def ops_by_ids(a):
@@ -89,16 +113,10 @@ class TestDerive:
         composite maps end every path; any other request is refused before
         a single edge is walked."""
         from floersplice import typea
-        from floersplice.typed import DGen, TypeDModule
 
         d = build_cfd(simplify(unknot()), 0)  # x0 with a D_12 self edge
         loop = TypeDModule([DGen("y", 0, "xi")], frozenset({(0, "12", 0)}))
-        # a -D3-> b -D23-> c -D2-> e and b -D2-> f: Reeb paths of at most 3 edges
-        chain = TypeDModule(
-            [DGen("a", 0, "xi"), DGen("b", 1, "lambda"), DGen("c", 1, "lambda"),
-             DGen("e", 0, "xi"), DGen("f", 0, "xi")],
-            frozenset({(0, "3", 1), (1, "23", 2), (2, "2", 3), (1, "2", 4)}),
-        )
+        chain = hand_built()["chain"]
         assert not d.bounded and not loop.bounded and chain.bounded
 
         real_step = typea.swap_and_merge
@@ -116,32 +134,30 @@ class TestDerive:
         # three times round needs a D3 D23 D23 path, which chain lacks
         assert ops_by_ids(a) == {("x0", ("3", "2"), "x0"), ("x0", ("3", "23", "2"), "x0")}
 
+    def test_identity_cycle_refused_before_walking(self, trefoil, monkeypatch):
+        """An unbounded module whose identity-labeled maps close a cycle is
+        refused even against a bounded partner: an identity step adds no
+        letter, so no map of the partner would ever cut the cycle."""
+        from floersplice import typea
+
+        cycle = TypeDModule(
+            [DGen("y", 0, "xi"), DGen("z", 0, "xi")],
+            frozenset({(0, EMPTY, 1), (1, EMPTY, 0)}),
+        )
+        partner = build_cfd(simplify(trefoil), 3)
+        assert not cycle.bounded and partner.bounded
+        monkeypatch.setattr(typea, "swap_and_merge", lambda *a: pytest.fail("walked an edge"))
+        with pytest.raises(ValueError, match="identity-labeled maps close a cycle"):
+            derive_cfa(cycle, against=partner)
+
     def test_f2_cancellation(self):
         """Two distinct paths with the same source, word, and target cancel."""
-        from floersplice.typed import DGen, TypeDModule
-
-        # a -D1-> b and a -D1-> c -D_empty-> ... is hard to arrange with
-        # honest modules; use a direct two-path diamond instead.
-        m = TypeDModule(
-            [DGen("a", 0, "xi"), DGen("p", 1, "mu"), DGen("q", 1, "mu")],
-            frozenset({(0, "1", 1), (0, "1", 2)}),
-        )
+        modules = hand_built()
         # both edges give (a, ("3",), .) ops to different targets: no overlap
-        a = derive_cfa(m)
+        a = derive_cfa(modules["fork"])
         assert len(a.operations) == 2
 
-        m2 = TypeDModule(
-            [
-                DGen("a", 0, "xi"),
-                DGen("p", 1, "mu"),
-                DGen("q", 1, "mu"),
-                DGen("z", 1, "mu"),
-            ],
-            frozenset(
-                {(0, "1", 1), (0, "1", 2), (1, "23", 3), (2, "23", 3)}
-            ),
-        )
-        a2 = derive_cfa(m2)
+        a2 = derive_cfa(modules["diamond"])
         words = {(s, w, t) for s, w, t in a2.operations}
         # the two length-two paths a -> z carry equal words and cancel
         assert not any(t == 3 and s == 0 for s, w, t in words)
@@ -151,8 +167,39 @@ FIXTURES = ("trefoil", "mirror_trefoil", "t25", "figure_eight", "unknot_complex"
 
 
 def _paired_ops(whole, against):
-    """The whole module's operations whose word has a nonzero map in against."""
-    return frozenset(op for op in whole.operations if against.composite(op[1]).cols)
+    """The whole module's operations whose word has a nonzero map in against;
+    the empty word's map is the identity, nonzero iff against has generators."""
+    return frozenset(
+        op for op in whole.operations
+        if (against.composite(op[1]).cols if op[1] else against.generators)
+    )
+
+
+def _merged_once(d):
+    """The operations of d by the definition, without a memo: every path's
+    raw labels, merged once, counted mod 2."""
+    parity = {}
+    for start, end, labels in walk_paths(d.adj, lambda labels, label: labels + (label,), ()):
+        key = (start, swap_and_merge(labels), end)
+        parity[key] = parity.get(key, 0) ^ 1
+    return frozenset(op for op, p in parity.items() if p)
+
+
+def test_whole_walk_matches_merging_each_path_once(request):
+    """The memoised walk merges one letter at a time and remembers each step;
+    its whole module equals merging every path's labels afresh."""
+    modules = [
+        build_cfd(simplify(request.getfixturevalue(name)), n)
+        for name in FIXTURES
+        for n in range(-6, 7)
+    ]
+    modules += hand_built().values()
+    checked = 0
+    for d in modules:
+        if d.bounded:
+            assert derive_cfa(d).operations == _merged_once(d), [g.id for g in d.generators]
+            checked += 1
+    assert checked == 62
 
 
 def test_pruned_walk_keeps_exactly_the_paired_operations(request):
@@ -200,10 +247,7 @@ class TestValidate:
         assert not report.checks["merged"]
 
     def test_identity_only_module(self):
-        from floersplice.typed import DGen, TypeDModule
-
-        m = TypeDModule([DGen("a", 0, "xi")], frozenset())
-        a = derive_cfa(m)
+        a = derive_cfa(hand_built()["single"])
         assert not a.operations
         assert validate_cfa(a).ok
 

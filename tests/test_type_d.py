@@ -16,7 +16,9 @@ from floersplice.algebra import (
     REEB_LABELS,
     label_factorizations,
 )
+from floersplice.boxtensor import box_tensor
 from floersplice.cfk import simplify, unknot
+from floersplice.typea import derive_cfa
 from floersplice.typed import (
     DGen,
     TypeDModule,
@@ -432,7 +434,7 @@ def test_composite_counts_paths(trefoil, mirror_trefoil, figure_eight, t25, unkn
             unbounded += not d.bounded
             counts: dict[tuple[str, ...], dict[int, int]] = {}
             paths = walk_paths(
-                d.out_edges(REEB_LABELS), lambda w, label: w + (label,) if len(w) < 4 else None, ()
+                d.adj, lambda w, label: w + (label,) if label != EMPTY and len(w) < 4 else None, ()
             )
             for start, end, w in paths:
                 cols = counts.setdefault(w, {})
@@ -440,9 +442,23 @@ def test_composite_counts_paths(trefoil, mirror_trefoil, figure_eight, t25, unkn
             for w in words:
                 expected = {i: ends for i, ends in counts.get(w, {}).items() if ends}
                 assert d.composite(w).cols == expected, (c.name, n, w)
-                vanished_prefix += not d.composite(w[:-1]).cols
-            assert d.composite(()).cols == {i: 1 << i for i in range(len(d.generators))}
+                vanished_prefix += len(w) > 1 and not d.composite(w[:-1]).cols
+            assert () not in d.composites
     assert unbounded == 6 and vanished_prefix > 0  # unknot at n = 0..5
+
+
+def test_no_identity_composite_is_stored(trefoil, figure_eight):
+    """The empty word's map is the identity: the box tensor, the pruned walk
+    and the durable check read it without a stored composite."""
+    for c, n in ((trefoil, 2), (figure_eight, 0)):
+        s = simplify(c)
+        d = solve_gradings(build_cfd(s, n))
+        a = derive_cfa(d, against=d)  # figure_eight[0] has an empty-word operation
+        box_tensor(a, d)
+        find_durable_pairs(d, s)
+        assert d.composites and () not in d.composites
+        with pytest.raises(ValueError, match="identity"):
+            d.composite(())
 
 
 def _hand_built():
