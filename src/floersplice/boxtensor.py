@@ -66,9 +66,11 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
     ops = a.by_word
 
     # (c) internal differential of the type A side
-    for src, dst in ops.get((), []):
-        for di in d.iota_indices(a.generators[src].idempotent):
-            count[(src, di), (dst, di)] += 1
+    if () in ops:
+        iota = (d.iota_indices(0), d.iota_indices(1))
+        for src, dst in ops[()]:
+            for di in iota[a.generators[src].idempotent]:
+                count[(src, di), (dst, di)] += 1
 
     # (b) identity-labeled edges of the type D side
     for dsrc, label, ddst in d.edges:
@@ -94,9 +96,8 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
 
     gradings = [(a.generators[ai].grading + d.gradings[di]) % 2 for ai, di in pairs]
     untouched = [-gradings.count(0), -gradings.count(1)]
-    count_d = Counter(zip((g.idempotent for g in d.generators), d.gradings))
-    for (idem, ga), na in Counter((g.idempotent, g.grading) for g in a.generators).items():
+    for (idem, ga), na in a.tally.items():
         for gd in (0, 1):
-            untouched[(ga + gd) % 2] += na * count_d[idem, gd]
+            untouched[(ga + gd) % 2] += na * d.tally[idem, gd]
     labels = [(a.generators[ai].id, d.generators[di].id) for ai, di in pairs]
     return ChainComplex(labels, gradings, boundary, tuple(untouched))

@@ -37,8 +37,16 @@ def row_of(cols: list[int], i: int) -> int:
 
 def rank(vectors: list[int]) -> int:
     """Rank of the span of the given vectors."""
-    ech = Echelon()
-    return sum(ech.add(v, 0)[0] != 0 for v in vectors)  # combinations are unused: one tag
+    pivots: dict[int, int] = {}  # top bit -> kept residue
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            w = pivots.get(top)
+            if w is None:
+                pivots[top] = v
+                break
+            v ^= w
+    return len(pivots)
 
 
 class Echelon:

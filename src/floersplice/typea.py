@@ -10,7 +10,9 @@ operation with empty word).  Operations cancel in pairs over F2.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import EMPTY, REEB_IDEMPOTENTS, is_merged, swap_and_merge, word_grading
 from .cfk import ValidationReport
@@ -47,6 +49,11 @@ class TypeAModule:
             if g.id == gen_id:
                 return i
         raise KeyError(gen_id)
+
+    @cached_property
+    def tally(self) -> Counter:
+        """(idempotent, grading) -> number of generators, counted on first read."""
+        return Counter((g.idempotent, g.grading) for g in self.generators)
 
 
 def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModule:

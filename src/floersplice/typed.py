@@ -10,6 +10,7 @@ dependent unstable chain joining xi_0 to eta_0.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
@@ -37,7 +38,8 @@ class TypeDModule:
     # whether the labeled graph (all labels) has no directed cycle
     bounded: bool = field(init=False, repr=False, compare=False)
     # nonempty path-order label word -> its composite map: the single labels
-    # from construction, longer words filled by composite on first use
+    # from construction, longer words filled by composite on first ask, also
+    # when the map vanishes
     composites: dict[tuple[str, ...], Composite] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -78,17 +80,19 @@ class TypeDModule:
         """The map D_word[-1]...D_word[0] of a path-order label word (shared: do not mutate).
 
         Its column at a start counts, mod 2, the paths from there whose labels
-        spell the word.  It is built from its longest cached prefix, one label
-        matrix at a time, and cached.  A map that vanishes is returned as it
-        is: its extensions vanish too and are not stored.  The empty word's
-        map, the identity, is not stored: raises ValueError on ().
+        spell the word.  It is built from a cached prefix, one label matrix at
+        a time, and kept, vanishing or not, so asking again is one lookup.
+        The empty word's map, the identity, is not stored: raises ValueError
+        on ().
         """
         cache = self.composites
         if word in cache:
             return cache[word]
         if not word:
             raise ValueError("the empty word's map is the identity; no composite is stored")
-        # The cached words are closed under nonempty prefixes: bisect for the longest one.
+        # Words with a nonzero cached map are closed under nonempty prefixes; a
+        # cached vanishing word may lack some, so the bisect may settle on a
+        # shorter cached prefix.  Every cached map is exact: any one will do.
         n, hi = 1, len(word) - 1
         while n < hi:
             mid = (n + hi + 1) // 2
@@ -103,6 +107,7 @@ class TypeDModule:
             comp = cache[word[:n]] = Composite(
                 {s: e for s, c in comp.cols.items() if (e := gf2.apply_columns(mat, c))}
             )
+        cache[word] = comp
         return comp
 
     def iota_indices(self, idem: int) -> list[int]:
@@ -148,6 +153,11 @@ class TypeDModule:
                             f"{self.generators[esrc].id} -D{label or '_empty'}->"
                         )
         return gr
+
+    @cached_property
+    def tally(self) -> Counter:
+        """(idempotent, grading) -> number of generators, counted on first read."""
+        return Counter(zip((g.idempotent for g in self.generators), self.gradings))
 
 
 class Composite:

@@ -22,6 +22,23 @@ def test_rank_matches_span_size(vs):
     assert 2 ** gf2.rank(vs) == len(span_set(vs))
 
 
+# Up to 40 sparse vectors below 2**300, zeros and repeats allowed: a few set
+# bits each, two thirds of them drawn from the low or the top 8, so that
+# vectors share top bits and depend on each other.
+sparse = st.sets(st.integers(0, 7) | st.integers(292, 299) | st.integers(8, 291), max_size=4).map(
+    lambda bs: sum(1 << b for b in bs)
+)
+wide_vectors = st.lists(sparse, max_size=20).flatmap(
+    lambda vs: st.lists(st.sampled_from(vs), max_size=40) if vs else st.just([])
+)
+
+
+@given(wide_vectors)
+def test_rank_matches_echelon_on_wide_vectors(vs):
+    ech = gf2.Echelon()
+    assert gf2.rank(vs) == sum(ech.add(v, i)[0] != 0 for i, v in enumerate(vs))
+
+
 @given(vectors, st.integers(0, 255))
 def test_solve(vs, target):
     combo = gf2.solve(vs, target)

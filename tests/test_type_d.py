@@ -1,6 +1,8 @@
 """Type D construction, structure equations, gradings, and durability."""
 
 import dataclasses
+import random
+from collections import Counter
 from itertools import product
 from types import SimpleNamespace
 
@@ -421,6 +423,19 @@ def test_durability_matches_reference(trefoil, figure_eight, mirror_trefoil):
     assert checked == 1614
 
 
+def _path_counts(d, longest):
+    """Reeb word of up to `longest` letters -> start -> ends of its paths,
+    counted mod 2 by walking every path; zero columns are dropped."""
+    counts: dict[tuple[str, ...], dict[int, int]] = {}
+    paths = walk_paths(
+        d.adj, lambda w, label: w + (label,) if label != EMPTY and len(w) < longest else None, ()
+    )
+    for start, end, w in paths:
+        cols = counts.setdefault(w, {})
+        cols[start] = cols.get(start, 0) ^ (1 << end)
+    return {w: {i: ends for i, ends in cols.items() if ends} for w, cols in counts.items()}
+
+
 def test_composite_counts_paths(trefoil, mirror_trefoil, figure_eight, t25, unknot_complex):
     """composite(word) is the mod-2 count of the paths that spell the word,
     for every Reeb word of up to four letters.  Longest words come first, so
@@ -432,19 +447,74 @@ def test_composite_counts_paths(trefoil, mirror_trefoil, figure_eight, t25, unkn
         for n in range(-5, 6):
             d = build_cfd(s, n)
             unbounded += not d.bounded
-            counts: dict[tuple[str, ...], dict[int, int]] = {}
-            paths = walk_paths(
-                d.adj, lambda w, label: w + (label,) if label != EMPTY and len(w) < 4 else None, ()
-            )
-            for start, end, w in paths:
-                cols = counts.setdefault(w, {})
-                cols[start] = cols.get(start, 0) ^ (1 << end)
+            counts = _path_counts(d, 4)
             for w in words:
-                expected = {i: ends for i, ends in counts.get(w, {}).items() if ends}
-                assert d.composite(w).cols == expected, (c.name, n, w)
+                assert d.composite(w).cols == counts.get(w, {}), (c.name, n, w)
                 vanished_prefix += len(w) > 1 and not d.composite(w[:-1]).cols
             assert () not in d.composites
     assert unbounded == 6 and vanished_prefix > 0  # unknot at n = 0..5
+
+
+def test_composite_cache_in_any_order(trefoil, mirror_trefoil, figure_eight, t25, unknot_complex):
+    """Asked in seeded shuffles, each word twice, composite(word) is still the
+    path count.  The map of every word asked, vanishing or not, is cached at
+    its first ask and returned as the same object at its second, although a
+    cached vanishing word may lack prefixes below it.  The shuffles ask
+    extensions before their prefixes and vanishing words both before and
+    after longer ones."""
+    words = [w for length in (1, 2, 3, 4) for w in product(REEB_LABELS, repeat=length)]
+    seen: Counter = Counter()
+    for c in (trefoil, mirror_trefoil, figure_eight, t25, unknot_complex):
+        s = simplify(c)
+        for n in range(-5, 6):
+            counts = _path_counts(build_cfd(s, n), 4)
+            for seed in range(2):
+                d = build_cfd(s, n)
+                order = words * 2
+                random.Random(seed).shuffle(order)
+                first: dict[tuple[str, ...], typed.Composite] = {}
+                below: set[tuple[str, ...]] = set()  # proper prefixes of the words asked
+                for w in order:
+                    comp = d.composite(w)
+                    assert comp.cols == counts.get(w, {}), (c.name, n, seed, w)
+                    if w in first:
+                        assert comp is first[w], (c.name, n, seed, w)
+                        continue
+                    assert d.composites[w] is comp
+                    first[w] = comp
+                    seen["extension first"] += any(w[:k] not in first for k in range(1, len(w)))
+                    if not comp.cols:
+                        seen["vanishing after longer"] += w in below
+                        seen["vanishing before longer"] += w not in below and len(w) < 4
+                    below.update(w[:k] for k in range(1, len(w)))
+                assert () not in d.composites
+    kinds = ("extension first", "vanishing after longer", "vanishing before longer")
+    assert all(seen[k] for k in kinds), seen
+
+
+def test_tallies_recount_generators(trefoil, mirror_trefoil, figure_eight, t25, unknot_complex):
+    """The (idempotent, grading) tallies of a type D module and of its whole
+    type A module equal a recount over generators, and are counted once.
+    The type A side flips the grading of iota_0 generators only.  An
+    unbounded module has no whole type A module; it is derived against a
+    bounded partner, which keeps every generator."""
+    partner = build_cfd(simplify(trefoil), 3)
+    for c in (trefoil, mirror_trefoil, figure_eight, t25, unknot_complex):
+        s = simplify(c)
+        for n in range(-5, 6):
+            d = build_cfd(s, n)
+            a = derive_cfa(d) if d.bounded else derive_cfa(d, against=partner)
+            want_d: dict[tuple[int, int], int] = {}
+            want_a: dict[tuple[int, int], int] = {}
+            for i, g in enumerate(d.generators):
+                key = (g.idempotent, d.gradings[i])
+                want_d[key] = want_d.get(key, 0) + 1
+            for g in a.generators:
+                want_a[g.idempotent, g.grading] = want_a.get((g.idempotent, g.grading), 0) + 1
+            assert d.tally == want_d and a.tally == want_a, (c.name, n)
+            for gr in (0, 1):
+                assert a.tally[0, gr] == d.tally[0, 1 - gr] and a.tally[1, gr] == d.tally[1, gr]
+            assert d.tally is d.tally and a.tally is a.tally
 
 
 def test_no_identity_composite_is_stored(trefoil, figure_eight):
