@@ -31,6 +31,9 @@ from .typed import TypeDModule
 from .typea import TypeAModule
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # a grading byte -> its binary digit
+
+
 @dataclass
 class ChainComplex:
     labels: list[tuple[str, str]]   # (type A generator id, type D generator id)
@@ -45,8 +48,11 @@ class ChainComplex:
         return not any(gf2.compose(self.boundary, self.boundary))
 
     def boundary_flips_grading(self) -> bool:
-        gr = self.gradings
-        return all(gr[i] != gr[j] for j, col in enumerate(self.boundary) for i in gf2.bits(col))
+        """Whether every entry joins opposite gradings: each column misses the
+        mask of the generators graded like it."""
+        odd = int(bytes(reversed(self.gradings)).translate(_DIGITS) or b"0", 2)
+        same = (~odd, odd)
+        return not any(col & same[g] for col, g in zip(self.boundary, self.gradings))
 
 
 def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
@@ -72,9 +78,9 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
             for di in iota[a.generators[src].idempotent]:
                 count[(src, di), (dst, di)] += 1
 
-    # (b) identity-labeled edges of the type D side
-    for dsrc, label, ddst in d.edges:
-        if label == EMPTY:
+    # (b) identity-labeled edges of the type D side, from its single-label map
+    for dsrc, ends in d.composite((EMPTY,)).cols.items():
+        for ddst in gf2.bits(ends):
             for ai, ag in enumerate(a.generators):
                 if ag.idempotent == d.generators[dsrc].idempotent:
                     count[(ai, dsrc), (ai, ddst)] += 1

@@ -142,7 +142,8 @@ class SpliceReport:
 
 class Prepared:
     """What every framing of a complex shares: its validation, its simplified
-    bases `s` and, on first use, its durable-pair candidates."""
+    bases `s` (on which build_cfd keeps the stable part of the type D module)
+    and, on first use, its durable-pair candidates."""
 
     def __init__(self, c: KnotComplex):
         report = validate_complex(c)
@@ -169,9 +170,11 @@ class FramedSide:
     """One framed complement, prepared once per splice_report or survey call.
 
     Holds the complex's Prepared `knot`, its simplified bases `s` and the
-    graded type D module `d`.  The type D module, the durable pairs and the
-    whole type A module depend on the framing and are never kept across
-    calls; the last two are computed on first use and then kept on the side.
+    graded type D module `d`, whose unstable chain is built, validated and
+    graded per framing over the stable part kept on `s`.  The type D module,
+    the durable pairs and the whole type A module depend on the framing and
+    are never kept across calls; the last two are computed on first use and
+    then kept on the side.
     """
 
     def __init__(self, c: KnotComplex, n: int):

@@ -5,7 +5,9 @@ coefficient-map label (the six Reeb labels plus '' for the identity), the
 F2 matrix of that map.  The builder assembles the module of an integer
 n-framed knot complement from simplified bases: one chain of iota_1
 generators per vertical and per horizontal arrow, plus the framing
-dependent unstable chain joining xi_0 to eta_0.
+dependent unstable chain joining xi_0 to eta_0.  The first part, the
+stable part, is built, validated and graded once per bases and kept on
+them; each framing builds only its unstable chain over it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
+from types import SimpleNamespace
 
 from . import gf2
 from .algebra import EMPTY, GRADING, LABELS, REEB_IDEMPOTENTS, label_product
@@ -31,6 +34,11 @@ class DGen:
 class TypeDModule:
     generators: list[DGen]
     edges: frozenset[tuple[int, str, int]]  # (src index, label, dst index)
+    # A module whose generators begin these and whose edges are among these
+    # (None: none).  What follows starts from its values, shared read-only,
+    # and walks only the other edges, `chain`, sorted.
+    stable: TypeDModule | None = field(default=None, repr=False, compare=False)
+    chain: list[tuple[int, str, int]] = field(init=False, repr=False, compare=False)
     # label -> columns of D_label over all generators, built once from edges
     mats: dict[str, list[int]] = field(init=False, repr=False, compare=False)
     # src -> its out-edges (label, dst), sorted; every generator has an entry
@@ -43,26 +51,48 @@ class TypeDModule:
     composites: dict[tuple[str, ...], Composite] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [g.id for g in self.generators]
-        if len(set(ids)) != len(ids):
+        base = self.stable or _EMPTY_PART
+        nb, n = len(base.generators), len(self.generators)
+        ids = [g.id for g in self.generators[nb:]]
+        if len(set(ids)) != len(ids) or not base.ids.isdisjoint(ids):
             raise ValueError("duplicate generator ids")
-        mats = {label: [0] * len(ids) for label in LABELS}
+        chain = sorted(self.edges - base.edges)
+        mats = {label: cols + [0] * (n - nb) for label, cols in base.mats.items()}
+        adj = {**base.adj, **{i: [] for i in range(nb, n)}}
         singles: dict[str, dict[int, int]] = {label: {} for label in LABELS}
-        adj: dict[int, list[tuple[str, int]]] = {i: [] for i in range(len(ids))}
-        for src, label, dst in sorted(self.edges):
+        for src, label, dst in chain:
             if label not in LABELS:
                 raise ValueError(f"unknown coefficient-map label {label!r}")
-            if not (0 <= src < len(ids) and 0 <= dst < len(ids)):
+            if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError("edge endpoint out of range")
             col = mats[label]
             col[src] ^= 1 << dst
             singles[label][src] = col[src]  # edges are distinct: never 0
-            adj[src].append((label, dst))
+            if src < nb:  # a sorted copy: the stable part's list is shared
+                adj[src] = sorted(adj[src] + [(label, dst)])
+            else:
+                adj[src].append((label, dst))
+        object.__setattr__(self, "chain", chain)
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "bounded", _acyclic(adj))
-        composites = {(label,): Composite(cols) for label, cols in singles.items()}
+        object.__setattr__(self, "bounded", base.bounded and _acyclic_beyond(self, LABELS))
+        kept = base.composites  # a label the chain does not use keeps its map
+        composites = {(lab,): Composite({**kept[lab,].cols, **cols}) if cols else kept[lab,]
+                      for lab, cols in singles.items()}
         object.__setattr__(self, "composites", composites)
+
+    @cached_property
+    def ids(self) -> frozenset[str]:
+        """The generator ids, read when the module is a stable part."""
+        return frozenset(g.id for g in self.generators)
+
+    @cached_property
+    def ins(self) -> dict[int, list[tuple[int, str]]]:
+        """dst -> its in-edges (src, label), in edge order."""
+        ins: dict[int, list[tuple[int, str]]] = {i: [] for i in self.adj}
+        for src, label, dst in sorted(self.edges):
+            ins[dst].append((src, label))
+        return ins
 
     # -- basic queries ------------------------------------------------------
 
@@ -123,41 +153,29 @@ class TypeDModule:
 
         Every edge x -D_I-> y imposes gr(y) = gr(x) + 1 + gr(rho_I) mod 2; the
         lowest-indexed generator of each connected component is anchored to 0.
-        Raises ValueError naming an edge that closes an inconsistent cycle; a
-        failed solve is not kept, so every read raises again.
+        The stable part's components are extended through the chain edges.
+        Raises ValueError naming the edge that closes an inconsistent cycle
+        first in a solve over all edges; a failed solve is not kept, so every
+        read raises again.
         """
-        n = len(self.generators)
-        gr: list[int | None] = [None] * n
-        neighbors: dict[int, list[tuple[int, int, str, int]]] = {i: [] for i in range(n)}
-        for src, outs in self.adj.items():
-            for label, dst in outs:
-                step = (1 + GRADING[label]) % 2
-                neighbors[src].append((dst, step, label, src))
-                neighbors[dst].append((src, step, label, src))
+        return self._graded[0]
 
-        for root in range(n):
-            if gr[root] is not None:
-                continue
-            gr[root] = 0
-            queue = [root]
-            while queue:
-                node = queue.pop()
-                for other, step, label, esrc in neighbors[node]:
-                    want = (gr[node] + step) % 2
-                    if gr[other] is None:
-                        gr[other] = want
-                        queue.append(other)
-                    elif gr[other] != want:
-                        raise ValueError(
-                            "inconsistent grading cycle through edge "
-                            f"{self.generators[esrc].id} -D{label or '_empty'}->"
-                        )
-        return gr
+    @cached_property
+    def _graded(self) -> tuple[list[int], list[int]]:
+        try:
+            return _extend_gradings(self, self.stable or _EMPTY_PART, self.chain)
+        except ValueError:  # the solve over all edges names the edge
+            return _extend_gradings(self, _EMPTY_PART, sorted(self.edges))
 
     @cached_property
     def tally(self) -> Counter:
         """(idempotent, grading) -> number of generators, counted on first read."""
         return Counter(zip((g.idempotent for g in self.generators), self.gradings))
+
+    @cached_property
+    def _checks(self) -> tuple[list[tuple[int, str, int]], dict[tuple[str, int], int], bool]:
+        """What validate_type_d reports, kept for a stable part: see _check_edges."""
+        return _check_edges(self)
 
 
 class Composite:
@@ -182,6 +200,54 @@ class Composite:
         return self.basis.reduce(v)[0] == 0
 
 
+# The stable part of a module built whole, with what TypeDModule reads of a
+# stable part: no generators, so every edge is a chain edge.
+_EMPTY_PART = SimpleNamespace(
+    generators=[], edges=frozenset(), ids=frozenset(), adj={}, ins={}, bounded=True,
+    mats={label: [] for label in LABELS}, composites={(label,): Composite({}) for label in LABELS},
+    _graded=([], []), _checks=([], {}, True),
+)
+
+
+def _extend_gradings(m: TypeDModule, base, edges) -> tuple[list[int], list[int]]:
+    """m's (gradings, component roots), extending base's through edges: each
+    component of base is one node, its root (lowest generator), each other
+    generator its own, and nodes are visited in index order, so every
+    component is anchored at its lowest generator as in a solve over all edges."""
+    nb, n = len(base.generators), len(m.generators)
+    base_gr, base_roots = base._graded
+    node, off = base_roots + list(range(nb, n)), base_gr + [0] * (n - nb)
+    stable_roots = sorted(set(base_roots))
+    neighbors: dict[int, list[tuple[int, int, str, int]]] = {v: [] for v in [*stable_roots, *range(nb, n)]}
+    for src, label, dst in edges:
+        step = 1 ^ GRADING[label] ^ off[src] ^ off[dst]
+        neighbors[node[src]].append((node[dst], step, label, src))
+        neighbors[node[dst]].append((node[src], step, label, src))
+
+    gr: list[int | None] = [None] * n  # by node
+    top: list[int | None] = [None] * n
+    for root in neighbors:
+        if gr[root] is not None:
+            continue
+        gr[root], top[root] = 0, root
+        queue = [root]
+        while queue:
+            v = queue.pop()
+            for other, step, label, esrc in neighbors[v]:
+                want = gr[v] ^ step
+                if gr[other] is None:
+                    gr[other], top[other] = want, root
+                    queue.append(other)
+                elif gr[other] != want:
+                    raise ValueError(
+                        "inconsistent grading cycle through edge "
+                        f"{m.generators[esrc].id} -D{label or '_empty'}->"
+                    )
+    if any(gr[r] or top[r] != r for r in stable_roots):  # a component of base is regraded or joined
+        return [gr[v] ^ o for v, o in zip(node, off)], [top[v] for v in node]
+    return base_gr + gr[nb:], base_roots + top[nb:]
+
+
 def walk_paths(adj: dict[int, list[tuple[str, int]]], step, state):
     """Yield (start, end, state) for every directed path of one or more edges.
 
@@ -203,25 +269,50 @@ def walk_paths(adj: dict[int, list[tuple[str, int]]], step, state):
                 stack.append((nxt, extended))
 
 
-def _acyclic(adj: dict[int, list[tuple[str, int]]], labels: tuple[str, ...] = LABELS) -> bool:
-    """Whether the edges of adj labeled in labels close no directed cycle.
+def _acyclic(adj: dict[int, list[tuple[str, int]]], labels: tuple[str, ...] = LABELS, first: int = 0) -> bool:
+    """Whether the edges of adj labeled in labels close no directed cycle among
+    the generators from first on (adj has an entry for every generator).
 
     Kahn's pass: generators of in-degree 0 are peeled off, each lowering the
     in-degree of its successors, and every one is peeled iff no cycle blocks.
     """
     indegree = [0] * len(adj)
-    for outs in adj.values():
-        for lab, dst in outs:
-            if lab in labels:
+    for node in range(first, len(adj)):
+        for lab, dst in adj[node]:
+            if lab in labels and dst >= first:
                 indegree[dst] += 1
-    peeled = [i for i, d in enumerate(indegree) if not d]
+    peeled = [i for i in range(first, len(adj)) if not indegree[i]]
     for node in peeled:  # grows while it is read
         for lab, nxt in adj[node]:
-            if lab in labels:
+            if lab in labels and nxt >= first:
                 indegree[nxt] -= 1
                 if not indegree[nxt]:
                     peeled.append(nxt)
-    return len(peeled) == len(adj)
+    return len(peeled) == len(adj) - first
+
+
+def _acyclic_beyond(m: TypeDModule, labels: tuple[str, ...]) -> bool:
+    """Whether m's edges labeled in labels close no directed cycle, given that
+    its stable part's close none.  A new cycle takes a chain edge; unless one
+    ending in the stable part reaches, along its edges, one starting there,
+    the cycle avoids the stable part, so only the other generators are searched."""
+    base = m.stable or _EMPTY_PART
+    nb = len(base.generators)
+    chain = [(src, dst) for src, label, dst in m.chain if label in labels]
+    if not chain:
+        return True
+    starts = {src for src, _ in chain if src < nb}
+    stack = [dst for _, dst in chain if dst < nb]
+    seen = set(stack)
+    while stack:
+        node = stack.pop()
+        if node in starts:
+            return _acyclic(m.adj, labels)
+        for label, nxt in base.adj[node]:
+            if label in labels and nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return _acyclic(m.adj, labels, nb)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +335,10 @@ def build_cfd(s: SimplifiedBases, n: int) -> TypeDModule:
     t = 0, and a chain entered from both ends (D_1 from xi_0, D_3 from
     eta_0) for t < 0.  When the complex is not of L-space form the directed
     t >= 0 shapes acquire loops, so they are replaced by the bounded
-    variant that routes through a canceling pair nu_1 <- nu_2.
+    variant that routes through a canceling pair nu_1 <- nu_2.  The xi
+    generators and the arrow chains depend on s alone: the first call for s
+    builds them as a module of their own, the stable part, and keeps it in
+    s's instance dict; every call builds its unstable chain over it.
 
     The construction (and the L-space-form detection feeding the unstable
     chain choice) presumes each eta basis vector is a combination of xi
@@ -252,14 +346,13 @@ def build_cfd(s: SimplifiedBases, n: int) -> TypeDModule:
     miss that property are refused.
     """
     s.require_compatible()
-    gens: list[DGen] = [DGen(f"x{p}", 0, "xi") for p in range(len(s.xi))]
-    index: dict[str, int] = {g.id: i for i, g in enumerate(gens)}
+    stable = vars(s).get("_stable_cfd")
+    gens = list(stable.generators) if stable else [DGen(f"x{p}", 0, "xi") for p in range(len(s.xi))]
     parity: dict[tuple[int, str, int], int] = {}
 
     def add_gen(gid: str, role: str, idem: int = 1) -> int:
         gens.append(DGen(gid, idem, role))
-        index[gid] = len(gens) - 1
-        return index[gid]
+        return len(gens) - 1
 
     def add_edge(src: int, label: str, dst: int) -> None:
         key = (src, label, dst)
@@ -271,24 +364,28 @@ def build_cfd(s: SimplifiedBases, n: int) -> TypeDModule:
     def eta_sources(p: int) -> list[int]:
         return [q for q in range(len(s.a_matrix)) if (s.a_matrix[q] >> p) & 1]
 
-    for j, (src_idx, dst_idx, h) in enumerate(s.vertical_arrows, start=1):
-        chain = [add_gen(f"kap{j}_{i}", "kappa") for i in range(1, h + 1)]
-        add_edge(index[f"x{src_idx}"], "1", chain[0])
-        for i in range(h - 1):
-            add_edge(chain[i + 1], "23", chain[i])
-        add_edge(index[f"x{dst_idx}"], "123", chain[-1])
+    if stable is None:  # the first framing of s builds the stable chains and keeps them
+        for j, (src_idx, dst_idx, h) in enumerate(s.vertical_arrows, start=1):
+            chain = [add_gen(f"kap{j}_{i}", "kappa") for i in range(1, h + 1)]
+            add_edge(src_idx, "1", chain[0])
+            for i in range(h - 1):
+                add_edge(chain[i + 1], "23", chain[i])
+            add_edge(dst_idx, "123", chain[-1])
 
-    for j, (src_idx, dst_idx, l) in enumerate(s.horizontal_arrows, start=1):
-        chain = [add_gen(f"lam{j}_{i}", "lambda") for i in range(1, l + 1)]
-        for q in eta_sources(src_idx):
-            add_edge(q, "3", chain[0])
-        for i in range(l - 1):
-            add_edge(chain[i], "23", chain[i + 1])
-        for q in eta_targets(dst_idx):
-            add_edge(chain[-1], "2", q)
+        for j, (src_idx, dst_idx, l) in enumerate(s.horizontal_arrows, start=1):
+            chain = [add_gen(f"lam{j}_{i}", "lambda") for i in range(1, l + 1)]
+            for q in eta_sources(src_idx):
+                add_edge(q, "3", chain[0])
+            for i in range(l - 1):
+                add_edge(chain[i], "23", chain[i + 1])
+            for q in eta_targets(dst_idx):
+                add_edge(chain[-1], "2", q)
+        edges = frozenset(k for k, p in parity.items() if p)
+        stable = vars(s)["_stable_cfd"] = TypeDModule(gens, edges)
+        gens, parity = list(gens), {}
 
     t = n - 2 * s.tau
-    xi0 = index["x0"]
+    xi0 = 0
     modified = (not s.lspace_form) and t >= 0
 
     if not modified:
@@ -330,7 +427,7 @@ def build_cfd(s: SimplifiedBases, n: int) -> TypeDModule:
                 add_edge(mus[-1], "2", q)
 
     edges = frozenset(k for k, p in parity.items() if p)
-    return TypeDModule(gens, edges)
+    return TypeDModule(gens, stable.edges | edges, stable)
 
 
 # ---------------------------------------------------------------------------
@@ -353,35 +450,50 @@ def validate_type_d(m: TypeDModule) -> ValidationReport:
     """
     checks = ("idempotents", "structure_equation", "empty_cycle_free")
     report = ValidationReport(dict.fromkeys(checks, True))
-
-    images: dict[tuple[str, int], int] = {}
-    for src, outs in m.adj.items():
-        si = m.generators[src].idempotent
-        for label, dst in outs:
-            want = (si, si) if label == EMPTY else REEB_IDEMPOTENTS[label]
-            if (si, m.generators[dst].idempotent) != want:
-                report.fail(
-                    "idempotents",
-                    f"edge {m.generators[src].id} -D{label or '_empty'}-> "
-                    f"{m.generators[dst].id} violates idempotents",
-                )
-            for second, end in m.adj[dst]:
-                product = _PRODUCTS.get((label, second))
-                if product is not None:
-                    key = (product, src)
-                    images[key] = images.get(key, 0) ^ 1 << end
-
-    failing = {label for (label, _), image in images.items() if image}
+    bad, images, empty_cycle_free = _check_edges(m)
+    for src, label, dst in bad:
+        report.fail(
+            "idempotents",
+            f"edge {m.generators[src].id} -D{label or '_empty'}-> "
+            f"{m.generators[dst].id} violates idempotents",
+        )
+    failing = {label for label, _ in images}
     for out_label in LABELS:
         if out_label in failing:
             report.fail(
                 "structure_equation",
                 f"structure equation fails at output label {out_label or 'empty'}",
             )
-
-    if not _acyclic(m.adj, labels=(EMPTY,)):
+    if not empty_cycle_free:
         report.fail("empty_cycle_free", "directed cycle of identity-labeled maps")
     return report
+
+
+def _check_edges(m: TypeDModule) -> tuple[list[tuple[int, str, int]], dict[tuple[str, int], int], bool]:
+    """(edges breaking idempotents, in order; nonzero structure-equation images,
+    (output label, start) -> ends; whether identity-labeled edges close no
+    cycle): the stable part's, extended by every edge pair that takes a chain edge."""
+    base = m.stable or _EMPTY_PART
+    nb, gens, adj = len(base.generators), m.generators, m.adj
+    bad, images, empty_cycle_free = base._checks
+    bad, images = list(bad), dict(images)
+
+    def add(product: str | None, start: int, end: int) -> None:
+        if product is not None:
+            images[product, start] = images.get((product, start), 0) ^ 1 << end
+
+    for edge in m.chain:
+        src, label, dst = edge
+        si = gens[src].idempotent
+        if (si, gens[dst].idempotent) != ((si, si) if label == EMPTY else REEB_IDEMPOTENTS[label]):
+            bad.append(edge)
+        for second, end in adj[dst]:
+            add(_PRODUCTS.get((label, second)), src, end)
+        if src < nb:  # a stable edge into src, then this one
+            for first_src, first in base.ins[src]:
+                add(_PRODUCTS.get((first, label)), first_src, dst)
+    images = {key: image for key, image in images.items() if image}
+    return sorted(bad), images, empty_cycle_free and _acyclic_beyond(m, (EMPTY,))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,20 @@ def test_acyclic_pair():
     assert (r.rank0, r.rank1) == (0, 0)
 
 
+def test_grading_guard_fires_on_one_entry_between_equal_gradings():
+    """The guard tests each column against the mask of its own grading, also
+    past the width of a machine word: one entry joining equal gradings fails."""
+    n = 70
+    gradings = [j % 2 for j in range(n)]
+    boundary = [1 << (j + 1) if j + 1 < n else 0 for j in range(n)]
+    labels = [(f"a{j}", "p") for j in range(n)]
+    assert ChainComplex(labels, gradings, boundary).boundary_flips_grading()
+    for j, i in ((0, 2), (68, 0), (3, 69), (69, 69)):
+        bad = list(boundary)
+        bad[j] |= 1 << i
+        assert not ChainComplex(labels, gradings, bad).boundary_flips_grading(), (j, i)
+
+
 def test_isolated_generators():
     c = ChainComplex([("a", "p"), ("b", "q")], [0, 1], [0, 0])
     r = graded_homology(c)

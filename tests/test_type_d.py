@@ -648,3 +648,118 @@ def test_dot_export(trefoil):
     # an unsolved module solves its gradings for the export: every node carries one
     nodes = [line for line in to_dot(cfd(trefoil, 0)).splitlines() if "idempotent=" in line]
     assert nodes and all("grading=" in line for line in nodes)
+
+
+# ---------------------------------------------------------------------------
+# The stable part: built once per complex, extended by each framing's chain
+# ---------------------------------------------------------------------------
+
+def _observed(d):
+    """What a module built over a stable part must share with the same
+    generators and edges built whole: structure, maps, boundedness, gradings
+    (or the refusal's text) and the validation report."""
+    try:
+        gradings = d.gradings
+    except ValueError as e:
+        gradings = str(e)
+    report = validate_type_d(d)
+    singles = {word: comp.cols for word, comp in d.composites.items() if len(word) == 1}
+    return (d.generators, d.edges, d.adj, d.mats, singles, d.bounded, gradings,
+            report.checks, report.problems)
+
+
+def _whole(d):
+    """The whole-module reference: d's generators and edges over no stable part."""
+    return TypeDModule(d.generators, d.edges)
+
+
+def test_framed_build_matches_whole_module(trefoil, mirror_trefoil, t25, figure_eight,
+                                           unknot_complex):
+    """Every framing -40..40 of the fixtures and the benchmark complexes:
+    build_cfd over the kept stable part equals the whole-module build."""
+    from test_splice import benchmark_complexes
+
+    complexes = [trefoil, mirror_trefoil, t25, figure_eight, unknot_complex]
+    complexes += benchmark_complexes().values()
+    nu_pairs = set()
+    for c in complexes:
+        s = simplify(c)
+        for n in range(-40, 41):
+            d = build_cfd(s, n)
+            assert d.stable is build_cfd(s, 0).stable
+            whole = _whole(d)
+            assert _observed(d) == _observed(whole), (c.name, n)
+            assert d._graded == whole._graded, (c.name, n)
+            t = n - 2 * s.tau
+            if c.name == "unknot" and t >= 0:
+                assert not d.bounded  # the chain closes a cycle through x0
+            if t >= 0 and not s.lspace_form:
+                assert {"nu1", "nu2"} <= {g.id for g in d.generators}
+                nu_pairs.add(c.name)
+    assert nu_pairs == {"figure_eight", "fig8#trefoil", "trefoil#trefoil"}
+
+
+def test_chain_joins_and_regrades_stable_components():
+    """x0 and x1 are two components of the stable part; the chain generator
+    k joins them, and grading it from x0 regrades x1."""
+    gens = [DGen("x0", 0, "xi"), DGen("x1", 0, "xi"), DGen("k", 1, "kappa")]
+    stable = TypeDModule(gens[:2], frozenset())
+    d = TypeDModule(gens, frozenset({(0, "1", 2), (1, "123", 2)}), stable)
+    assert stable._graded == ([0, 0], [0, 1])
+    assert d._graded == _whole(d)._graded == ([0, 1, 1], [0, 0, 0])
+
+
+def test_stable_part_is_built_once_and_shared():
+    """Framings 5, -5, 0, 40, 5 of one complex share one stable part, which
+    no framing changes; both framing-5 modules are equal."""
+    from test_splice import benchmark_complexes
+
+    for c in benchmark_complexes().values():
+        s = simplify(c)
+        stable = build_cfd(s, 5).stable
+
+        def snapshot():
+            return (list(stable.generators), stable.edges, {k: list(v) for k, v in stable.adj.items()},
+                    {k: list(v) for k, v in stable.mats.items()},
+                    {w: dict(comp.cols) for w, comp in stable.composites.items()},
+                    stable.bounded, stable._graded, stable._checks,
+                    {k: list(v) for k, v in stable.ins.items()})
+
+        before = snapshot()
+        mods = [solve_gradings(build_cfd(s, n)) for n in (5, -5, 0, 40, 5)]
+        for d in mods:
+            assert d.stable is stable
+            validate_type_d(d)
+            find_durable_pairs(d, s)  # reads longer composite maps of the framed module
+        assert mods[0] == mods[4] and _observed(mods[0]) == _observed(mods[4]), c.name
+        assert snapshot() == before, c.name
+
+
+split_graphs = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        st.frozensets(
+            st.tuples(st.integers(0, n - 1), st.sampled_from(LABELS), st.integers(0, n - 1)),
+            max_size=14,
+        ),
+        st.integers(0, n),
+    )
+)
+
+
+@given(split_graphs)
+@example(([0, 1, 0], frozenset({(0, "1", 1), (1, "2", 2), (2, "12", 0)}), 1))
+@example(([0, 1], frozenset({(0, "1", 1), (0, "123", 1)}), 1))
+@example(([0, 0, 1], frozenset({(0, "2", 1), (2, "3", 0), (1, EMPTY, 2)}), 2))
+@example(([0, 0, 0], frozenset({(0, "12", 1), (1, "12", 0), (2, "12", 2)}), 2))
+@example(([0, 0, 0], frozenset({(1, "1", 0), (1, "2", 2), (2, "123", 0)}), 2))  # names g1 -D2->
+def test_any_stable_part_gives_the_whole_module(graph):
+    """A module over a stable part (its first k generators and the edges
+    among them) equals the whole module: idempotent violations stay in edge
+    order, cycles through or beyond the stable part are found, and an
+    inconsistent grading cycle is refused in the whole solve's words."""
+    idempotents, edges, k = graph
+    gens = [DGen(f"g{i}", idem, "xi") for i, idem in enumerate(idempotents)]
+    stable = TypeDModule(gens[:k], frozenset(e for e in edges if e[0] < k and e[2] < k))
+    d = TypeDModule(gens, edges, stable)
+    assert _observed(d) == _observed(_whole(d))
