@@ -101,7 +101,8 @@ def _cmd_survey(args) -> int:
             "summary": survey_summary(reports),
             "rows": [r.to_dict() for r in reports],
         }
-        print(json.dumps(payload, indent=2))
+        json.dump(payload, sys.stdout, indent=2)  # streamed: no whole indented string
+        print()
     else:
         for r in reports:
             ranks = r.computed

@@ -142,8 +142,9 @@ class SpliceReport:
 
 class Prepared:
     """What every framing of a complex shares: its validation, its simplified
-    bases `s` (on which build_cfd keeps the stable part of the type D module)
-    and, on first use, its durable-pair candidates."""
+    bases `s` (on which build_cfd keeps the stable part of the type D module,
+    and derive_cfa that part's type A walk) and, on first use, its
+    durable-pair candidates."""
 
     def __init__(self, c: KnotComplex):
         report = validate_complex(c)
@@ -171,10 +172,11 @@ class FramedSide:
 
     Holds the complex's Prepared `knot`, its simplified bases `s` and the
     graded type D module `d`, whose unstable chain is built, validated and
-    graded per framing over the stable part kept on `s`.  The type D module,
-    the durable pairs and the whole type A module depend on the framing and
-    are never kept across calls; the last two are computed on first use and
-    then kept on the side.
+    graded per framing over the stable part kept on `s`; its type A
+    modules walk only the paths that take a chain edge, over the stable
+    part's walk kept there too.  The type D module, the durable pairs and
+    the whole type A module depend on the framing and are never kept across
+    calls; the last two are computed on first use and then kept on the side.
     """
 
     def __init__(self, c: KnotComplex, n: int):

@@ -78,13 +78,18 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
     non-identity edges; between two of them it runs along identity edges
     only, which close no cycle.
 
-    Whole or pruned, the module comes from one walk, which keeps two dicts
-    for the length of one call: the step from a word along a label (the
-    merged word, or None for a cut) and whether a word's map in against is
-    nonzero (always, without against; the empty word's map is the
-    identity).  Both depend only on against, so each distinct word is
-    merged and looked up once however many paths spell it; nothing is kept
-    from one call to the next.
+    Whole or pruned, the module comes from one walk.  The paths of m's
+    stable part are walked once per stable part and kept on it (see
+    _stable_walk); a call keeps those whose word against pairs and walks
+    only the paths that take a chain edge: those that start on the chain,
+    and those that leave a stable generator u by one, after a kept path
+    into u or none.  The walk keeps two dicts for the length of one call:
+    the step from a word along a label (the merged word, or None for a
+    cut) and whether a word's map in against is nonzero (always, without
+    against; the empty word's map is the identity).  Both depend only on
+    against, so each distinct word is merged and looked up once however
+    many paths spell it; nothing that depends on against or on the framing
+    is kept from one call to the next.
     """
     if not m.bounded:
         if against is None:
@@ -115,14 +120,39 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
             steps[word, label] = merged if pairs(merged[:-1]) else None
         return steps[word, label]
 
-    parity: dict[tuple[int, tuple[str, ...], int], int] = {}
-    for start, end, word in walk_paths(m.adj, step, ()):
+    nb, into = _stable_walk(m)
+    parity = {(src, word, end): 1 for end, paths in into.items() for src, word in paths if pairs(word)}
+    leaving: dict[int, list[tuple[str, int]]] = {}  # stable generator -> its chain out-edges
+    for src, label, dst in m.chain:
+        if src < nb:
+            leaving.setdefault(src, []).append((label, dst))
+    roots = [(start, word, first)
+             for u, first in leaving.items() for start, word in [(u, ()), *into.get(u, [])]]
+    roots += [(u, (), m.adj[u]) for u in range(nb, len(m.generators))]
+    for start, end, word in walk_paths(m.adj, step, (), roots):
         if pairs(word):
             key = (start, word, end)
             parity[key] = parity.get(key, 0) ^ 1
 
     ops = frozenset(key for key, p in parity.items() if p)
     return TypeAModule(gens, ops, against)
+
+
+def _stable_walk(m: TypeDModule) -> tuple[int, dict[int, list[tuple[int, tuple[str, ...]]]]]:
+    """(nb, end -> (start, word) of each path into it): the odd-parity paths
+    of m's stable part of nb generators, the operations of its whole type A
+    module, derived on the first call for the stable part and kept,
+    read-only, in its instance dict as cached_property keeps a value.  A
+    module without a stable part, or with an unbounded one, gets (0, {})."""
+    base = m.stable
+    if base is None or not base.bounded:
+        return 0, {}
+    if "_cfa_walk" not in vars(base):
+        into: dict[int, list[tuple[int, tuple[str, ...]]]] = {}
+        for src, word, dst in sorted(derive_cfa(base).operations):
+            into.setdefault(dst, []).append((src, word))
+        vars(base)["_cfa_walk"] = (len(base.generators), into)
+    return vars(base)["_cfa_walk"]
 
 
 def validate_cfa(a: TypeAModule) -> ValidationReport:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import or_
 from types import SimpleNamespace
 
 from . import gf2
@@ -88,10 +87,16 @@ class TypeDModule:
 
     @cached_property
     def ins(self) -> dict[int, list[tuple[int, str]]]:
-        """dst -> its in-edges (src, label), in edge order."""
-        ins: dict[int, list[tuple[int, str]]] = {i: [] for i in self.adj}
-        for src, label, dst in sorted(self.edges):
-            ins[dst].append((src, label))
+        """dst -> its in-edges (src, label), sorted: the stable part's lists,
+        extended by the chain edges as adj is."""
+        base = self.stable or _EMPTY_PART
+        nb = len(base.generators)
+        ins = {**base.ins, **{i: [] for i in range(nb, len(self.generators))}}
+        for src, label, dst in self.chain:
+            if dst < nb:  # a sorted copy: the stable part's list is shared
+                ins[dst] = sorted(ins[dst] + [(src, label)])
+            else:
+                ins[dst].append((src, label))
         return ins
 
     # -- basic queries ------------------------------------------------------
@@ -179,15 +184,11 @@ class TypeDModule:
 
 
 class Composite:
-    """A composite map's nonzero columns, start -> ends; the rows where it is
-    nonzero and an echelon basis of its image are built on first need."""
+    """A composite map's nonzero columns, start -> ends; an echelon basis of
+    its image is built on first need."""
 
     def __init__(self, cols: dict[int, int]):
         self.cols = cols
-
-    @cached_property
-    def rows(self) -> int:
-        return reduce(or_, self.cols.values(), 0)
 
     @cached_property
     def basis(self) -> gf2.Echelon:
@@ -248,25 +249,29 @@ def _extend_gradings(m: TypeDModule, base, edges) -> tuple[list[int], list[int]]
     return base_gr + gr[nb:], base_roots + top[nb:]
 
 
-def walk_paths(adj: dict[int, list[tuple[str, int]]], step, state):
+def walk_paths(adj: dict[int, list[tuple[str, int]]], step, state, roots=None):
     """Yield (start, end, state) for every directed path of one or more edges.
 
     Each path's state begins as `state` at its start and is extended by
     step(state, label) along every edge; a step that returns None cuts the
-    path there (it is neither yielded nor extended).  The walk keeps an
-    explicit stack, so path length is bounded by acyclicity of adj or by
-    the cuts, never by the interpreter's recursion limit.
+    path there (it is neither yielded nor extended).  Given roots, triples
+    (start, state, edges), the walk yields only the paths that begin along
+    one of a root's edges, each path's state beginning as the root's.  The
+    walk keeps an explicit stack, so path length is bounded by acyclicity
+    of adj or by the cuts, never by the interpreter's recursion limit.
     """
-    for start in adj:
-        stack = [(start, state)]
+    if roots is None:
+        roots = [(start, state, adj[start]) for start in adj]
+    for start, state, first in roots:
+        stack = [(first, state)]
         while stack:
-            node, prefix = stack.pop()
-            for label, nxt in adj[node]:
+            out, prefix = stack.pop()
+            for label, nxt in out:
                 extended = step(prefix, label)
                 if extended is None:
                     continue
                 yield start, nxt, extended
-                stack.append((nxt, extended))
+                stack.append((adj[nxt], extended))
 
 
 def _acyclic(adj: dict[int, list[tuple[str, int]]], labels: tuple[str, ...] = LABELS, first: int = 0) -> bool:
@@ -575,14 +580,27 @@ def _hits(v: int, m: TypeDModule, word: tuple[str, ...]) -> bool:
 
     This is the one incoming rule of the durable conditions.  For a single
     generator it is the coordinate projection: row v of the map is nonzero.
-    For a combination it is membership of v in the image, the
-    basis-independent reading.  The map depends only on the module, so
-    m.composite builds it once.
+    That row is read backwards along the in-edges, one label at a time, as
+    the starts (mod 2) of the paths that spell the word's suffix and end at
+    v, so no whole map is built.  For a combination it is membership of v in
+    the image, the basis-independent reading, from the map that
+    m.composite builds once.
     """
-    image = m.composite(word)
-    if v & (v - 1) == 0:
-        return bool(image.rows & v)
-    return image.spans(v)
+    if v & (v - 1):
+        return m.composite(word).spans(v)
+    ins, row = m.ins, v
+    for label in reversed(word):
+        starts = 0
+        while row:
+            low = row & -row
+            for src, lab in ins[low.bit_length() - 1]:
+                if lab == label:
+                    starts ^= 1 << src
+            row ^= low
+        if not starts:
+            return False
+        row = starts
+    return True
 
 
 def durability(m: TypeDModule, v: int) -> dict:

@@ -1,12 +1,15 @@
 """Derived type A modules: operations, gradings, the frozen trefoil snapshot."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from floersplice import gf2
+from floersplice import gf2, typea
 from floersplice.algebra import EMPTY, swap_and_merge
 from floersplice.cfk import simplify, unknot
 from floersplice.typea import derive_cfa, ops_text, validate_cfa
 from floersplice.typed import DGen, TypeDModule, build_cfd, durability, solve_gradings, walk_paths
+from test_type_d import _whole, split_graphs
 
 
 def cfa(complex_, n, **kw):
@@ -227,6 +230,103 @@ def test_pruned_walk_keeps_nothing_between_calls(t25, trefoil, unknot_complex):
     assert _paired_ops(whole, first) != _paired_ops(whole, second)
     for partner in (first, second, first):
         assert derive_cfa(d1, against=partner).operations == _paired_ops(whole, partner)
+
+
+# ---------------------------------------------------------------------------
+# The stable part's walk: kept once per stable part, extended by each chain
+# ---------------------------------------------------------------------------
+
+def _derived(d, against=None):
+    """What derive_cfa gives: the generators and operations, or the refusal's text."""
+    try:
+        a = derive_cfa(d, against=against)
+    except ValueError as e:
+        return str(e)
+    return a.generators, a.operations
+
+
+def _partners(request):
+    """trefoil[3], mirror_trefoil[-3], unknot[0], unknot[1] and figure_eight[1]."""
+    named = (("trefoil", 3), ("mirror_trefoil", -3), ("unknot_complex", 0),
+             ("unknot_complex", 1), ("figure_eight", 1))
+    return [build_cfd(simplify(request.getfixturevalue(name)), n) for name, n in named]
+
+
+def test_framed_walk_matches_whole_module(request):
+    """Every framing -40..40 of the fixtures and the benchmark complexes:
+    derive_cfa over the kept stable walk, whole and pruned against five
+    partners, equals the same call on the module built whole, refusals too."""
+    from test_splice import benchmark_complexes
+
+    complexes = [request.getfixturevalue(name) for name in FIXTURES]
+    complexes += benchmark_complexes().values()
+    partners = _partners(request)
+    refused = 0
+    for c in complexes:
+        s = simplify(c)
+        for n in range(-40, 41):
+            d = build_cfd(s, n)
+            whole = _whole(d)
+            for against in (None, *partners):
+                got = _derived(d, against)
+                assert got == _derived(whole, against), (c.name, n)
+                refused += isinstance(got, str)
+    # the two unknots at framings 0..40, unbounded: alone and against unknot[0] and unknot[1]
+    assert refused == 2 * 41 * 3
+
+
+def test_stable_walk_is_kept_once_and_never_changed(request, monkeypatch):
+    """Framings 5, -5, 0, 40, 5 of one complex, whole and pruned, share one
+    kept walk of the stable part, derived once and unchanged by every call;
+    both framing-5 modules derive the same operations."""
+    from test_splice import benchmark_complexes
+
+    calls = []
+    real = typea.derive_cfa
+    monkeypatch.setattr(typea, "derive_cfa", lambda m, against=None: calls.append(m) or real(m, against))
+    partners = _partners(request)
+    for c in benchmark_complexes().values():
+        s = simplify(c)
+        stable = build_cfd(s, 5).stable
+        kept = []
+
+        def snapshot():
+            nb, into = vars(stable)["_cfa_walk"]
+            return nb, {end: list(paths) for end, paths in into.items()}
+
+        derived = []
+        for n in (5, -5, 0, 40, 5):
+            d = build_cfd(s, n)
+            derived.append([])
+            for against in (None, *partners):
+                if d.bounded or (against is not None and against.bounded):
+                    derived[-1].append(_derived(d, against))
+                    kept = kept or [vars(stable)["_cfa_walk"], snapshot()]
+        assert vars(stable)["_cfa_walk"] is kept[0] and snapshot() == kept[1], c.name
+        assert sum(m is stable for m in calls) == 1, c.name
+        assert derived[0] == derived[-1], c.name
+
+
+@given(split_graphs, st.sampled_from([None, "chain", "loop", "whole"]))
+@example(([0, 1, 1, 1, 0], frozenset({(0, "1", 1), (0, "1", 2), (1, "23", 3), (2, "23", 3), (3, "2", 4)}), 4),
+         None)  # the two stable paths g0 -> g3 cancel, and so do their extensions
+@example(([0, 1], frozenset({(0, "1", 1), (1, "2", 0)}), 1), "chain")  # an unbounded chain
+@example(([0, 0, 1], frozenset({(0, EMPTY, 1), (1, "3", 2), (2, "2", 0)}), 2), "chain")
+@example(([0, 0, 0], frozenset({(0, "12", 1), (1, EMPTY, 2)}), 2), "whole")  # an identity edge leaves
+@example(([0, 0], frozenset({(0, EMPTY, 1), (1, EMPTY, 0)}), 1), "chain")  # an identity cycle
+@example(([0], frozenset({(0, "12", 0)}), 1), "chain")  # an unbounded stable part
+@example(([0, 1, 0], frozenset({(0, "1", 1), (1, "2", 2), (2, "12", 0)}), 1), "loop")
+def test_any_stable_part_gives_the_whole_type_a_module(graph, partner):
+    """A module over a stable part (its first k generators and the edges
+    among them) derives the type A module of the module built whole, alone
+    or against a partner, and is refused in the same words."""
+    idempotents, edges, k = graph
+    gens = [DGen(f"g{i}", idem, "xi") for i, idem in enumerate(idempotents)]
+    stable = TypeDModule(gens[:k], frozenset(e for e in edges if e[0] < k and e[2] < k))
+    d = TypeDModule(gens, edges, stable)
+    loop = TypeDModule([DGen("y", 0, "xi")], frozenset({(0, "12", 0)}))
+    against = {None: None, "chain": hand_built()["chain"], "loop": loop, "whole": _whole(d)}[partner]
+    assert _derived(d, against) == _derived(_whole(d), against)
 
 
 class TestValidate:

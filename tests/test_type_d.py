@@ -565,6 +565,28 @@ def test_durability_matches_reference_on_hand_built_modules():
     assert len(verdicts) == 3  # durable, weakly durable only, neither
 
 
+def test_row_reading_matches_the_composite_map():
+    """_hits of a single generator, read backwards along the in-edges, equals
+    some column of the composite map having that bit, for every generator and
+    every word of _CONDITIONS, on the benchmark modules at framings -20..20."""
+    from test_splice import benchmark_complexes
+
+    words = {w for conditions in typed._CONDITIONS.values() for part in conditions
+             for group in part for w in group}
+    hits = 0
+    for c in benchmark_complexes().values():
+        s = simplify(c)
+        for n in range(-20, 21):
+            m = build_cfd(s, n)
+            for w in words:
+                cols = m.composite(w).cols.values()
+                for v in range(len(m.generators)):
+                    hit = typed._hits(1 << v, m, w)
+                    assert hit == any(col >> v & 1 for col in cols), (c.name, n, w, v)
+                    hits += hit
+    assert len(words) == 34 and hits == 18675
+
+
 class TestFindDurablePairs:
     @pytest.mark.parametrize("size", [typed.SPAN_CAP, typed.SPAN_CAP + 1])
     def test_span_cap(self, monkeypatch, size):
