@@ -22,7 +22,6 @@ over idempotents i, ga + gd = g), so cost follows entries, not dimension.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from . import gf2
@@ -45,7 +44,11 @@ class ChainComplex:
         return self.untouched[grading] + self.gradings.count(grading)
 
     def d_squared_is_zero(self) -> bool:
-        return not any(gf2.compose(self.boundary, self.boundary))
+        """Whether the boundary squares to zero, composing only through the
+        generators with a nonzero column: the others add nothing."""
+        b = self.boundary
+        live = int(bytes(map(bool, reversed(b))).translate(_DIGITS) or b"0", 2)
+        return not any(gf2.apply_columns(b, v) for col in b if (v := col & live))
 
     def boundary_flips_grading(self) -> bool:
         """Whether every entry joins opposite gradings: each column misses the
@@ -63,47 +66,70 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
     read the whole complex.  Raises ValueError when a was pruned against
     a type D module other than d (different generators or edges): it lacks
     the operations that d would pair.
+
+    One pass reads d's cached maps of a's words, dropping a vanishing one at
+    once.  Contributions XOR type D end bitmasks per (A source, D start, A
+    target), so they cancel before an end becomes a pair ai * nd + di
+    (sorted: (A, D) order).  Cost follows live words and entries, not na * nd.
     """
     b = a.against
     if b is not None and b is not d and (b.generators, b.edges) != (d.generators, d.edges):
         raise ValueError("type A module was pruned against another type D module")
 
-    count: Counter = Counter()  # (source pair, target pair) -> entries, summed mod 2 below
+    agens, dgens = a.generators, d.generators
+    na, nd = len(agens), len(dgens)
+    acc: dict[int, int] = {}  # (asrc * nd + dstart) * na + adst -> type D ends, mod 2
+
+    # (a) Reeb-labeled paths, as the composite map of each nonempty word
     ops = a.by_word
+    for word, comp in zip(ops, map(d.composites.get, ops)):
+        if comp is None:
+            if not word:
+                continue
+            comp = d.composite(word)
+        if comp.cols:
+            for start, ends in comp.cols.items():
+                for asrc, adst in ops[word]:
+                    key = (asrc * nd + start) * na + adst
+                    acc[key] = acc.get(key, 0) ^ ends
+
+    # (b) identity-labeled edges of the type D side, from its single-label map
+    for start, ends in d.composites[EMPTY,].cols.items():
+        for ai, ag in enumerate(agens):
+            if ag.idempotent == dgens[start].idempotent:
+                key = (ai * nd + start) * na + ai
+                acc[key] = acc.get(key, 0) ^ ends
 
     # (c) internal differential of the type A side
     if () in ops:
         iota = (d.iota_indices(0), d.iota_indices(1))
-        for src, dst in ops[()]:
-            for di in iota[a.generators[src].idempotent]:
-                count[(src, di), (dst, di)] += 1
+        for asrc, adst in ops[()]:
+            for di in iota[agens[asrc].idempotent]:
+                key = (asrc * nd + di) * na + adst
+                acc[key] = acc.get(key, 0) ^ (1 << di)
 
-    # (b) identity-labeled edges of the type D side, from its single-label map
-    for dsrc, ends in d.composite((EMPTY,)).cols.items():
-        for ddst in gf2.bits(ends):
-            for ai, ag in enumerate(a.generators):
-                if ag.idempotent == d.generators[dsrc].idempotent:
-                    count[(ai, dsrc), (ai, ddst)] += 1
-
-    # (a) Reeb-labeled paths, as the composite map of each nonempty word
-    for word, arrows in ops.items():
-        if word:
-            for start, ends in d.composite(word).cols.items():
-                for end in gf2.bits(ends):
-                    for asrc, adst in arrows:
-                        count[(asrc, start), (adst, end)] += 1
-
-    entries = [entry for entry, k in count.items() if k % 2]
-    pairs = sorted({pair for entry in entries for pair in entry})
-    index = {pair: i for i, pair in enumerate(pairs)}
+    srcs, dsts = [], []  # the entries' (source, target) pairs, each ai * nd + di
+    for key, ends in acc.items():
+        src, adst = divmod(key, na)
+        while ends:
+            low = ends & -ends
+            srcs.append(src)
+            dsts.append(adst * nd + low.bit_length() - 1)
+            ends ^= low
+    pairs = sorted({*srcs, *dsts})
+    index = dict(zip(pairs, range(len(pairs))))
     boundary = [0] * len(pairs)
-    for src, dst in entries:
-        boundary[index[src]] |= 1 << index[dst]
+    for src, dst in zip(map(index.__getitem__, srcs), map(index.__getitem__, dsts)):
+        boundary[src] |= 1 << dst
 
-    gradings = [(a.generators[ai].grading + d.gradings[di]) % 2 for ai, di in pairs]
+    labels, gradings = [], []
+    dgrades = d.gradings
+    for pair in pairs:
+        ai, di = divmod(pair, nd)
+        labels.append((agens[ai].id, dgens[di].id))
+        gradings.append((agens[ai].grading + dgrades[di]) % 2)
     untouched = [-gradings.count(0), -gradings.count(1)]
-    for (idem, ga), na in a.tally.items():
-        for gd in (0, 1):
-            untouched[(ga + gd) % 2] += na * d.tally[idem, gd]
-    labels = [(a.generators[ai].id, d.generators[di].id) for ai, di in pairs]
+    for (idem, ga), n in a.tally.items():  # a type D grading 0 keeps ga, 1 flips it
+        untouched[ga] += n * d.tally[idem, 0]
+        untouched[1 - ga] += n * d.tally[idem, 1]
     return ChainComplex(labels, gradings, boundary, tuple(untouched))

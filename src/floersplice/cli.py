@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .cfk import FormatError, KnotComplex, parse_complex, simplify, validate_complex
@@ -101,7 +102,10 @@ def _cmd_survey(args) -> int:
             "summary": survey_summary(reports),
             "rows": [r.to_dict() for r in reports],
         }
-        json.dump(payload, sys.stdout, indent=2)  # streamed: no whole indented string
+        # Streamed (no whole string), one write per batch of chunks: stdout may be unbuffered.
+        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+        while batch := "".join(islice(chunks, 4096)):
+            sys.stdout.write(batch)
         print()
     else:
         for r in reports:

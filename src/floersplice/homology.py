@@ -27,17 +27,15 @@ def graded_homology(c: ChainComplex) -> GradedRanks:
 
     The boundary strictly flips the grading, so in grading g the rank is
     dim C_g minus the rank of the boundary leaving C_g minus the rank of
-    the boundary arriving from C_{1-g}.
+    the boundary arriving from C_{1-g}.  Only the nonzero columns are
+    ranked: a zero column adds no rank.
     """
-    cols_by_grading = {0: [], 1: []}
-    for j, col in enumerate(c.boundary):
-        cols_by_grading[c.gradings[j]].append(col)
-    rank_out = {g: gf2.rank(cols) for g, cols in cols_by_grading.items()}
-    dims = {g: c.dim(g) for g in (0, 1)}
-    return GradedRanks(
-        rank0=dims[0] - rank_out[0] - rank_out[1],
-        rank1=dims[1] - rank_out[1] - rank_out[0],
-    )
+    cols = ([], [])  # nonzero columns by grading
+    for col, g in zip(c.boundary, c.gradings):
+        if col:
+            cols[g].append(col)
+    rank_out = gf2.rank(cols[0]) + gf2.rank(cols[1])
+    return GradedRanks(rank0=c.dim(0) - rank_out, rank1=c.dim(1) - rank_out)
 
 
 def lspace_verdict(r: GradedRanks) -> bool:

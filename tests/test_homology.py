@@ -1,7 +1,10 @@
 """Graded homology ranks and the L-space verdict."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from floersplice import gf2
 from floersplice.boxtensor import ChainComplex, box_tensor
 from floersplice.cfk import simplify, staircase
 from floersplice.homology import GradedRanks, graded_homology, lspace_verdict
@@ -32,6 +35,53 @@ def test_grading_guard_fires_on_one_entry_between_equal_gradings():
         bad = list(boundary)
         bad[j] |= 1 << i
         assert not ChainComplex(labels, gradings, bad).boundary_flips_grading(), (j, i)
+
+
+def chain(boundary, gradings=None):
+    """A complex with the given columns; gradings alternate unless given."""
+    n = len(boundary)
+    gradings = [j % 2 for j in range(n)] if gradings is None else gradings
+    return ChainComplex([(f"a{j}", "p") for j in range(n)], gradings, boundary)
+
+
+def test_d_squared_fails_on_a_path_of_two_entries():
+    """a -> b -> c squares to a -> c."""
+    assert not chain([0b010, 0b100, 0]).d_squared_is_zero()
+    assert chain([0b010, 0, 0b010]).d_squared_is_zero()
+
+
+def test_d_squared_fails_through_a_single_nonzero_column():
+    """The only nonzero composite runs through the one nonzero column, past
+    the width of a machine word; its target's column is zero."""
+    n = 72
+    boundary = [0] * n
+    boundary[0] = (1 << 70) | (1 << 3) | (1 << 5)  # 3 and 5 have zero columns
+    boundary[70] = 1 << 71
+    assert not chain(boundary).d_squared_is_zero()
+    boundary[0] ^= 1 << 70
+    assert chain(boundary).d_squared_is_zero()
+
+
+columns = st.integers(0, 12).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+
+
+@given(columns)
+def test_d_squared_matches_the_full_composite(boundary):
+    assert chain(boundary).d_squared_is_zero() == (not any(gf2.compose(boundary, boundary)))
+
+
+@given(columns, st.data())
+def test_homology_ignores_zero_columns(boundary, data):
+    """Dropping zero columns leaves the ranks of every column, zero ones
+    included, with any gradings and untouched counts."""
+    n = len(boundary)
+    gradings = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    untouched = data.draw(st.tuples(st.integers(0, 5), st.integers(0, 5)))
+    c = ChainComplex(chain(boundary).labels, gradings, boundary, untouched)
+    rank_out = sum(gf2.rank([col for col, h in zip(boundary, gradings) if h == g]) for g in (0, 1))
+    r = graded_homology(c)
+    assert (r.rank0, r.rank1) == (c.dim(0) - rank_out, c.dim(1) - rank_out)
 
 
 def test_isolated_generators():

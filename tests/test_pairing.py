@@ -286,8 +286,10 @@ def test_matrix_product_route_on_unbounded_side(trefoil):
 
 def test_counted_ranks_match_reference_ranks(trefoil, mirror_trefoil, t25, figure_eight,
                                              unknot_complex):
-    """Graded ranks of the counted box equal those of the whole reference
-    complex, pairwise over the fixtures; two unbounded sides are refused."""
+    """The counted box equals the whole reference complex (labels, boundary,
+    gradings and dims) and so do its graded ranks, pairwise over the
+    fixtures, from the whole type A module where there is one and from the
+    pruned one; two unbounded sides are refused."""
     knots = [trefoil, mirror_trefoil, t25, figure_eight, unknot_complex]
     checked = 0
     for c1, c2 in itertools.product(knots, repeat=2):
@@ -295,17 +297,87 @@ def test_counted_ranks_match_reference_ranks(trefoil, mirror_trefoil, t25, figur
         ds2 = {n2: solve_gradings(build_cfd(s2, n2)) for n2 in range(-3, 4)}
         for n1 in range(-4, 5):
             d1 = solve_gradings(build_cfd(s1, n1))
-            whole = derive_cfa(d1) if d1.bounded else None
+            whole = [derive_cfa(d1)] if d1.bounded else []
             for n2, d2 in ds2.items():
                 if not (d1.bounded or d2.bounded):
                     with pytest.raises(ValueError, match="both framed complements are unbounded"):
                         derive_cfa(d1, against=d2)
                     continue
-                a = whole or derive_cfa(d1, against=d2)
-                r = graded_homology(box_tensor(a, d2))
-                assert (r.rank0, r.rank1) == reference_ranks(a, d2), (c1.name, n1, c2.name, n2)
-                checked += 1
-    assert checked == 25 * 9 * 7 - 5 * 4  # unknot[0..4] x unknot[0..3] are both unbounded
+                for a in whole + [derive_cfa(d1, against=d2)]:
+                    box = box_tensor(a, d2)
+                    r = graded_homology(box)
+                    assert_counted_box(a, d2, box)
+                    assert (r.rank0, r.rank1) == reference_ranks(a, d2), (c1.name, n1, c2.name, n2)
+                    checked += 1
+    # unknot[0..4] x unknot[0..3] are both unbounded, and unknot[0..4] has no whole module
+    assert checked == (25 * 9 * 7 - 5 * 4) + (25 * 9 * 7 - 5 * 5 * 7)
+
+
+def test_counted_box_on_benchmark_complexes():
+    """The counted box equals the reference complex for each benchmark
+    complex at framings of each sign, boxed both ways with trefoil[2],
+    mirror_trefoil[-2] and figure_eight[1], from the whole type A module
+    where there is one and from the pruned one."""
+    from test_splice import benchmark_complexes
+
+    complexes = benchmark_complexes()
+    sides = [build_cfd(simplify(c), n) for c in complexes.values() for n in (-3, -1, 2, 4)]
+    partners = [build_cfd(simplify(complexes[k]), n)
+                for k, n in (("trefoil", 2), ("mirror_trefoil", -2), ("figure_eight", 1))]
+    for side, partner in itertools.product(sides, partners):
+        for d1, d2 in ((side, partner), (partner, side)):
+            for a in ([derive_cfa(d1)] if d1.bounded else []) + [derive_cfa(d1, against=d2)]:
+                assert_counted_box(a, d2, box_tensor(a, d2))
+
+
+def contributions(a, d):
+    """(source pair, target pair) -> count, per kind of contribution:
+    (a) Reeb paths, (b) identity edges, (c) empty-word operations."""
+    from collections import Counter
+
+    from floersplice.algebra import EMPTY
+
+    out = {"a": Counter(), "b": Counter(), "c": Counter()}
+    for asrc, word, adst in a.operations:
+        if word:
+            for start, ends in d.composite(word).cols.items():
+                for end in gf2.bits(ends):
+                    out["a"][(asrc, start), (adst, end)] += 1
+        else:
+            for di, dg in enumerate(d.generators):
+                if dg.idempotent == a.generators[asrc].idempotent:
+                    out["c"][(asrc, di), (adst, di)] += 1
+    for dsrc, label, ddst in d.edges:
+        for ai, ag in enumerate(a.generators):
+            if label == EMPTY and ag.idempotent == d.generators[dsrc].idempotent:
+                out["b"][(ai, dsrc), (ai, ddst)] += 1
+    return out
+
+
+def test_contributions_of_different_kinds_cancel(figure_eight, unknot_complex):
+    """A Reeb path cancels an identity edge, and another one an empty-word
+    operation, on the same (source, target) pair: figure_eight[1] has the
+    identity edge nu2 -> nu1, and its whole type A module the operation
+    m1(nu2) = nu1; unknot[1] has a directed cycle through x0.  Each
+    cancelled entry is absent from the box, which equals the reference.
+    An identity edge keeps the type A generator and an m1 keeps the type D
+    one, so those two share a pair only through an identity self-loop,
+    which no graded module has."""
+    f = build_cfd(simplify(figure_eight), 1)
+    u = build_cfd(simplify(unknot_complex), 1)
+    cases = [
+        (derive_cfa(u, against=f), f, "b", (("x0", "nu2"), ("x0", "nu1"))),
+        (derive_cfa(f), u, "c", (("nu2", "x0"), ("nu1", "x0"))),
+    ]
+    for a, d, kind, ids in cases:
+        entry = tuple((a.index_of(ai), d.index_of(di)) for ai, di in ids)
+        kinds = contributions(a, d)
+        assert (kinds["a"][entry], kinds[kind][entry]) == (1, 1), entry
+        assert sum(kinds[k][entry] for k in "abc") == 2
+        box = box_tensor(a, d)
+        labels, boundary = assert_counted_box(a, d, box)
+        src, dst = (labels.index(pair) for pair in entry)
+        assert not (boundary[src] >> dst) & 1
 
 
 def test_rank_symmetry(trefoil, mirror_trefoil, t25, figure_eight):
