@@ -94,9 +94,10 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
                     acc[key] = acc.get(key, 0) ^ ends
 
     # (b) identity-labeled edges of the type D side, from its single-label map
+    aidem, didem = a.idempotents, d.idempotents
     for start, ends in d.composites[EMPTY,].cols.items():
-        for ai, ag in enumerate(agens):
-            if ag.idempotent == dgens[start].idempotent:
+        for ai in range(na):
+            if aidem[ai] == didem[start]:
                 key = (ai * nd + start) * na + ai
                 acc[key] = acc.get(key, 0) ^ ends
 
@@ -104,7 +105,7 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
     if () in ops:
         iota = (d.iota_indices(0), d.iota_indices(1))
         for asrc, adst in ops[()]:
-            for di in iota[agens[asrc].idempotent]:
+            for di in iota[aidem[asrc]]:
                 key = (asrc * nd + di) * na + adst
                 acc[key] = acc.get(key, 0) ^ (1 << di)
 
@@ -123,11 +124,11 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
         boundary[src] |= 1 << dst
 
     labels, gradings = [], []
-    dgrades = d.gradings
+    agrades, dgrades = a.gradings, d.gradings
     for pair in pairs:
         ai, di = divmod(pair, nd)
         labels.append((agens[ai].id, dgens[di].id))
-        gradings.append((agens[ai].grading + dgrades[di]) % 2)
+        gradings.append(agrades[ai] ^ dgrades[di])
     untouched = [-gradings.count(0), -gradings.count(1)]
     for (idem, ga), n in a.tally.items():  # a type D grading 0 keeps ga, 1 flips it
         untouched[ga] += n * d.tally[idem, 0]

@@ -10,17 +10,20 @@ operation with empty word).  Operations cancel in pairs over F2.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
-from .algebra import EMPTY, REEB_IDEMPOTENTS, is_merged, swap_and_merge, word_grading
+from .algebra import REEB_IDEMPOTENTS, is_merged, swap_and_merge, word_grading
 from .cfk import ValidationReport
-from .typed import TypeDModule, _acyclic, walk_paths
+from .typed import _IDENTITY, TypeDModule, _acyclic, walk_paths
 
 
-@dataclass(frozen=True)
-class AGen:
+class AGen(NamedTuple):
+    """A generator, cheap to create; hot loops read the module's lists instead of its fields."""
+
     id: str
     idempotent: int
     grading: int
@@ -32,12 +35,17 @@ class TypeAModule:
     operations: frozenset[tuple[int, tuple[str, ...], int]]  # (input, word, output)
     # the type D module derive_cfa pruned against; None for a whole module
     against: TypeDModule | None = field(default=None, repr=False, compare=False)
+    # generator -> its idempotent and its grading, the lists the hot loops read
+    idempotents: list[int] = field(init=False, repr=False, compare=False)
+    gradings: list[int] = field(init=False, repr=False, compare=False)
     # word -> (input, output) pairs of its operations, and the longest word,
     # built once from operations
     by_word: dict[tuple[str, ...], list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
     max_word_length: int = field(init=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "idempotents", [g.idempotent for g in self.generators])
+        object.__setattr__(self, "gradings", [g.grading for g in self.generators])
         by_word: dict[tuple[str, ...], list[tuple[int, int]]] = {}
         for src, word, dst in sorted(self.operations):
             by_word.setdefault(word, []).append((src, dst))
@@ -53,13 +61,15 @@ class TypeAModule:
     @cached_property
     def tally(self) -> Counter:
         """(idempotent, grading) -> number of generators, counted on first read."""
-        return Counter((g.idempotent, g.grading) for g in self.generators)
+        return Counter(zip(self.idempotents, self.gradings))
 
 
 def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModule:
     """Enumerate coefficient-map paths and emit merged-word operations.
 
-    The derived module flips the grading of every iota_0 generator.
+    The derived module flips the grading of every iota_0 generator.  Its
+    generators are built in one pass from m's generators and gradings, but
+    for the stable part's, kept with its walk unless the chain regraded it.
 
     With against, the type D module the result will be paired with, only
     the operations whose word has a nonzero composite map in against are
@@ -96,13 +106,10 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
             raise ValueError("type D module is unbounded; only a bounded partner ends its walk")
         if not against.bounded:
             raise ValueError("both framed complements are unbounded; cannot pair")
-        if not _acyclic(m.adj, labels=(EMPTY,)):
+        if not _acyclic(m.adj, _IDENTITY):
             raise ValueError("identity-labeled maps close a cycle; the walk would not end")
 
-    gens = [
-        AGen(g.id, g.idempotent, (m.gradings[i] + (1 if g.idempotent == 0 else 0)) % 2)
-        for i, g in enumerate(m.generators)
-    ]
+    gradings = m.gradings
 
     steps: dict[tuple[tuple[str, ...], str], tuple[str, ...] | None] = {}
     nonzero: dict[tuple[str, ...], bool] = {}
@@ -120,12 +127,16 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
             steps[word, label] = merged if pairs(merged[:-1]) else None
         return steps[word, label]
 
-    nb, into = _stable_walk(m)
+    kept, into = _stable_walk(m)
+    nb = len(kept)
+    if nb and gradings[:nb] != m.stable.gradings:  # the chain regraded a stable component
+        kept = []
+    gens = kept + [AGen(g.id, g.idempotent, gr ^ g.idempotent ^ 1)
+                   for g, gr in zip(m.generators[len(kept):], gradings[len(kept):])]
     parity = {(src, word, end): 1 for end, paths in into.items() for src, word in paths if pairs(word)}
     leaving: dict[int, list[tuple[str, int]]] = {}  # stable generator -> its chain out-edges
-    for src, label, dst in m.chain:
-        if src < nb:
-            leaving.setdefault(src, []).append((label, dst))
+    for src, label, dst in m.chain[:bisect_left(m.chain, (nb,))]:  # sorted: those come first
+        leaving.setdefault(src, []).append((label, dst))
     roots = [(start, word, first)
              for u, first in leaving.items() for start, word in [(u, ()), *into.get(u, [])]]
     roots += [(u, (), m.adj[u]) for u in range(nb, len(m.generators))]
@@ -138,20 +149,20 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
     return TypeAModule(gens, ops, against)
 
 
-def _stable_walk(m: TypeDModule) -> tuple[int, dict[int, list[tuple[int, tuple[str, ...]]]]]:
-    """(nb, end -> (start, word) of each path into it): the odd-parity paths
-    of m's stable part of nb generators, the operations of its whole type A
-    module, derived on the first call for the stable part and kept,
+def _stable_walk(m: TypeDModule) -> tuple[list[AGen], dict[int, list[tuple[int, tuple[str, ...]]]]]:
+    """(generators, end -> (start, word) of each path into it): the whole
+    type A module of m's stable part, its generators and its odd-parity
+    paths, derived on the first call for the stable part and kept,
     read-only, in its instance dict as cached_property keeps a value.  A
-    module without a stable part, or with an unbounded one, gets (0, {})."""
+    module without a stable part, or with an unbounded one, gets ([], {})."""
     base = m.stable
     if base is None or not base.bounded:
-        return 0, {}
+        return [], {}
     if "_cfa_walk" not in vars(base):
-        into: dict[int, list[tuple[int, tuple[str, ...]]]] = {}
-        for src, word, dst in sorted(derive_cfa(base).operations):
+        a, into = derive_cfa(base), {}
+        for src, word, dst in sorted(a.operations):
             into.setdefault(dst, []).append((src, word))
-        vars(base)["_cfa_walk"] = (len(base.generators), into)
+        vars(base)["_cfa_walk"] = (a.generators, into)
     return vars(base)["_cfa_walk"]
 
 

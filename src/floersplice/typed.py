@@ -16,14 +16,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import gf2
 from .algebra import EMPTY, GRADING, LABELS, REEB_IDEMPOTENTS, label_product
 from .cfk import SimplifiedBases, ValidationReport
 
 
-@dataclass(frozen=True)
-class DGen:
+class DGen(NamedTuple):
+    """A generator, cheap to create; hot loops read the module's lists instead of its fields."""
+
     id: str
     idempotent: int  # 0 or 1
     role: str        # xi, eta_alias, kappa, lambda, mu, nu
@@ -31,13 +33,19 @@ class DGen:
 
 @dataclass(frozen=True)
 class TypeDModule:
+    """Generators and labeled edges, over a stable part or none.  A module
+    begins with its stable part's generators and holds its edges (ValueError
+    otherwise), starts from the stable part's values, shared read-only, and
+    walks only its other edges, `chain`, sorted: once to build its label
+    matrices, out-edges, single-label maps and boundedness, once to check it
+    (validate_type_d) and once to grade it, on first read."""
+
     generators: list[DGen]
     edges: frozenset[tuple[int, str, int]]  # (src index, label, dst index)
-    # A module whose generators begin these and whose edges are among these
-    # (None: none).  What follows starts from its values, shared read-only,
-    # and walks only the other edges, `chain`, sorted.
     stable: TypeDModule | None = field(default=None, repr=False, compare=False)
     chain: list[tuple[int, str, int]] = field(init=False, repr=False, compare=False)
+    # generator -> its idempotent, the list the hot loops read
+    idempotents: list[int] = field(init=False, repr=False, compare=False)
     # label -> columns of D_label over all generators, built once from edges
     mats: dict[str, list[int]] = field(init=False, repr=False, compare=False)
     # src -> its out-edges (label, dst), sorted; every generator has an entry
@@ -51,16 +59,21 @@ class TypeDModule:
 
     def __post_init__(self):
         base = self.stable or _EMPTY_PART
-        nb, n = len(base.generators), len(self.generators)
-        ids = [g.id for g in self.generators[nb:]]
+        gens, nb, n = self.generators, len(base.generators), len(self.generators)
+        new = self.edges - base.edges
+        if gens[:nb] != base.generators or len(self.edges) - len(new) != len(base.edges):
+            raise ValueError("a module must begin with its stable part's generators and hold its edges")
+        ids = [g.id for g in gens[nb:]]
         if len(set(ids)) != len(ids) or not base.ids.isdisjoint(ids):
             raise ValueError("duplicate generator ids")
-        chain = sorted(self.edges - base.edges)
+        chain = sorted(new)
         mats = {label: cols + [0] * (n - nb) for label, cols in base.mats.items()}
         adj = {**base.adj, **{i: [] for i in range(nb, n)}}
         singles: dict[str, dict[int, int]] = {label: {} for label in LABELS}
+        indegree = [0] * n  # of each chain generator, from chain generators
+        leave, enter = set(), []  # where chain edges leave and enter the stable part
         for src, label, dst in chain:
-            if label not in LABELS:
+            if label not in singles:
                 raise ValueError(f"unknown coefficient-map label {label!r}")
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError("edge endpoint out of range")
@@ -69,12 +82,18 @@ class TypeDModule:
             singles[label][src] = col[src]  # edges are distinct: never 0
             if src < nb:  # a sorted copy: the stable part's list is shared
                 adj[src] = sorted(adj[src] + [(label, dst)])
+                leave.add(src)
             else:
                 adj[src].append((label, dst))
+            if dst < nb:
+                enter.append(dst)
+            elif src >= nb:
+                indegree[dst] += 1
         object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "idempotents", base.idempotents + [g.idempotent for g in gens[nb:]])
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "bounded", base.bounded and _acyclic_beyond(self, LABELS))
+        object.__setattr__(self, "bounded", base.bounded and _acyclic_beyond(self, leave, enter, indegree))
         kept = base.composites  # a label the chain does not use keeps its map
         composites = {(lab,): Composite({**kept[lab,].cols, **cols}) if cols else kept[lab,]
                       for lab, cols in singles.items()}
@@ -146,7 +165,7 @@ class TypeDModule:
         return comp
 
     def iota_indices(self, idem: int) -> list[int]:
-        return [i for i, g in enumerate(self.generators) if g.idempotent == idem]
+        return [i for i, e in enumerate(self.idempotents) if e == idem]
 
     def format_vector(self, v: int) -> str:
         names = [self.generators[i].id for i in gf2.bits(v)]
@@ -175,10 +194,10 @@ class TypeDModule:
     @cached_property
     def tally(self) -> Counter:
         """(idempotent, grading) -> number of generators, counted on first read."""
-        return Counter(zip((g.idempotent for g in self.generators), self.gradings))
+        return Counter(zip(self.idempotents, self.gradings))
 
     @cached_property
-    def _checks(self) -> tuple[list[tuple[int, str, int]], dict[tuple[str, int], int], bool]:
+    def _checks(self) -> tuple[list[tuple[int, str, int]], dict[tuple[str, int], int]]:
         """What validate_type_d reports, kept for a stable part: see _check_edges."""
         return _check_edges(self)
 
@@ -204,9 +223,9 @@ class Composite:
 # The stable part of a module built whole, with what TypeDModule reads of a
 # stable part: no generators, so every edge is a chain edge.
 _EMPTY_PART = SimpleNamespace(
-    generators=[], edges=frozenset(), ids=frozenset(), adj={}, ins={}, bounded=True,
+    generators=[], edges=frozenset(), ids=frozenset(), idempotents=[], adj={}, ins={}, bounded=True,
     mats={label: [] for label in LABELS}, composites={(label,): Composite({}) for label in LABELS},
-    _graded=([], []), _checks=([], {}, True),
+    _graded=([], []), _checks=([], {}),
 )
 
 
@@ -274,18 +293,26 @@ def walk_paths(adj: dict[int, list[tuple[str, int]]], step, state, roots=None):
                 stack.append((adj[nxt], extended))
 
 
-def _acyclic(adj: dict[int, list[tuple[str, int]]], labels: tuple[str, ...] = LABELS, first: int = 0) -> bool:
+# The label sets of the two cycle searches: every label, and the identity alone.
+_ALL_LABELS = frozenset(LABELS)
+_IDENTITY = frozenset({EMPTY})
+
+
+def _acyclic(adj: dict[int, list[tuple[str, int]]], labels: frozenset[str] = _ALL_LABELS, first: int = 0,
+             indegree: list[int] | None = None) -> bool:
     """Whether the edges of adj labeled in labels close no directed cycle among
-    the generators from first on (adj has an entry for every generator).
+    the generators from first on (adj has an entry for every generator); their
+    in-degrees along those edges are counted unless given.
 
     Kahn's pass: generators of in-degree 0 are peeled off, each lowering the
     in-degree of its successors, and every one is peeled iff no cycle blocks.
     """
-    indegree = [0] * len(adj)
-    for node in range(first, len(adj)):
-        for lab, dst in adj[node]:
-            if lab in labels and dst >= first:
-                indegree[dst] += 1
+    if indegree is None:
+        indegree = [0] * len(adj)
+        for node in range(first, len(adj)):
+            for lab, dst in adj[node]:
+                if lab in labels and dst >= first:
+                    indegree[dst] += 1
     peeled = [i for i in range(first, len(adj)) if not indegree[i]]
     for node in peeled:  # grows while it is read
         for lab, nxt in adj[node]:
@@ -296,28 +323,23 @@ def _acyclic(adj: dict[int, list[tuple[str, int]]], labels: tuple[str, ...] = LA
     return len(peeled) == len(adj) - first
 
 
-def _acyclic_beyond(m: TypeDModule, labels: tuple[str, ...]) -> bool:
-    """Whether m's edges labeled in labels close no directed cycle, given that
-    its stable part's close none.  A new cycle takes a chain edge; unless one
-    ending in the stable part reaches, along its edges, one starting there,
-    the cycle avoids the stable part, so only the other generators are searched."""
+def _acyclic_beyond(m: TypeDModule, leave: set[int], enter: list[int], indegree: list[int]) -> bool:
+    """Whether m closes no directed cycle, given that its stable part closes
+    none.  A new cycle takes a chain edge; unless one entering the stable
+    part (at enter) reaches, along its edges, one leaving it (from leave),
+    the cycle avoids the stable part, so only the chain generators are
+    peeled, with their in-degrees among themselves (indegree)."""
     base = m.stable or _EMPTY_PART
-    nb = len(base.generators)
-    chain = [(src, dst) for src, label, dst in m.chain if label in labels]
-    if not chain:
-        return True
-    starts = {src for src, _ in chain if src < nb}
-    stack = [dst for _, dst in chain if dst < nb]
-    seen = set(stack)
+    stack, seen = enter, set(enter)
     while stack:
         node = stack.pop()
-        if node in starts:
-            return _acyclic(m.adj, labels)
-        for label, nxt in base.adj[node]:
-            if label in labels and nxt not in seen:
+        if node in leave:
+            return _acyclic(m.adj)
+        for _, nxt in base.adj[node]:
+            if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return _acyclic(m.adj, labels, nb)
+    return _acyclic(m.adj, first=len(base.generators), indegree=indegree)
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +362,13 @@ def build_cfd(s: SimplifiedBases, n: int) -> TypeDModule:
     t = 0, and a chain entered from both ends (D_1 from xi_0, D_3 from
     eta_0) for t < 0.  When the complex is not of L-space form the directed
     t >= 0 shapes acquire loops, so they are replaced by the bounded
-    variant that routes through a canceling pair nu_1 <- nu_2.  The xi
-    generators and the arrow chains depend on s alone: the first call for s
-    builds them as a module of their own, the stable part, and keeps it in
-    s's instance dict; every call builds its unstable chain over it.
+    variant that routes through a canceling pair nu_1 <- nu_2.
+
+    The xi generators and the arrow chains depend on s alone: the first call
+    for s builds them as a module of their own, the stable part, and keeps
+    it in s's instance dict.  Every call lists its unstable chain's
+    generators and edges, which are distinct by construction, and builds
+    the module over the stable part.
 
     The construction (and the L-space-form detection feeding the unstable
     chain choice) presumes each eta basis vector is a combination of xi
@@ -352,97 +377,63 @@ def build_cfd(s: SimplifiedBases, n: int) -> TypeDModule:
     """
     s.require_compatible()
     stable = vars(s).get("_stable_cfd")
-    gens = list(stable.generators) if stable else [DGen(f"x{p}", 0, "xi") for p in range(len(s.xi))]
-    parity: dict[tuple[int, str, int], int] = {}
+    if stable is None:  # the first framing of s builds the stable part and keeps it
+        stable = vars(s)["_stable_cfd"] = _stable_part(s)
+    gens, chain = _unstable_chain(s, n, stable.generators)
+    return TypeDModule(gens, stable.edges | frozenset(chain), stable)
 
-    def add_gen(gid: str, role: str, idem: int = 1) -> int:
-        gens.append(DGen(gid, idem, role))
-        return len(gens) - 1
 
-    def add_edge(src: int, label: str, dst: int) -> None:
-        key = (src, label, dst)
-        parity[key] = parity.get(key, 0) ^ 1
+def _unstable_chain(s: SimplifiedBases, n: int,
+                    stable: list[DGen]) -> tuple[list[DGen], list[tuple[int, str, int]]]:
+    """The generators of the n-framed module (the stable ones, then the chain's)
+    and the list of the unstable chain's edges, each once."""
+    nb, t = len(stable), n - 2 * s.tau
+    # The canceling pair nu1 <- nu2 sits where the directed chain enters:
+    # after D_1 (iota_1) when t = 0, after D_12 (iota_0) when t > 0.
+    nus = [] if s.lspace_form or t < 0 else [DGen(f"nu{i}", int(t == 0), "nu") for i in (1, 2)]
+    gens = [*stable, *nus, *[DGen(f"mu{i}", 1, "mu") for i in range(1, abs(t) + 1)]]
+    first, last = nb + len(nus), len(gens) - 1  # the mu chain, if any, runs first..last
+    if t < 0:  # entered from both ends, D_23 maps pointing back to the D_1 end
+        return gens, [(0, "1", first), *[(i + 1, "23", i) for i in range(first, last)],
+                      *[(q, "3", last) for q, row in enumerate(s.a_matrix) if row & 1]]
+    ends = gf2.bits(s.b_matrix[0])
+    if not nus and t == 0:
+        return gens, [(0, "12", q) for q in ends]
+    pair = [(nb + 1, EMPTY, nb), (0, "12" if t else "1", nb)]  # nu1 <- nu2, left by D_3 (t > 0) or D_2
+    enter = ([*pair, (nb + 1, "3", first)] if t else pair) if nus else [(0, "123", first)]
+    return gens, [*enter, *[(i, "23", i + 1) for i in range(first, last)], *[(last, "2", q) for q in ends]]
 
-    def eta_targets(p: int) -> list[int]:
-        return gf2.bits(s.b_matrix[p])
 
-    def eta_sources(p: int) -> list[int]:
-        return [q for q in range(len(s.a_matrix)) if (s.a_matrix[q] >> p) & 1]
-
-    if stable is None:  # the first framing of s builds the stable chains and keeps them
-        for j, (src_idx, dst_idx, h) in enumerate(s.vertical_arrows, start=1):
-            chain = [add_gen(f"kap{j}_{i}", "kappa") for i in range(1, h + 1)]
-            add_edge(src_idx, "1", chain[0])
-            for i in range(h - 1):
-                add_edge(chain[i + 1], "23", chain[i])
-            add_edge(dst_idx, "123", chain[-1])
-
-        for j, (src_idx, dst_idx, l) in enumerate(s.horizontal_arrows, start=1):
-            chain = [add_gen(f"lam{j}_{i}", "lambda") for i in range(1, l + 1)]
-            for q in eta_sources(src_idx):
-                add_edge(q, "3", chain[0])
-            for i in range(l - 1):
-                add_edge(chain[i], "23", chain[i + 1])
-            for q in eta_targets(dst_idx):
-                add_edge(chain[-1], "2", q)
-        edges = frozenset(k for k, p in parity.items() if p)
-        stable = vars(s)["_stable_cfd"] = TypeDModule(gens, edges)
-        gens, parity = list(gens), {}
-
-    t = n - 2 * s.tau
-    xi0 = 0
-    modified = (not s.lspace_form) and t >= 0
-
-    if not modified:
-        if t == 0:
-            for q in eta_targets(0):
-                add_edge(xi0, "12", q)
-        elif t > 0:
-            mus = [add_gen(f"mu{i}", "mu") for i in range(1, t + 1)]
-            add_edge(xi0, "123", mus[0])
-            for i in range(t - 1):
-                add_edge(mus[i], "23", mus[i + 1])
-            for q in eta_targets(0):
-                add_edge(mus[-1], "2", q)
-        else:
-            mus = [add_gen(f"mu{i}", "mu") for i in range(1, -t + 1)]
-            add_edge(xi0, "1", mus[0])
-            for i in range(-t - 1):
-                add_edge(mus[i + 1], "23", mus[i])
-            for q in eta_sources(0):
-                add_edge(q, "3", mus[-1])
-    else:
-        # The canceling pair nu1 <- nu2 sits where the directed chain enters:
-        # after D_1 (iota_1) when t = 0, after D_12 (iota_0) when t > 0.
-        nu_idem = 1 if t == 0 else 0
-        nu1 = add_gen("nu1", "nu", nu_idem)
-        nu2 = add_gen("nu2", "nu", nu_idem)
-        add_edge(nu2, EMPTY, nu1)
-        if t == 0:
-            add_edge(xi0, "1", nu1)
-            for q in eta_targets(0):
-                add_edge(nu2, "2", q)
-        else:
-            add_edge(xi0, "12", nu1)
-            mus = [add_gen(f"mu{i}", "mu") for i in range(1, t + 1)]
-            add_edge(nu2, "3", mus[0])
-            for i in range(t - 1):
-                add_edge(mus[i], "23", mus[i + 1])
-            for q in eta_targets(0):
-                add_edge(mus[-1], "2", q)
-
-    edges = frozenset(k for k, p in parity.items() if p)
-    return TypeDModule(gens, stable.edges | edges, stable)
+def _stable_part(s: SimplifiedBases) -> TypeDModule:
+    """The xi generators and the vertical and horizontal arrow chains of s,
+    their edges summed mod 2."""
+    gens = [DGen(f"x{p}", 0, "xi") for p in range(len(s.xi))]
+    parity: Counter = Counter()
+    for j, (src, dst, h) in enumerate(s.vertical_arrows, start=1):
+        k = len(gens)
+        gens += [DGen(f"kap{j}_{i}", 1, "kappa") for i in range(1, h + 1)]
+        parity.update([(src, "1", k), (dst, "123", k + h - 1)])
+        parity.update([(i + 1, "23", i) for i in range(k, k + h - 1)])
+    for j, (src, dst, l) in enumerate(s.horizontal_arrows, start=1):
+        k = len(gens)
+        gens += [DGen(f"lam{j}_{i}", 1, "lambda") for i in range(1, l + 1)]
+        parity.update([(q, "3", k) for q, row in enumerate(s.a_matrix) if row >> src & 1])  # eta_src's xi
+        parity.update([(i, "23", i + 1) for i in range(k, k + l - 1)])
+        parity.update([(k + l - 1, "2", q) for q in gf2.bits(s.b_matrix[dst])])
+    return TypeDModule(gens, frozenset(e for e, c in parity.items() if c % 2))
 
 
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
 
-# (J, K) -> rho_J rho_K for each pair of labels whose product is nonzero
+# J -> K -> rho_J rho_K for each pair of labels whose product is nonzero
 _PRODUCTS = {
-    (j, k): p for j in LABELS for k in LABELS if (p := label_product(j, k)) is not None
+    j: {k: p for k in LABELS if (p := label_product(j, k)) is not None} for j in LABELS
 }
+
+# (label, source idempotent, target idempotent) of every edge the idempotents allow
+_IDEMPOTENT_ENDS = {(EMPTY, 0, 0), (EMPTY, 1, 1), *((lab, *ends) for lab, ends in REEB_IDEMPOTENTS.items())}
 
 
 def validate_type_d(m: TypeDModule) -> ValidationReport:
@@ -455,7 +446,7 @@ def validate_type_d(m: TypeDModule) -> ValidationReport:
     """
     checks = ("idempotents", "structure_equation", "empty_cycle_free")
     report = ValidationReport(dict.fromkeys(checks, True))
-    bad, images, empty_cycle_free = _check_edges(m)
+    bad, images = _check_edges(m)
     for src, label, dst in bad:
         report.fail(
             "idempotents",
@@ -469,36 +460,33 @@ def validate_type_d(m: TypeDModule) -> ValidationReport:
                 "structure_equation",
                 f"structure equation fails at output label {out_label or 'empty'}",
             )
-    if not empty_cycle_free:
+    if not (m.bounded or _acyclic(m.adj, _IDENTITY)):  # a module with no cycle has no identity-only one
         report.fail("empty_cycle_free", "directed cycle of identity-labeled maps")
     return report
 
 
-def _check_edges(m: TypeDModule) -> tuple[list[tuple[int, str, int]], dict[tuple[str, int], int], bool]:
+def _check_edges(m: TypeDModule) -> tuple[list[tuple[int, str, int]], dict[tuple[str, int], int]]:
     """(edges breaking idempotents, in order; nonzero structure-equation images,
-    (output label, start) -> ends; whether identity-labeled edges close no
-    cycle): the stable part's, extended by every edge pair that takes a chain edge."""
+    (output label, start) -> ends): the stable part's, extended by every edge
+    pair that takes a chain edge, in one walk of the chain."""
     base = m.stable or _EMPTY_PART
-    nb, gens, adj = len(base.generators), m.generators, m.adj
-    bad, images, empty_cycle_free = base._checks
+    nb, idems, adj = len(base.generators), m.idempotents, m.adj
+    bad, images = base._checks
     bad, images = list(bad), dict(images)
-
-    def add(product: str | None, start: int, end: int) -> None:
-        if product is not None:
-            images[product, start] = images.get((product, start), 0) ^ 1 << end
-
     for edge in m.chain:
         src, label, dst = edge
-        si = gens[src].idempotent
-        if (si, gens[dst].idempotent) != ((si, si) if label == EMPTY else REEB_IDEMPOTENTS[label]):
+        if (label, idems[src], idems[dst]) not in _IDEMPOTENT_ENDS:
             bad.append(edge)
+        after = _PRODUCTS[label]
         for second, end in adj[dst]:
-            add(_PRODUCTS.get((label, second)), src, end)
+            if (product := after.get(second)) is not None:
+                images[product, src] = images.get((product, src), 0) ^ 1 << end
         if src < nb:  # a stable edge into src, then this one
             for first_src, first in base.ins[src]:
-                add(_PRODUCTS.get((first, label)), first_src, dst)
+                if (product := _PRODUCTS[first].get(label)) is not None:
+                    images[product, first_src] = images.get((product, first_src), 0) ^ 1 << dst
     images = {key: image for key, image in images.items() if image}
-    return sorted(bad), images, empty_cycle_free and _acyclic_beyond(m, (EMPTY,))
+    return sorted(bad), images
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +603,7 @@ def durability(m: TypeDModule, v: int) -> dict:
     """
     if v == 0:
         raise ValueError("durability of the zero vector is undefined")
-    idems = {m.generators[i].idempotent for i in gf2.bits(v)}
+    idems = {m.idempotents[i] for i in gf2.bits(v)}
     if len(idems) != 1:
         raise ValueError("vector mixes idempotents")
     strong, weak = _CONDITIONS[idems.pop()]

@@ -55,14 +55,22 @@ class TestDerive:
                 g.idempotent for g in d.generators
             ]
 
-    def test_iota0_grading_flip(self, trefoil):
-        d = solve_gradings(build_cfd(simplify(trefoil), 3))
-        a = derive_cfa(d)
-        for i, g in enumerate(a.generators):
-            if g.idempotent == 0:
-                assert g.grading != d.gradings[i]
-            else:
-                assert g.grading == d.gradings[i]
+    def test_iota0_grading_flip(self, request):
+        """The generators derive_cfa builds in one pass, and the per-generator
+        lists the box reads, flip the grading of iota_0 generators only: every
+        fixture at -20..20, whole (when bounded) and pruned against trefoil[3]."""
+        partner = build_cfd(simplify(request.getfixturevalue("trefoil")), 3)
+        for name in ("trefoil", "mirror_trefoil", "t25", "figure_eight", "unknot_complex"):
+            s = simplify(request.getfixturevalue(name))
+            for n in range(-20, 21):
+                d = build_cfd(s, n)
+                flipped = [(gr + (g.idempotent == 0)) % 2 for g, gr in zip(d.generators, d.gradings)]
+                derived = [derive_cfa(d)] if d.bounded else []
+                for a in [*derived, derive_cfa(d, against=partner)]:
+                    assert [(g.id, g.idempotent) for g in a.generators] == [
+                        (g.id, g.idempotent) for g in d.generators], (name, n)
+                    assert [g.grading for g in a.generators] == a.gradings == flipped, (name, n)
+                    assert a.idempotents == [g.idempotent for g in d.generators], (name, n)
 
     def test_trefoil_framing_two_snapshot(self, trefoil):
         """Frozen enumeration for the 2-framed trefoil complement.
@@ -316,6 +324,7 @@ def test_stable_walk_is_kept_once_and_never_changed(request, monkeypatch):
 @example(([0, 0], frozenset({(0, EMPTY, 1), (1, EMPTY, 0)}), 1), "chain")  # an identity cycle
 @example(([0], frozenset({(0, "12", 0)}), 1), "chain")  # an unbounded stable part
 @example(([0, 1, 0], frozenset({(0, "1", 1), (1, "2", 2), (2, "12", 0)}), 1), "loop")
+@example(([0, 0, 1], frozenset({(0, "1", 2), (1, "123", 2)}), 2), None)  # the chain regrades g1
 def test_any_stable_part_gives_the_whole_type_a_module(graph, partner):
     """A module over a stable part (its first k generators and the edges
     among them) derives the type A module of the module built whole, alone

@@ -771,6 +771,9 @@ split_graphs = st.integers(1, 6).flatmap(
 
 @given(split_graphs)
 @example(([0, 1, 0], frozenset({(0, "1", 1), (1, "2", 2), (2, "12", 0)}), 1))
+# an identity-only cycle across the stable/chain boundary
+@example(([0, 0, 0], frozenset({(0, EMPTY, 1), (1, EMPTY, 2), (2, EMPTY, 0)}), 1))
+@example(([0, 1], frozenset({(0, "1", 1), (1, "2", 0)}), 1))  # Reeb-only cycle: unbounded, no identity cycle
 @example(([0, 1], frozenset({(0, "1", 1), (0, "123", 1)}), 1))
 @example(([0, 0, 1], frozenset({(0, "2", 1), (2, "3", 0), (1, EMPTY, 2)}), 2))
 @example(([0, 0, 0], frozenset({(0, "12", 1), (1, "12", 0), (2, "12", 2)}), 2))
@@ -779,9 +782,119 @@ def test_any_stable_part_gives_the_whole_module(graph):
     """A module over a stable part (its first k generators and the edges
     among them) equals the whole module: idempotent violations stay in edge
     order, cycles through or beyond the stable part are found, and an
-    inconsistent grading cycle is refused in the whole solve's words."""
+    inconsistent grading cycle is refused in the whole solve's words.  The
+    identity-only cycle check, searched only in a module with a cycle,
+    agrees with the walk reference."""
     idempotents, edges, k = graph
     gens = [DGen(f"g{i}", idem, "xi") for i, idem in enumerate(idempotents)]
     stable = TypeDModule(gens[:k], frozenset(e for e in edges if e[0] < k and e[2] < k))
     d = TypeDModule(gens, edges, stable)
     assert _observed(d) == _observed(_whole(d))
+    identity = {e for e in edges if e[1] == EMPTY}
+    assert validate_type_d(d).checks["empty_cycle_free"] == no_walk_of_n_edges(len(gens), identity)
+
+
+def test_module_must_extend_its_stable_part():
+    """A module over a stable part begins with the stable part's generators
+    and holds its edges; otherwise it is refused, as the values it starts
+    from would not be its own."""
+    gens = [DGen("a", 0, "xi"), DGen("b", 1, "kappa"), DGen("c", 1, "kappa")]
+    stable = TypeDModule(gens[:2], frozenset({(0, "1", 1)}))
+    d = TypeDModule(gens, frozenset({(0, "1", 1), (0, "123", 2)}), stable)
+    assert d.chain == [(0, "123", 2)] and _observed(d) == _observed(_whole(d))
+    with pytest.raises(ValueError, match="stable part"):  # misses the stable edge (0, 1, 1)
+        TypeDModule(gens, frozenset({(0, "123", 2)}), stable)
+    with pytest.raises(ValueError, match="stable part"):  # z in place of a
+        TypeDModule([DGen("z", 0, "xi"), *gens[1:]], frozenset({(0, "1", 1), (0, "123", 2)}), stable)
+
+
+def _reference_cfd(s, n):
+    """(generators, edges) of the n-framed module built whole by the
+    closure-and-parity reference: closures add generators and edges one at a
+    time, and a parity dict keeps the edges added an odd number of times."""
+    gens = [DGen(f"x{p}", 0, "xi") for p in range(len(s.xi))]
+    parity = {}
+
+    def add_gen(gid, role, idem=1):
+        gens.append(DGen(gid, idem, role))
+        return len(gens) - 1
+
+    def add_edge(src, label, dst):
+        parity[src, label, dst] = parity.get((src, label, dst), 0) ^ 1
+
+    def eta_targets(p):
+        return gf2.bits(s.b_matrix[p])
+
+    def eta_sources(p):
+        return [q for q in range(len(s.a_matrix)) if (s.a_matrix[q] >> p) & 1]
+
+    for j, (src_idx, dst_idx, h) in enumerate(s.vertical_arrows, start=1):
+        chain = [add_gen(f"kap{j}_{i}", "kappa") for i in range(1, h + 1)]
+        add_edge(src_idx, "1", chain[0])
+        for i in range(h - 1):
+            add_edge(chain[i + 1], "23", chain[i])
+        add_edge(dst_idx, "123", chain[-1])
+    for j, (src_idx, dst_idx, l) in enumerate(s.horizontal_arrows, start=1):
+        chain = [add_gen(f"lam{j}_{i}", "lambda") for i in range(1, l + 1)]
+        for q in eta_sources(src_idx):
+            add_edge(q, "3", chain[0])
+        for i in range(l - 1):
+            add_edge(chain[i], "23", chain[i + 1])
+        for q in eta_targets(dst_idx):
+            add_edge(chain[-1], "2", q)
+
+    t = n - 2 * s.tau
+    if s.lspace_form or t < 0:
+        if t == 0:
+            for q in eta_targets(0):
+                add_edge(0, "12", q)
+        elif t > 0:
+            mus = [add_gen(f"mu{i}", "mu") for i in range(1, t + 1)]
+            add_edge(0, "123", mus[0])
+            for i in range(t - 1):
+                add_edge(mus[i], "23", mus[i + 1])
+            for q in eta_targets(0):
+                add_edge(mus[-1], "2", q)
+        else:
+            mus = [add_gen(f"mu{i}", "mu") for i in range(1, -t + 1)]
+            add_edge(0, "1", mus[0])
+            for i in range(-t - 1):
+                add_edge(mus[i + 1], "23", mus[i])
+            for q in eta_sources(0):
+                add_edge(q, "3", mus[-1])
+    else:
+        nu_idem = 1 if t == 0 else 0
+        nu1 = add_gen("nu1", "nu", nu_idem)
+        nu2 = add_gen("nu2", "nu", nu_idem)
+        add_edge(nu2, EMPTY, nu1)
+        if t == 0:
+            add_edge(0, "1", nu1)
+            for q in eta_targets(0):
+                add_edge(nu2, "2", q)
+        else:
+            add_edge(0, "12", nu1)
+            mus = [add_gen(f"mu{i}", "mu") for i in range(1, t + 1)]
+            add_edge(nu2, "3", mus[0])
+            for i in range(t - 1):
+                add_edge(mus[i], "23", mus[i + 1])
+            for q in eta_targets(0):
+                add_edge(mus[-1], "2", q)
+    return gens, frozenset(k for k, p in parity.items() if p)
+
+
+def test_list_built_chain_matches_the_parity_reference(trefoil, mirror_trefoil, t25, figure_eight,
+                                                       unknot_complex):
+    """For the fixtures and the benchmark complexes at framings -120..120,
+    build_cfd gives the generators and edges of the parity reference, and
+    the unstable chain it lists repeats no edge."""
+    from test_splice import benchmark_complexes
+
+    complexes = [trefoil, mirror_trefoil, t25, figure_eight, unknot_complex]
+    complexes += benchmark_complexes().values()
+    for c in complexes:
+        s = simplify(c)
+        for n in range(-120, 121):
+            d = build_cfd(s, n)
+            gens, chain = typed._unstable_chain(s, n, d.stable.generators)
+            assert len(set(chain)) == len(chain) and gens == d.generators, (c.name, n)
+            assert (d.generators, d.edges) == _reference_cfd(s, n), (c.name, n)
