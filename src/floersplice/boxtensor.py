@@ -87,15 +87,15 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
             if not word:
                 continue
             comp = d.composite(word)
-        if comp.cols:
-            for start, ends in comp.cols.items():
+        if comp:
+            for start, ends in comp.items():
                 for asrc, adst in ops[word]:
                     key = (asrc * nd + start) * na + adst
                     acc[key] = acc.get(key, 0) ^ ends
 
     # (b) identity-labeled edges of the type D side, from its single-label map
     aidem, didem = a.idempotents, d.idempotents
-    for start, ends in d.composites[EMPTY,].cols.items():
+    for start, ends in d.composites[EMPTY,].items():
         for ai in range(na):
             if aidem[ai] == didem[start]:
                 key = (ai * nd + start) * na + ai

@@ -1,7 +1,8 @@
-"""Dense F2 linear algebra on int bitmasks.
+"""F2 linear algebra on int bitmasks.
 
 Vectors are Python ints (bit i = coordinate i); a matrix is a list of
-column bitmasks.  Everything here is exact and deterministic.
+column bitmasks, or a sparse dict of its nonzero columns (index -> column).
+Everything here is exact and deterministic.
 """
 
 from __future__ import annotations
@@ -17,6 +18,18 @@ def apply_columns(cols: list[int], v: int) -> int:
     while v:
         low = v & -v
         out ^= cols[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
+def apply_sparse(cols: dict[int, int], v: int) -> int:
+    """apply_columns over a dict of the nonzero columns: a column without an entry is zero."""
+    if not v & (v - 1):  # one bit or none, as most vectors the durable check applies to
+        return cols.get(v.bit_length() - 1, 0)
+    out = 0
+    while v:
+        low = v & -v
+        out ^= cols.get(low.bit_length() - 1, 0)
         v ^= low
     return out
 

@@ -117,7 +117,7 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
     def pairs(word):
         if word not in nonzero:
             nonzero[word] = against is None or bool(
-                against.composite(word).cols if word else against.generators
+                against.composite(word) if word else against.generators
             )
         return nonzero[word]
 

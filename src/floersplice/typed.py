@@ -2,12 +2,13 @@
 
 A module stores generators split over the two idempotents and, for each
 coefficient-map label (the six Reeb labels plus '' for the identity), the
-F2 matrix of that map.  The builder assembles the module of an integer
-n-framed knot complement from simplified bases: one chain of iota_1
-generators per vertical and per horizontal arrow, plus the framing
-dependent unstable chain joining xi_0 to eta_0.  The first part, the
-stable part, is built, validated and graded once per bases and kept on
-them; each framing builds only its unstable chain over it.
+F2 map of that label, once, as a dict from each start to its nonzero ends.
+build_cfd assembles the module of an integer n-framed knot complement
+from simplified bases: one chain of iota_1 generators per vertical and per
+horizontal arrow, plus the framing dependent unstable chain joining xi_0
+to eta_0.  The first part, the stable part, is built, validated and graded
+once per bases and kept on them; each framing builds only its unstable
+chain over it.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ class TypeDModule:
     """Generators and labeled edges, over a stable part or none.  A module
     begins with its stable part's generators and holds its edges (ValueError
     otherwise), starts from the stable part's values, shared read-only, and
-    walks only its other edges, `chain`, sorted: once to build its label
-    matrices, out-edges, single-label maps and boundedness, once to check it
-    (validate_type_d) and once to grade it, on first read."""
+    walks only its other edges, `chain`, sorted: once to build its out-edges,
+    boundedness and single-label maps (each map lives only in composites),
+    once to check it (validate_type_d) and once to grade it, on first read."""
 
     generators: list[DGen]
     edges: frozenset[tuple[int, str, int]]  # (src index, label, dst index)
@@ -46,16 +47,14 @@ class TypeDModule:
     chain: list[tuple[int, str, int]] = field(init=False, repr=False, compare=False)
     # generator -> its idempotent, the list the hot loops read
     idempotents: list[int] = field(init=False, repr=False, compare=False)
-    # label -> columns of D_label over all generators, built once from edges
-    mats: dict[str, list[int]] = field(init=False, repr=False, compare=False)
     # src -> its out-edges (label, dst), sorted; every generator has an entry
     adj: dict[int, list[tuple[str, int]]] = field(init=False, repr=False, compare=False)
     # whether the labeled graph (all labels) has no directed cycle
     bounded: bool = field(init=False, repr=False, compare=False)
-    # nonempty path-order label word -> its composite map: the single labels
-    # from construction, longer words filled by composite on first ask, also
-    # when the map vanishes
-    composites: dict[tuple[str, ...], Composite] = field(init=False, repr=False, compare=False)
+    # nonempty path-order label word -> its map, start -> nonzero ends: the
+    # single labels from construction, longer words filled by composite on
+    # first ask, also when the map vanishes
+    composites: dict[tuple[str, ...], dict[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         base = self.stable or _EMPTY_PART
@@ -67,7 +66,7 @@ class TypeDModule:
         if len(set(ids)) != len(ids) or not base.ids.isdisjoint(ids):
             raise ValueError("duplicate generator ids")
         chain = sorted(new)
-        mats = {label: cols + [0] * (n - nb) for label, cols in base.mats.items()}
+        kept = base.composites  # a label the chain does not use keeps its map
         adj = {**base.adj, **{i: [] for i in range(nb, n)}}
         singles: dict[str, dict[int, int]] = {label: {} for label in LABELS}
         indegree = [0] * n  # of each chain generator, from chain generators
@@ -77,9 +76,8 @@ class TypeDModule:
                 raise ValueError(f"unknown coefficient-map label {label!r}")
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError("edge endpoint out of range")
-            col = mats[label]
-            col[src] ^= 1 << dst
-            singles[label][src] = col[src]  # edges are distinct: never 0
+            col = singles[label]  # edges are distinct: an end is never 0
+            col[src] = (col.get(src) or kept[label,].get(src, 0)) | 1 << dst
             if src < nb:  # a sorted copy: the stable part's list is shared
                 adj[src] = sorted(adj[src] + [(label, dst)])
                 leave.add(src)
@@ -91,12 +89,9 @@ class TypeDModule:
                 indegree[dst] += 1
         object.__setattr__(self, "chain", chain)
         object.__setattr__(self, "idempotents", base.idempotents + [g.idempotent for g in gens[nb:]])
-        object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "bounded", base.bounded and _acyclic_beyond(self, leave, enter, indegree))
-        kept = base.composites  # a label the chain does not use keeps its map
-        composites = {(lab,): Composite({**kept[lab,].cols, **cols}) if cols else kept[lab,]
-                      for lab, cols in singles.items()}
+        composites = {(lab,): {**kept[lab,], **cols} if cols else kept[lab,] for lab, cols in singles.items()}
         object.__setattr__(self, "composites", composites)
 
     @cached_property
@@ -127,40 +122,33 @@ class TypeDModule:
         raise KeyError(gen_id)
 
     def matrix(self, label: str) -> list[int]:
-        """Columns of D_label over all generators (shared: do not mutate)."""
-        return self.mats[label]
+        """D_label's columns over all generators, a new dense list on every call."""
+        ends = self.composites[label,]
+        return [ends.get(i, 0) for i in range(len(self.generators))]
 
-    def composite(self, word: tuple[str, ...]) -> Composite:
-        """The map D_word[-1]...D_word[0] of a path-order label word (shared: do not mutate).
+    def composite(self, word: tuple[str, ...]) -> dict[int, int]:
+        """The map D_word[-1]...D_word[0] of a path-order label word, start ->
+        nonzero ends (shared: do not mutate).
 
-        Its column at a start counts, mod 2, the paths from there whose labels
-        spell the word.  It is built from a cached prefix, one label matrix at
-        a time, and kept, vanishing or not, so asking again is one lookup.
-        The empty word's map, the identity, is not stored: raises ValueError
-        on ().
+        Its entry at a start counts, mod 2, the paths from there whose labels
+        spell the word.  It is built from the longest cached prefix, one label
+        map at a time, and kept, vanishing or not, so asking again is one
+        lookup.  The empty word's map, the identity, is not stored: ValueError on ().
         """
         cache = self.composites
         if word in cache:
             return cache[word]
         if not word:
             raise ValueError("the empty word's map is the identity; no composite is stored")
-        # Words with a nonzero cached map are closed under nonempty prefixes; a
-        # cached vanishing word may lack some, so the bisect may settle on a
-        # shorter cached prefix.  Every cached map is exact: any one will do.
-        n, hi = 1, len(word) - 1
-        while n < hi:
-            mid = (n + hi + 1) // 2
-            if word[:mid] in cache:
-                n = mid
-            else:
-                hi = mid - 1
-        comp = cache[word[:n]]
-        while comp.cols and n < len(word):
-            mat = self.mats[word[n]]
+        # A cached vanishing word may lack some prefixes; every cached map is exact.
+        n = max(len(word) - 1, 1)
+        while n > 1 and word[:n] not in cache:
+            n -= 1
+        comp = cache[word[:n]]  # every single label is cached: KeyError for an unknown one
+        while comp and n < len(word):
+            mat = cache[word[n],]
             n += 1
-            comp = cache[word[:n]] = Composite(
-                {s: e for s, c in comp.cols.items() if (e := gf2.apply_columns(mat, c))}
-            )
+            comp = cache[word[:n]] = {s: e for s, c in comp.items() if (e := gf2.apply_sparse(mat, c))}
         cache[word] = comp
         return comp
 
@@ -202,30 +190,11 @@ class TypeDModule:
         return _check_edges(self)
 
 
-class Composite:
-    """A composite map's nonzero columns, start -> ends; an echelon basis of
-    its image is built on first need."""
-
-    def __init__(self, cols: dict[int, int]):
-        self.cols = cols
-
-    @cached_property
-    def basis(self) -> gf2.Echelon:
-        basis = gf2.Echelon()
-        for c in self.cols.values():
-            basis.add(c, 0)
-        return basis
-
-    def spans(self, v: int) -> bool:
-        return self.basis.reduce(v)[0] == 0
-
-
 # The stable part of a module built whole, with what TypeDModule reads of a
 # stable part: no generators, so every edge is a chain edge.
 _EMPTY_PART = SimpleNamespace(
     generators=[], edges=frozenset(), ids=frozenset(), idempotents=[], adj={}, ins={}, bounded=True,
-    mats={label: [] for label in LABELS}, composites={(label,): Composite({}) for label in LABELS},
-    _graded=([], []), _checks=([], {}),
+    composites={(label,): {} for label in LABELS}, _graded=([], []), _checks=([], {}),
 )
 
 
@@ -571,11 +540,10 @@ def _hits(v: int, m: TypeDModule, word: tuple[str, ...]) -> bool:
     That row is read backwards along the in-edges, one label at a time, as
     the starts (mod 2) of the paths that spell the word's suffix and end at
     v, so no whole map is built.  For a combination it is membership of v in
-    the image, the basis-independent reading, from the map that
-    m.composite builds once.
+    the span of the map's ends, the basis-independent reading.
     """
     if v & (v - 1):
-        return m.composite(word).spans(v)
+        return gf2.in_span(list(m.composite(word).values()), v)
     ins, row = m.ins, v
     for label in reversed(word):
         starts = 0
@@ -595,14 +563,17 @@ def durability(m: TypeDModule, v: int) -> dict:
     """Evaluate the durable and weakly durable conditions on a vector.
 
     v is a bitmask over the module's generators, nonzero and supported in a
-    single idempotent.  The conditions are the words of _CONDITIONS: the
-    constraints on outgoing compositions only mention the first three maps,
-    and a composition is nonzero only if all its prefixes are.  Incoming
-    words are judged by _hits, first, since they read the module's cached
-    composite maps; outgoing ones are applied to v one label at a time.
+    single idempotent; ValueError otherwise, also for a negative v or a bit
+    past the last generator.  The conditions are the words of _CONDITIONS:
+    the constraints on outgoing compositions only mention the first three
+    maps, and a composition is nonzero only if all its prefixes are.
+    Incoming words are judged by _hits, first; outgoing ones are applied to
+    v one label map at a time, until the image vanishes.
     """
     if v == 0:
         raise ValueError("durability of the zero vector is undefined")
+    if v < 0 or v >> len(m.generators):
+        raise ValueError("vector has a bit outside the module's generators")
     idems = {m.idempotents[i] for i in gf2.bits(v)}
     if len(idems) != 1:
         raise ValueError("vector mixes idempotents")
@@ -610,7 +581,7 @@ def durability(m: TypeDModule, v: int) -> dict:
 
     def holds(vanish, unhit) -> bool:
         return not any(_hits(v, m, word) for word in unhit) and all(
-            reduce(lambda w, label: gf2.apply_columns(m.mats[label], w), word, v) == 0
+            reduce(lambda w, label: w and gf2.apply_sparse(m.composites[label,], w), word, v) == 0
             for word in vanish
         )
 
@@ -643,8 +614,9 @@ def iter_durable_pairs(m: TypeDModule, candidates: list[int]):
     """Yield (x, y = D_123 x, "durable" or "weak") for each candidate x whose
     pair is (weakly) durable in m, lazily, so a caller can stop at its first
     hit; y is judged only when x is at least weakly durable."""
+    d123 = m.composites["123",]
     for x in candidates:
-        y = gf2.apply_columns(m.mats["123"], x)
+        y = gf2.apply_sparse(d123, x)
         if not y:
             continue
         dx = durability(m, x)

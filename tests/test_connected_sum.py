@@ -94,7 +94,7 @@ def test_durability_matches_reference(fig8_trefoil, double_trefoil):
         for n in range(-4, 5):
             d = build_cfd(s, n)
             words = _words(d)
-            images = [gf2.apply_columns(d.mats["123"], x) for x in candidates]
+            images = [gf2.apply_columns(d.matrix("123"), x) for x in candidates]
             for v in dict.fromkeys(candidates + [y for y in images if y]):
                 expected = _durability_reference(d, words, v)
                 assert durability(d, v) == expected, (c.name, n, d.format_vector(v))

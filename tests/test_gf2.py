@@ -90,6 +90,15 @@ def test_apply_columns(cols, v):
     assert gf2.apply_columns(cols, v) == out
 
 
+@given(vectors, st.integers(0, 255) | st.integers(0, 7).map(lambda i: 1 << i))
+def test_apply_sparse_matches_the_dense_columns(cols, v):
+    """apply_sparse over the nonzero columns alone equals apply_columns over
+    all of them, for zero, one-bit and wider vectors."""
+    v &= (1 << len(cols)) - 1
+    nonzero = {i: col for i, col in enumerate(cols) if col}
+    assert gf2.apply_sparse(nonzero, v) == gf2.apply_columns(cols, v)
+
+
 @given(st.lists(st.integers(0, 63), min_size=3, max_size=3),
        st.lists(st.integers(0, 7), min_size=6, max_size=6))
 def test_compose(outer_bits, inner):

@@ -340,7 +340,7 @@ def contributions(a, d):
     out = {"a": Counter(), "b": Counter(), "c": Counter()}
     for asrc, word, adst in a.operations:
         if word:
-            for start, ends in d.composite(word).cols.items():
+            for start, ends in d.composite(word).items():
                 for end in gf2.bits(ends):
                     out["a"][(asrc, start), (adst, end)] += 1
         else:

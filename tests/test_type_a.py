@@ -182,7 +182,7 @@ def _paired_ops(whole, against):
     the empty word's map is the identity, nonzero iff against has generators."""
     return frozenset(
         op for op in whole.operations
-        if (against.composite(op[1]).cols if op[1] else against.generators)
+        if (against.composite(op[1]) if op[1] else against.generators)
     )
 
 

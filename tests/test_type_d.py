@@ -128,6 +128,22 @@ class TestModule:
                             cols[src] ^= 1 << dst
                     assert d.matrix(label) == cols, (c.name, n, label)
 
+    def test_matrix_is_a_copy(self, trefoil):
+        """Mutating the list matrix(label) returns changes neither the module
+        nor its stable part, whose single-label maps the module may share."""
+        d = build_cfd(simplify(trefoil), 3)
+
+        def maps():
+            return [(m.matrix(label), dict(m.composites[label,])) for m in (d, d.stable) for label in LABELS]
+
+        before = maps()
+        for m in (d, d.stable):
+            for label in LABELS:
+                cols = m.matrix(label)
+                cols[:] = [~0] * len(cols)
+                cols.append(1)
+        assert maps() == before
+
 
 def no_walk_of_n_edges(n, edges):
     """Brute-force acyclicity: a graph on n vertices has a directed cycle iff
@@ -357,6 +373,14 @@ class TestDurability:
         with pytest.raises(ValueError):
             durability(d, 0)
 
+    def test_vector_outside_the_generators_rejected(self, trefoil):
+        """A bit at or past len(generators), or a negative vector, is refused
+        before any bit is walked."""
+        d = build_cfd(simplify(trefoil), 3)
+        for v in (1 << len(d.generators), 1 << len(d.generators) | 1, -1, -4):
+            with pytest.raises(ValueError, match="outside the module's generators"):
+                durability(d, v)
+
     def test_mixed_idempotents_rejected(self, trefoil):
         d = build_cfd(simplify(trefoil), 2)
         v = (1 << d.index_of("x0")) | (1 << d.index_of("kap1_1"))
@@ -449,8 +473,8 @@ def test_composite_counts_paths(trefoil, mirror_trefoil, figure_eight, t25, unkn
             unbounded += not d.bounded
             counts = _path_counts(d, 4)
             for w in words:
-                assert d.composite(w).cols == counts.get(w, {}), (c.name, n, w)
-                vanished_prefix += len(w) > 1 and not d.composite(w[:-1]).cols
+                assert d.composite(w) == counts.get(w, {}), (c.name, n, w)
+                vanished_prefix += len(w) > 1 and not d.composite(w[:-1])
             assert () not in d.composites
     assert unbounded == 6 and vanished_prefix > 0  # unknot at n = 0..5
 
@@ -472,24 +496,85 @@ def test_composite_cache_in_any_order(trefoil, mirror_trefoil, figure_eight, t25
                 d = build_cfd(s, n)
                 order = words * 2
                 random.Random(seed).shuffle(order)
-                first: dict[tuple[str, ...], typed.Composite] = {}
+                first: dict[tuple[str, ...], dict[int, int]] = {}
                 below: set[tuple[str, ...]] = set()  # proper prefixes of the words asked
                 for w in order:
                     comp = d.composite(w)
-                    assert comp.cols == counts.get(w, {}), (c.name, n, seed, w)
+                    assert comp == counts.get(w, {}), (c.name, n, seed, w)
                     if w in first:
                         assert comp is first[w], (c.name, n, seed, w)
                         continue
                     assert d.composites[w] is comp
                     first[w] = comp
                     seen["extension first"] += any(w[:k] not in first for k in range(1, len(w)))
-                    if not comp.cols:
+                    if not comp:
                         seen["vanishing after longer"] += w in below
                         seen["vanishing before longer"] += w not in below and len(w) < 4
                     below.update(w[:k] for k in range(1, len(w)))
                 assert () not in d.composites
     kinds = ("extension first", "vanishing after longer", "vanishing before longer")
     assert all(seen[k] for k in kinds), seen
+
+
+def _count_sparse_applies(monkeypatch):
+    """Patch gf2.apply_sparse to record the (map, vector) of every call."""
+    calls = []
+    real = gf2.apply_sparse
+    monkeypatch.setattr(gf2, "apply_sparse", lambda cols, v: calls.append((cols, v)) or real(cols, v))
+    return calls
+
+
+def test_composite_extends_its_cached_parent(monkeypatch, trefoil, mirror_trefoil, figure_eight, t25,
+                                             unknot_complex):
+    """With every word of up to three letters cached, the map of a four-letter
+    word applies its last label's map once per nonzero column of its parent's
+    map, and caches that word alone: no shorter prefix is rebuilt."""
+    calls = _count_sparse_applies(monkeypatch)
+    short = [w for length in (1, 2, 3) for w in product(REEB_LABELS, repeat=length)]
+    extended = 0
+    for c in (trefoil, mirror_trefoil, figure_eight, t25, unknot_complex):
+        s = simplify(c)
+        for n in range(-5, 6):
+            d = build_cfd(s, n)
+            for w in short:
+                d.composite(w)
+            for w in product(REEB_LABELS, repeat=3):
+                parent = d.composites[w]
+                for x in REEB_LABELS:
+                    cached = len(d.composites)
+                    calls.clear()
+                    d.composite(w + (x,))
+                    assert len(d.composites) == cached + 1 and w + (x,) in d.composites, (c.name, n, w, x)
+                    assert all(cols is d.composites[x,] for cols, _ in calls), (c.name, n, w, x)
+                    assert sorted(v for _, v in calls) == sorted(parent.values()), (c.name, n, w, x)
+                    extended += bool(parent)
+    assert extended > 0
+
+
+def test_extending_a_vanishing_word_applies_nothing(monkeypatch, trefoil, mirror_trefoil, figure_eight,
+                                                    t25, unknot_complex):
+    """A four-letter word whose map vanishes at its two-letter prefix is
+    cached with that prefix but without its three-letter one; an extension
+    of it reads the cached empty map and applies no label."""
+    calls = _count_sparse_applies(monkeypatch)
+    seen = 0
+    for c in (trefoil, mirror_trefoil, figure_eight, t25, unknot_complex):
+        s = simplify(c)
+        for n in range(-5, 6):
+            probe = build_cfd(s, n)
+            pairs = [(a, b) for a in REEB_LABELS for b in REEB_LABELS
+                     if probe.composite((a,)) and not probe.composite((a, b))]
+            for a, b in pairs[:3]:
+                d = build_cfd(s, n)
+                w = (a, b, "3", "2")
+                assert d.composite(w) == {}
+                assert (a, b) in d.composites and w[:3] not in d.composites, (c.name, n, w)
+                calls.clear()
+                for x in REEB_LABELS:
+                    assert d.composite(w + (x,)) == {}, (c.name, n, w, x)
+                assert calls == [], (c.name, n, w)
+                seen += 1
+    assert seen > 0
 
 
 def test_tallies_recount_generators(trefoil, mirror_trefoil, figure_eight, t25, unknot_complex):
@@ -579,7 +664,7 @@ def test_row_reading_matches_the_composite_map():
         for n in range(-20, 21):
             m = build_cfd(s, n)
             for w in words:
-                cols = m.composite(w).cols.values()
+                cols = m.composite(w).values()
                 for v in range(len(m.generators)):
                     hit = typed._hits(1 << v, m, w)
                     assert hit == any(col >> v & 1 for col in cols), (c.name, n, w, v)
@@ -626,7 +711,7 @@ class TestFindDurablePairs:
 
         monkeypatch.setattr(typed, "durability", record)
         assert typed.find_durable_pairs(m, s) == []
-        assert received == [x for x in candidates if gf2.apply_columns(m.mats["123"], x)]
+        assert received == [x for x in candidates if gf2.apply_columns(m.matrix("123"), x)]
 
     def test_figure_eight_always_durable(self, figure_eight):
         s = simplify(figure_eight)
@@ -685,8 +770,9 @@ def _observed(d):
     except ValueError as e:
         gradings = str(e)
     report = validate_type_d(d)
-    singles = {word: comp.cols for word, comp in d.composites.items() if len(word) == 1}
-    return (d.generators, d.edges, d.adj, d.mats, singles, d.bounded, gradings,
+    singles = {word: comp for word, comp in d.composites.items() if len(word) == 1}
+    mats = {label: d.matrix(label) for label in LABELS}
+    return (d.generators, d.edges, d.adj, mats, singles, d.bounded, gradings,
             report.checks, report.problems)
 
 
@@ -742,8 +828,8 @@ def test_stable_part_is_built_once_and_shared():
 
         def snapshot():
             return (list(stable.generators), stable.edges, {k: list(v) for k, v in stable.adj.items()},
-                    {k: list(v) for k, v in stable.mats.items()},
-                    {w: dict(comp.cols) for w, comp in stable.composites.items()},
+                    {label: stable.matrix(label) for label in LABELS},
+                    {w: dict(comp) for w, comp in stable.composites.items()},
                     stable.bounded, stable._graded, stable._checks,
                     {k: list(v) for k, v in stable.ins.items()})
 
