@@ -85,14 +85,6 @@ def multiply(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
     return frozenset(out)
 
 
-def algebra_grading(x: str) -> int:
-    """Z2 grading of a basis element or coefficient-map label."""
-    try:
-        return GRADING[x]
-    except KeyError:
-        raise ValueError(f"unknown basis element {x!r}") from None
-
-
 _SWAP_DIGIT = {"1": "3", "2": "2", "3": "1"}
 
 
@@ -153,12 +145,3 @@ def label_product(j: str, k: str) -> str | None:
     if k == EMPTY:
         return j
     return PRODUCT_TABLE[j, k]
-
-
-def label_factorizations(label: str) -> list[tuple[str, str]]:
-    """All pairs (J, K) of labels (rho_emptyset allowed) with rho_J rho_K = rho_label.
-
-    The type D structure equation says that the composition D_K . D_J summed
-    over these factorizations vanishes for every output label.
-    """
-    return [(j, k) for j in LABELS for k in LABELS if label_product(j, k) == label]

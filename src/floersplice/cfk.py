@@ -42,9 +42,13 @@ class KnotComplex:
             if g in seen:
                 raise ValueError(f"duplicate generator {g!r}")
             seen.add(g)
+            if not isinstance(self.alexander.get(g), int):
+                raise ValueError(f"generator {g!r} has no int Alexander grading")
         for src, dst, k in self.differential:
             if src not in seen or dst not in seen:
                 raise ValueError(f"differential entry ({src},{dst}) uses unknown generator")
+            if not isinstance(k, int):
+                raise ValueError(f"U power {k!r} in entry ({src},{dst}) is not an int")
             if k < 0:
                 raise ValueError(f"negative U power in entry ({src},{dst},{k})")
 

@@ -34,20 +34,6 @@ def apply_sparse(cols: dict[int, int], v: int) -> int:
     return out
 
 
-def compose(outer: list[int], inner: list[int]) -> list[int]:
-    """Columns of outer . inner (inner applied first)."""
-    return [apply_columns(outer, c) for c in inner]
-
-
-def row_of(cols: list[int], i: int) -> int:
-    """Row i of a column-major matrix, as a bitmask over column indices."""
-    r = 0
-    for j, c in enumerate(cols):
-        if (c >> i) & 1:
-            r |= 1 << j
-    return r
-
-
 def rank(vectors: list[int]) -> int:
     """Rank of the span of the given vectors."""
     pivots: dict[int, int] = {}  # top bit -> kept residue

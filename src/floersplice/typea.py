@@ -52,12 +52,6 @@ class TypeAModule:
         object.__setattr__(self, "by_word", by_word)
         object.__setattr__(self, "max_word_length", max(map(len, by_word), default=0))
 
-    def index_of(self, gen_id: str) -> int:
-        for i, g in enumerate(self.generators):
-            if g.id == gen_id:
-                return i
-        raise KeyError(gen_id)
-
     @cached_property
     def tally(self) -> Counter:
         """(idempotent, grading) -> number of generators, counted on first read."""

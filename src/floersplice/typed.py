@@ -115,12 +115,6 @@ class TypeDModule:
 
     # -- basic queries ------------------------------------------------------
 
-    def index_of(self, gen_id: str) -> int:
-        for i, g in enumerate(self.generators):
-            if g.id == gen_id:
-                return i
-        raise KeyError(gen_id)
-
     def matrix(self, label: str) -> list[int]:
         """D_label's columns over all generators, a new dense list on every call."""
         ends = self.composites[label,]
@@ -466,14 +460,6 @@ def solve_gradings(m: TypeDModule) -> TypeDModule:
     """The grading stage: read m.gradings, solving them once, and return m."""
     m.gradings
     return m
-
-
-def check_gradings(m: TypeDModule) -> bool:
-    """Independent re-verification of every edge constraint."""
-    for src, label, dst in m.edges:
-        if m.gradings[dst] != (m.gradings[src] + 1 + GRADING[label]) % 2:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

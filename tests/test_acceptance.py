@@ -11,11 +11,11 @@ import pytest
 from floersplice import gf2
 from floersplice.algebra import (
     BASIS,
+    GRADING,
     ONE,
     PRODUCT_TABLE,
     REEB_IDEMPOTENTS,
     REEB_LABELS,
-    algebra_grading,
     element,
     multiply,
 )
@@ -44,7 +44,8 @@ from floersplice.typed import (
     solve_gradings,
     validate_type_d,
 )
-from test_pairing import assert_counted_box
+from conftest import gen_index
+from test_pairing import assert_isolated
 
 TREFOIL = staircase([1, 1], "+", name="trefoil")
 MIRROR = staircase([1, 1], "-", name="mirror_trefoil")
@@ -94,7 +95,7 @@ def test_criterion_01_algebra_axioms():
         for y in REEB_LABELS:
             p = PRODUCT_TABLE[x, y]
             if p is not None:
-                ok &= algebra_grading(p) == (algebra_grading(x) + algebra_grading(y)) % 2
+                ok &= GRADING[p] == (GRADING[x] + GRADING[y]) % 2
     report_line(1, ok, "512 associativity triples, units, idempotents, gradings")
 
 
@@ -199,18 +200,11 @@ def test_criterion_09_survival_at_double_boundary():
     d = solve_gradings(build_cfd(simplify(TREFOIL), 2))
     a = derive_cfa(d)
     box = box_tensor(a, d)
-    # The whole complex, by matrix products; the counted box must match it.
-    labels, boundary = assert_counted_box(a, d, box)
-    ids = [(a.generators[ai].id, d.generators[di].id) for ai, di in labels]
-    i1 = ids.index(("x2", "x2"))          # xbar_0 (x) u_0
-    i2 = ids.index(("kap1_1", "kap1_1"))  # ybar (x) v
-    ok = True
-    for i in (i1, i2):
-        ok &= ids[i] not in box.labels
-        ok &= boundary[i] == 0 and gf2.row_of(boundary, i) == 0
-    g1, g2 = ((a.generators[ai].grading + d.gradings[di]) % 2
-              for ai, di in (labels[i1], labels[i2]))
-    ok &= g1 != g2
+    # The whole complex, by matrix products: the counted box must match it,
+    # and both pairs are absent from it with a zero row and column there.
+    pairs = [("x2", "x2"), ("kap1_1", "kap1_1")]  # xbar_0 (x) u_0, ybar (x) v
+    g1, g2 = assert_isolated(a, d, box, [(gen_index(a, x), gen_index(d, y)) for x, y in pairs])
+    ok = g1 != g2
     r = graded_homology(box)
     ok &= r.rank0 >= 1 and r.rank1 >= 1  # both classes persist
     report_line(9, ok, "the two distinguished generators survive with opposite gradings")

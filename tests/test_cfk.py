@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from floersplice import gf2
 from floersplice.cfk import (
     FormatError,
+    KnotComplex,
     knot_invariants,
     make_complex,
     parse_complex,
@@ -147,6 +148,16 @@ class TestValidation:
         c = make_complex("odd", ["x"], {"x": 3}, [])
         report = validate_complex(c)
         assert report.warnings
+
+    def test_generator_without_grading_refused(self):
+        with pytest.raises(ValueError, match="generator 'b' has no int Alexander grading"):
+            KnotComplex("x", ("a", "b", "c"), {"a": 0}, ())
+        with pytest.raises(ValueError, match="generator 'a' has no int Alexander grading"):
+            KnotComplex("z", ("a",), {"a": "0"}, ())
+
+    def test_non_int_u_power_refused(self):
+        with pytest.raises(ValueError, match=r"U power '0' in entry \(b,a\) is not an int"):
+            KnotComplex("y", ("a", "b"), {"a": 0, "b": 1}, (("b", "a", "0"),))
 
 
 class TestSimplify:

@@ -1,7 +1,5 @@
 """Bitmask F2 linear algebra against brute-force oracles."""
 
-from itertools import combinations
-
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -97,22 +95,6 @@ def test_apply_sparse_matches_the_dense_columns(cols, v):
     v &= (1 << len(cols)) - 1
     nonzero = {i: col for i, col in enumerate(cols) if col}
     assert gf2.apply_sparse(nonzero, v) == gf2.apply_columns(cols, v)
-
-
-@given(st.lists(st.integers(0, 63), min_size=3, max_size=3),
-       st.lists(st.integers(0, 7), min_size=6, max_size=6))
-def test_compose(outer_bits, inner):
-    outer = outer_bits + [0, 0, 0]
-    comp = gf2.compose(outer, inner)
-    for j, col in enumerate(inner):
-        assert comp[j] == gf2.apply_columns(outer, col)
-
-
-def test_row_and_transpose():
-    cols = [0b011, 0b101]
-    assert gf2.row_of(cols, 0) == 0b11
-    assert gf2.row_of(cols, 1) == 0b01
-    assert gf2.row_of(cols, 2) == 0b10
 
 
 def test_bits():

@@ -10,6 +10,7 @@ from floersplice.cfk import simplify, staircase
 from floersplice.homology import GradedRanks, graded_homology, lspace_verdict
 from floersplice.typea import derive_cfa
 from floersplice.typed import build_cfd, solve_gradings
+from conftest import compose
 
 
 def test_empty_complex():
@@ -68,7 +69,7 @@ columns = st.integers(0, 12).flatmap(
 
 @given(columns)
 def test_d_squared_matches_the_full_composite(boundary):
-    assert chain(boundary).d_squared_is_zero() == (not any(gf2.compose(boundary, boundary)))
+    assert chain(boundary).d_squared_is_zero() == (not any(compose(boundary, boundary)))
 
 
 @given(columns, st.data())

@@ -7,7 +7,7 @@ invariant ranks, and the same slope is reachable through two different
 gluings, giving an oracle that is independent of the splice predictor.
 """
 
-import pytest
+from itertools import product
 
 from floersplice.cfk import staircase, unknot
 from floersplice.splice import splice_report
@@ -63,3 +63,14 @@ def test_mirror_orientation_reversal():
     for n in range(-3, 4):
         for m in (1, -1):
             assert total(MIRROR, n, m) == total(TREFOIL, -n, -m)
+
+
+def test_mirror_and_negate_over_genuine_splices(trefoil, mirror_trefoil, t25, figure_eight):
+    """Mirroring both knots and negating both framings splices the reversed
+    manifold, with the same graded ranks, unswapped, and the same verdict.
+    The figure-eight knot is its own mirror."""
+    mirrors = [(trefoil, mirror_trefoil), (t25, staircase([1, 1, 1, 1], "-")), (figure_eight, figure_eight)]
+    for (k1, m1), (k2, m2) in product(mirrors, repeat=2):
+        for n1, n2 in product(range(-6, 7), repeat=2):
+            r, s = splice_report(k1, n1, k2, n2), splice_report(m1, -n1, m2, -n2)
+            assert (s.computed, s.verdict) == (r.computed, r.verdict), (k1.name, n1, k2.name, n2)

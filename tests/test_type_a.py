@@ -9,6 +9,7 @@ from floersplice.algebra import EMPTY, swap_and_merge
 from floersplice.cfk import simplify, unknot
 from floersplice.typea import derive_cfa, ops_text, validate_cfa
 from floersplice.typed import DGen, TypeDModule, build_cfd, durability, solve_gradings, walk_paths
+from conftest import gen_index
 from test_type_d import _whole, split_graphs
 
 
@@ -372,7 +373,7 @@ class TestDurableTransfer:
         cases += [(trefoil, n, "x2") for n in (0, 1)]
         for c, n, gen_id in cases:
             d = build_cfd(simplify(c), n)
-            x = d.index_of(gen_id)
+            x = gen_index(d, gen_id)
             assert durability(d, 1 << x)["durable"]
             y_bits = gf2.bits(gf2.apply_columns(d.matrix("123"), 1 << x))
             a = derive_cfa(solve_gradings(d))
