@@ -56,24 +56,6 @@ def _basis_product(x: str, y: str) -> str | None:
 PRODUCT_TABLE = {(x, y): _basis_product(x, y) for x, y in product(BASIS, BASIS)}
 
 
-def element(*basis: str) -> frozenset[str]:
-    """Build an algebra element from basis names (F2: repeats cancel)."""
-    out: set[str] = set()
-    for b in basis:
-        if b not in BASIS:
-            raise ValueError(f"unknown basis element {b!r}")
-        out ^= {b}
-    return frozenset(out)
-
-
-ZERO = frozenset()
-ONE = frozenset({"i0", "i1"})
-
-
-def add(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-    return a ^ b
-
-
 def multiply(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
     """Bilinear extension of the basis product table."""
     out: set[str] = set()

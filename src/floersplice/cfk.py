@@ -335,39 +335,18 @@ def _reduce_pairing(columns: list[int], order: list[int]):
     (vec, gen) for the essential cycles.
     """
     pos = {g: p for p, g in enumerate(order)}
-    npos = len(order)
-
-    def to_pos(vec_gen: int) -> int:
-        out = 0
-        for i in gf2.bits(vec_gen):
-            out |= 1 << pos[i]
-        return out
-
-    def to_gen(vec_pos: int) -> int:
-        out = 0
-        for p in gf2.bits(vec_pos):
-            out |= 1 << order[p]
-        return out
-
-    # Column p (tagged p) reduces to the boundary reduced[p] of the basis
-    # vector chain[p], its combination; both in position coordinates.
-    ech = gf2.Echelon()
-    reduced: list[int] = []
-    chain: list[int] = []
-    for p, g in enumerate(order):
-        b, v = ech.add(to_pos(columns[g]), p)
-        reduced.append(b)
-        chain.append(v)
-    pairs_by_col = {p: b.bit_length() - 1 for p, b in enumerate(reduced) if b}
+    n, mask = len(columns), (1 << len(columns)) - 1
+    # Column p is generator order[p]'s boundary in position coordinates, from
+    # bit n up, tagged by its generator below: its residue's high part is the
+    # boundary of the basis vector its tags name, in generator coordinates.
+    _, residues = gf2.echelon(
+        [sum(1 << (n + pos[i]) for i in gf2.bits(columns[g])) | 1 << g for g in order], n)
+    pairs_by_col = {p: (r >> n).bit_length() - 1 for p, r in enumerate(residues) if r >> n}
 
     paired_positions = set(pairs_by_col) | set(pairs_by_col.values())
-    unpaired = [
-        (to_gen(chain[p]), order[p])
-        for p in range(npos)
-        if p not in paired_positions
-    ]
+    unpaired = [(residues[p] & mask, g) for p, g in enumerate(order) if p not in paired_positions]
     pairs = [
-        (to_gen(chain[p]), to_gen(reduced[p]), order[p], order[low])
+        (residues[p] & mask, sum(1 << order[q] for q in gf2.bits(residues[p] >> n)), order[p], order[low])
         for p, low in sorted(pairs_by_col.items())
     ]
     return pairs, unpaired

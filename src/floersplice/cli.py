@@ -36,10 +36,11 @@ def _load(path: str) -> KnotComplex:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." not in text:
-        raise ValueError(f"range must look like a..b, got {text!r}")
-    lo, hi = text.split("..", 1)
-    a, b = int(lo), int(hi)
+    lo, _, hi = text.partition("..")
+    try:
+        a, b = int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"range must look like a..b with integer ends, got {text!r}") from None
     if a > b:
         raise ValueError(f"empty range {text!r}")
     return a, b

@@ -3,6 +3,16 @@
 Vectors are Python ints (bit i = coordinate i); a matrix is a list of
 column bitmasks, or a sparse dict of its nonzero columns (index -> column).
 Everything here is exact and deterministic.
+
+Elimination is one loop, `echelon`: each vector is reduced by the kept
+residue with its top bit until that bit is new, and kept there.  A caller
+that needs combinations tags input i as `v << shift | 1 << i` and passes
+`shift`: the tags ride below the eliminated bits, so each residue's low
+bits name the inputs it sums, and a residue below 1 << shift is a relation
+among them.  `rank` keeps its own copy of the loop: homology calls it
+twice per box row, where the call and residue list of `echelon` cost a
+survey a few percent of its rows per second, and the benchmark tracer
+wraps `gf2.rank` by name.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ def apply_sparse(cols: dict[int, int], v: int) -> int:
 
 
 def rank(vectors: list[int]) -> int:
-    """Rank of the span of the given vectors."""
+    """Rank of the span of the given vectors: echelon's loop, counting the pivots."""
     pivots: dict[int, int] = {}  # top bit -> kept residue
     for v in vectors:
         while v:
@@ -48,44 +58,27 @@ def rank(vectors: list[int]) -> int:
     return len(pivots)
 
 
-class Echelon:
-    """Incremental echelon basis, keeping expression coefficients.
+def echelon(vectors: list[int], shift: int = 0) -> tuple[dict[int, int], list[int]]:
+    """Reduce each vector, in order, against the residues kept before it.
 
-    Each vector added carries a tag, a bit index.  reduce(v) returns
-    (residue, combination): v minus the basis vectors whose tags the
-    combination bitmask names.
+    Returns (pivots, residues): pivots maps each kept residue's top bit to
+    it; residues[i] is vector i's residue.  Only bits from `shift` up are
+    eliminated, so with tagged inputs a residue's bits below `shift` name
+    the inputs it sums, and it is below 1 << shift exactly when its input's
+    high part lies in the span of the earlier ones.
     """
-
-    def __init__(self) -> None:
-        self.pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (vector, combo)
-
-    @staticmethod
-    def _top(v: int) -> int:
-        return v.bit_length() - 1
-
-    def reduce(self, v: int) -> tuple[int, int]:
-        combo = 0
-        while v:
-            t = self._top(v)
-            if t not in self.pivots:
+    pivots: dict[int, int] = {}
+    residues = []
+    for v in vectors:
+        while v >> shift:
+            top = v.bit_length() - 1
+            w = pivots.get(top)
+            if w is None:
+                pivots[top] = v
                 break
-            w, c = self.pivots[t]
             v ^= w
-            combo ^= c
-        return v, combo
-
-    def add(self, v: int, tag: int) -> tuple[int, int]:
-        """Reduce v, tagged by bit `tag`, and keep its residue if nonzero.
-
-        Returns (residue, combination): the residue is the XOR of the added
-        vectors whose tags the combination names, v's own tag included, and
-        it is 0 exactly when v lies in the span of the vectors added before.
-        """
-        res, combo = self.reduce(v)
-        combo ^= 1 << tag
-        if res:
-            self.pivots[self._top(res)] = (res, combo)
-        return res, combo
+        residues.append(v)
+    return pivots, residues
 
 
 def solve(basis: list[int], target: int) -> int | None:
@@ -93,47 +86,35 @@ def solve(basis: list[int], target: int) -> int | None:
 
     Returns None when target is outside the span.
     """
-    ech = Echelon()
-    for i, b in enumerate(basis):
-        ech.add(b, i)
-    res, combo = ech.reduce(target)
-    return None if res else combo
+    n = len(basis)
+    res = echelon([b << n | 1 << i for i, b in enumerate(basis)] + [target << n], n)[1][-1]
+    return None if res >> n else res
 
 
 def in_span(vectors: list[int], target: int) -> bool:
-    return solve(vectors, target) is not None
+    return echelon(vectors + [target])[1][-1] == 0
 
 
 def span_basis(vectors: list[int]) -> list[int]:
     """A reduced basis of the span, deterministic in input order."""
-    out: list[int] = []
-    ech = Echelon()
-    for i, v in enumerate(vectors):
-        res, _ = ech.add(v, i)
-        if res:
-            out.append(res)
-    return out
+    return [res for res in echelon(vectors)[1] if res]
 
 
 def intersect(u: list[int], w: list[int]) -> list[int]:
     """Basis of span(u) & span(w), by stacking kernels.
 
     A vector in the intersection is A*x = B*y; solve [A | B] * (x, y) = 0
-    and read off the A*x parts of the kernel.
+    and read off the A*x parts of the kernel: the residues of the tagged
+    columns of [A | B] that fall below the tags' shift.
     """
     u = span_basis(u)
     w = span_basis(w)
     if not u or not w:
         return []
-    kernel: list[int] = []
-    ech = Echelon()
-    for j, col in enumerate(u + w):
-        res, combo = ech.add(col, j)
-        if res == 0:
-            kernel.append(combo)
-    mask = (1 << len(u)) - 1
-    out = [vec for combo in kernel if (vec := apply_columns(u, combo & mask))]
-    return span_basis(out)
+    n, mask = len(u) + len(w), (1 << len(u)) - 1
+    _, residues = echelon([v << n | 1 << i for i, v in enumerate(u + w)], n)
+    kernel = [res for res in residues if not res >> n]
+    return span_basis([vec for combo in kernel if (vec := apply_columns(u, combo & mask))])
 
 
 def bits(v: int) -> list[int]:

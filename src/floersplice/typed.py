@@ -328,10 +328,10 @@ def build_cfd(s: SimplifiedBases, n: int) -> TypeDModule:
     variant that routes through a canceling pair nu_1 <- nu_2.
 
     The xi generators and the arrow chains depend on s alone: the first call
-    for s builds them as a module of their own, the stable part, and keeps
-    it in s's instance dict.  Every call lists its unstable chain's
-    generators and edges, which are distinct by construction, and builds
-    the module over the stable part.
+    for s lists their edges and builds them as a module of their own, the
+    stable part, and keeps it in s's instance dict.  Every call lists its
+    unstable chain's generators and edges and builds the module over the
+    stable part.  Both edge lists are distinct by construction.
 
     The construction (and the L-space-form detection feeding the unstable
     chain choice) presumes each eta basis vector is a combination of xi
@@ -341,7 +341,8 @@ def build_cfd(s: SimplifiedBases, n: int) -> TypeDModule:
     s.require_compatible()
     stable = vars(s).get("_stable_cfd")
     if stable is None:  # the first framing of s builds the stable part and keeps it
-        stable = vars(s)["_stable_cfd"] = _stable_part(s)
+        gens, edges = _stable_part(s)
+        stable = vars(s)["_stable_cfd"] = TypeDModule(gens, frozenset(edges))
     gens, chain = _unstable_chain(s, n, stable.generators)
     return TypeDModule(gens, stable.edges | frozenset(chain), stable)
 
@@ -367,23 +368,23 @@ def _unstable_chain(s: SimplifiedBases, n: int,
     return gens, [*enter, *[(i, "23", i + 1) for i in range(first, last)], *[(last, "2", q) for q in ends]]
 
 
-def _stable_part(s: SimplifiedBases) -> TypeDModule:
+def _stable_part(s: SimplifiedBases) -> tuple[list[DGen], list[tuple[int, str, int]]]:
     """The xi generators and the vertical and horizontal arrow chains of s,
-    their edges summed mod 2."""
+    and the list of their edges, each once: every edge touches its own
+    arrow's generators, and within one arrow the labels or the ends differ."""
     gens = [DGen(f"x{p}", 0, "xi") for p in range(len(s.xi))]
-    parity: Counter = Counter()
+    edges = []
     for j, (src, dst, h) in enumerate(s.vertical_arrows, start=1):
         k = len(gens)
         gens += [DGen(f"kap{j}_{i}", 1, "kappa") for i in range(1, h + 1)]
-        parity.update([(src, "1", k), (dst, "123", k + h - 1)])
-        parity.update([(i + 1, "23", i) for i in range(k, k + h - 1)])
+        edges += [(src, "1", k), (dst, "123", k + h - 1), *[(i + 1, "23", i) for i in range(k, k + h - 1)]]
     for j, (src, dst, l) in enumerate(s.horizontal_arrows, start=1):
         k = len(gens)
         gens += [DGen(f"lam{j}_{i}", 1, "lambda") for i in range(1, l + 1)]
-        parity.update([(q, "3", k) for q, row in enumerate(s.a_matrix) if row >> src & 1])  # eta_src's xi
-        parity.update([(i, "23", i + 1) for i in range(k, k + l - 1)])
-        parity.update([(k + l - 1, "2", q) for q in gf2.bits(s.b_matrix[dst])])
-    return TypeDModule(gens, frozenset(e for e, c in parity.items() if c % 2))
+        edges += [(q, "3", k) for q, row in enumerate(s.a_matrix) if row >> src & 1]  # eta_src's xi
+        edges += [(i, "23", i + 1) for i in range(k, k + l - 1)]
+        edges += [(k + l - 1, "2", q) for q in gf2.bits(s.b_matrix[dst])]
+    return gens, edges
 
 
 # ---------------------------------------------------------------------------

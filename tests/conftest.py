@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from floersplice import gf2
+from floersplice.algebra import BASIS
 from floersplice.cfk import parse_complex
 
 DATA = Path(__file__).parent / "data"
@@ -20,6 +21,20 @@ def gen_index(module, gen_id):
 def compose(outer, inner):
     """Columns of the dense product outer . inner (inner applied first)."""
     return [gf2.apply_columns(outer, c) for c in inner]
+
+
+def element(*basis):
+    """An algebra element from basis names (F2: repeats cancel)."""
+    out = set()
+    for b in basis:
+        if b not in BASIS:
+            raise ValueError(f"unknown basis element {b!r}")
+        out ^= {b}
+    return frozenset(out)
+
+
+ZERO = frozenset()
+ONE = element("i0", "i1")
 
 
 @pytest.fixture(scope="session")

@@ -12,11 +12,9 @@ from floersplice import gf2
 from floersplice.algebra import (
     BASIS,
     GRADING,
-    ONE,
     PRODUCT_TABLE,
     REEB_IDEMPOTENTS,
     REEB_LABELS,
-    element,
     multiply,
 )
 from floersplice.boxtensor import box_tensor
@@ -44,7 +42,7 @@ from floersplice.typed import (
     solve_gradings,
     validate_type_d,
 )
-from conftest import gen_index
+from conftest import ONE, element, gen_index
 from test_pairing import assert_isolated
 
 TREFOIL = staircase([1, 1], "+", name="trefoil")

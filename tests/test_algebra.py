@@ -11,12 +11,9 @@ from floersplice.algebra import (
     EMPTY,
     GRADING,
     LABELS,
-    ONE,
     PRODUCT_TABLE,
     REEB_IDEMPOTENTS,
     REEB_LABELS,
-    ZERO,
-    element,
     is_merged,
     label_product,
     merge_word,
@@ -24,6 +21,8 @@ from floersplice.algebra import (
     swap_and_merge,
     swap_label,
 )
+
+from conftest import ONE, ZERO, element
 
 
 def test_nonzero_reeb_products_are_exactly_four():

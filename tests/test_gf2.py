@@ -31,10 +31,15 @@ wide_vectors = st.lists(sparse, max_size=20).flatmap(
 )
 
 
+def tag(vs):
+    """vs[i] << len(vs) | 1 << i, the tagging echelon's callers use."""
+    return [v << len(vs) | 1 << i for i, v in enumerate(vs)]
+
+
 @given(wide_vectors)
 def test_rank_matches_echelon_on_wide_vectors(vs):
-    ech = gf2.Echelon()
-    assert gf2.rank(vs) == sum(ech.add(v, i)[0] != 0 for i, v in enumerate(vs))
+    """rank's copy of the loop keeps as many pivots as echelon, tagged or not."""
+    assert gf2.rank(vs) == len(gf2.echelon(vs)[0]) == len(gf2.echelon(tag(vs), len(vs))[0])
 
 
 @given(vectors, st.integers(0, 255))
@@ -50,18 +55,20 @@ def test_solve(vs, target):
 
 
 @given(vectors)
-def test_echelon_add(vs):
-    """Each residue is the XOR of the tagged inputs its combination names,
-    and it is 0 exactly when the input lies in the span of earlier inputs."""
-    ech = gf2.Echelon()
-    for i, v in enumerate(vs):
-        res, combo = ech.add(v, i)
+def test_echelon_tags(vs):
+    """Each residue's tag bits name inputs, its own and earlier ones, whose
+    XOR is its high part; the high part is 0 exactly when the input lies in
+    the span of the earlier inputs."""
+    n = len(vs)
+    untagged = gf2.echelon(vs)[1]
+    for i, res in enumerate(gf2.echelon(tag(vs), n)[1]):
+        high, combo = res >> n, res & ((1 << n) - 1)
         named = 0
         for j in gf2.bits(combo):
             named ^= vs[j]
-        assert combo >> (i + 1) == 0
-        assert res == named
-        assert (res == 0) == (v in span_set(vs[:i]))
+        assert combo >> i == 1
+        assert high == named == untagged[i]
+        assert (high == 0) == (vs[i] in span_set(vs[:i]))
 
 
 @given(vectors)

@@ -975,13 +975,15 @@ def test_list_built_chain_matches_the_parity_reference(trefoil, mirror_trefoil, 
                                                        unknot_complex):
     """For the fixtures and the benchmark complexes at framings -120..120,
     build_cfd gives the generators and edges of the parity reference, and
-    the unstable chain it lists repeats no edge."""
+    neither the stable part nor the unstable chain it lists repeats an edge."""
     from test_splice import benchmark_complexes
 
     complexes = [trefoil, mirror_trefoil, t25, figure_eight, unknot_complex]
     complexes += benchmark_complexes().values()
     for c in complexes:
         s = simplify(c)
+        gens, edges = typed._stable_part(s)
+        assert len(set(edges)) == len(edges), c.name
         for n in range(-120, 121):
             d = build_cfd(s, n)
             gens, chain = typed._unstable_chain(s, n, d.stable.generators)
