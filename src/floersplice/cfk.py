@@ -454,18 +454,12 @@ def simplify(c: KnotComplex) -> SimplifiedBases:
         raise ValueError(f"{c.name}: A(xi_0) = {tau} does not equal -A(eta_0) = {-eta_alex[0]}")
     genus = max(abs(A[g]) for g in gens)
 
-    b_matrix = []
-    for vec in eta:
-        coeffs = gf2.solve(xi, vec)
-        if coeffs is None:
-            raise ValueError(f"{c.name}: eta basis does not lie in the xi span at U=0")
-        b_matrix.append(coeffs)
-    a_matrix = []
-    for vec in xi:
-        coeffs = gf2.solve(eta, vec)
-        if coeffs is None:
-            raise ValueError(f"{c.name}: xi basis does not lie in the eta span at U=0")
-        a_matrix.append(coeffs)
+    b_matrix = gf2.solve(xi, eta)
+    if b_matrix is None:
+        raise ValueError(f"{c.name}: eta basis does not lie in the xi span at U=0")
+    a_matrix = gf2.solve(eta, xi)
+    if a_matrix is None:
+        raise ValueError(f"{c.name}: xi basis does not lie in the eta span at U=0")
 
     lspace_form, sign, steps = _staircase_recognizer(xi_alex, eta_alex, xi, eta)
 

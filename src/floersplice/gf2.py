@@ -81,14 +81,19 @@ def echelon(vectors: list[int], shift: int = 0) -> tuple[dict[int, int], list[in
     return pivots, residues
 
 
-def solve(basis: list[int], target: int) -> int | None:
-    """Coefficients c (bitmask) with XOR of basis[i] over bits of c == target.
+def solve(basis: list[int], targets: list[int]) -> list[int] | None:
+    """Coefficients c (bitmask) of each target: XOR of basis[i] over bits of c == target.
 
-    Returns None when target is outside the span.
+    One elimination for all targets: the basis goes in tagged, the targets
+    untagged after it, so a target's residue below the shift is its
+    coefficients.  An in-span target's residue is never kept as a pivot, so
+    each is solved against the basis alone.  Returns None when any target
+    is outside the span.
     """
     n = len(basis)
-    res = echelon([b << n | 1 << i for i, b in enumerate(basis)] + [target << n], n)[1][-1]
-    return None if res >> n else res
+    tagged = [b << n | 1 << i for i, b in enumerate(basis)]
+    residues = echelon(tagged + [t << n for t in targets], n)[1][n:]
+    return None if any(res >> n for res in residues) else residues
 
 
 def in_span(vectors: list[int], target: int) -> bool:

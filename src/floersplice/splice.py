@@ -2,8 +2,9 @@
 
 splice_report runs the full pipeline for a pair of framed complexes: both
 complexes are simplified, the type D modules of the framed complements are
-built and graded, the left side is converted to its type A module, the box
-tensor is taken, and the graded homology decides the L-space question.
+built and graded, the side with fewer generators is converted to its type
+A module (either side's gives the same homology), the box tensor is taken,
+and the graded homology decides the L-space question.
 The result is compared against the closed-form predictor and (when both
 sides are bounded) the durable generator shortcut.  conjecture_check, the
 exact rational reformulation of the splice conditions, stands apart: no
@@ -222,20 +223,27 @@ class FramedSide:
         derives it for a side that meets many framings); otherwise only the
         operations whose word has a nonzero composite map in other are
         derived, which also ends an unbounded side's walk (derive_cfa refuses
-        two unbounded sides).  Both routes give the same counted box.
+        two unbounded sides).  Both routes give the same counted box.  The
+        walk starts a path at every chain generator of this side, so _splice
+        calls it on the side with fewer generators.
         """
         a = self.cfa if "cfa" in vars(self) else derive_cfa(self.d, against=other.d)
-        box = box_tensor(a, other.d)
-        if not box.d_squared_is_zero():
-            raise self.violation(other, "box tensor differential", " does not square to zero")
-        if not box.boundary_flips_grading():
-            raise self.violation(other, "box tensor differential", " does not flip the grading")
-        return box
+        return box_tensor(a, other.d)
 
 
 def _splice(side1: FramedSide, side2: FramedSide) -> SpliceReport:
     s1, s2, n1, n2 = side1.s, side2.s, side1.n, side2.n
-    ranks = graded_homology(side1.box_with(side2))
+    # Either box has the splice's homology; side 1 derives its type A module
+    # when it holds it whole already or is no larger, otherwise side 2 does.
+    if "cfa" in vars(side1) or len(side1.d.generators) <= len(side2.d.generators):
+        box = side1.box_with(side2)
+    else:
+        box = side2.box_with(side1)
+    if not box.d_squared_is_zero():
+        raise side1.violation(side2, "box tensor differential", " does not square to zero")
+    if not box.boundary_flips_grading():
+        raise side1.violation(side2, "box tensor differential", " does not flip the grading")
+    ranks = graded_homology(box)
     if ranks.euler_abs != abs(n1 * n2 - 1):
         raise side1.violation(
             side2,

@@ -42,16 +42,19 @@ def test_rank_matches_echelon_on_wide_vectors(vs):
     assert gf2.rank(vs) == len(gf2.echelon(vs)[0]) == len(gf2.echelon(tag(vs), len(vs))[0])
 
 
-@given(vectors, st.integers(0, 255))
-def test_solve(vs, target):
-    combo = gf2.solve(vs, target)
-    if combo is None:
-        assert target not in span_set(vs)
+@given(vectors, st.lists(st.integers(0, 255), max_size=4))
+def test_solve(vs, targets):
+    """One elimination solves every target, or returns None if any is outside the span."""
+    combos = gf2.solve(vs, targets)
+    if combos is None:
+        assert not set(targets) <= span_set(vs)
     else:
-        out = 0
-        for i in gf2.bits(combo):
-            out ^= vs[i]
-        assert out == target
+        assert len(combos) == len(targets)
+        for combo, target in zip(combos, targets):
+            out = 0
+            for i in gf2.bits(combo):
+                out ^= vs[i]
+            assert out == target
 
 
 @given(vectors)

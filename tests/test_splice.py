@@ -17,12 +17,13 @@ from floersplice.cfk import (
     unknot,
     validate_complex,
 )
-from floersplice.homology import GradedRanks
+from floersplice.homology import GradedRanks, graded_homology
 from floersplice.splice import (
     OUT_OF_SCOPE,
     FramedSide,
     InvariantViolation,
     Prepared,
+    _splice,
     conjecture_check,
     predict_lspace,
     splice_report,
@@ -161,6 +162,18 @@ class TestSpliceReport:
         assert not r.verdict and r.agree
 
 
+@pytest.fixture
+def walked(monkeypatch):
+    """The type D modules whose type A module splice derives, in call order."""
+    from floersplice import splice
+
+    modules = []
+    monkeypatch.setattr(
+        splice, "derive_cfa", lambda m, against=None: modules.append(m) or derive_cfa(m, against)
+    )
+    return modules
+
+
 class TestGuardMessages:
     """Each run-time guard names both framed sides and the stage that failed."""
 
@@ -181,6 +194,18 @@ class TestGuardMessages:
         monkeypatch.setattr(f"{target}.{attr}", lambda *args: value)
         with pytest.raises(InvariantViolation, match=match):
             splice_report(trefoil, 3, trefoil, 2)
+
+    @pytest.mark.parametrize("attr", ["d_squared_is_zero", "boundary_flips_grading"])
+    def test_box_guards_on_the_swapped_route(self, monkeypatch, walked, trefoil, attr):
+        """trefoil[40] has more generators than trefoil[2], so side 2 derives its
+        type A module; the guards still name the sides in report order."""
+        monkeypatch.setattr(f"floersplice.boxtensor.ChainComplex.{attr}", lambda box: False)
+        with pytest.raises(InvariantViolation) as caught:
+            splice_report(trefoil, 40, trefoil, 2)
+        assert str(caught.value).startswith("trefoil[40] x trefoil[2]: box tensor differential")
+        assert caught.value.stage == "box tensor differential"
+        assert caught.value.sides == (("trefoil", 40), ("trefoil", 2))
+        assert [len(m.generators) for m in walked] == [len(FramedSide(trefoil, 2).d.generators)]
 
     def test_type_d_refusal_says_where(self, monkeypatch, capsys, trefoil):
         """A failed validate_type_d names its stage and its one side as
@@ -367,6 +392,61 @@ class TestRoutes:
             side1.box_with(side2)
             assert ("cfa" in vars(side1)) == whole, f"{side1} x {side2}"
             self.check(FramedSide(c1, n1), side2)
+
+    @staticmethod
+    def homology_or_refusal(side1, side2):
+        try:
+            return graded_homology(side1.box_with(side2))
+        except ValueError as e:
+            return str(e)
+
+    def check_both_orders(self, framed) -> int:
+        """Either side's type A module boxed with the other's type D module has
+        the splice's homology, or both orders are refused in the same words.
+        Fresh sides for each order; returns the number of refused pairs."""
+        refused = 0
+        for c1, n1 in framed:
+            for c2, n2 in framed:
+                one = self.homology_or_refusal(FramedSide(c1, n1), FramedSide(c2, n2))
+                other = self.homology_or_refusal(FramedSide(c2, n2), FramedSide(c1, n1))
+                assert one == other, f"{c1.name}[{n1}] x {c2.name}[{n2}]"
+                refused += isinstance(one, str)
+        return refused
+
+    def test_both_orders_agree_on_fixtures(self, request):
+        framed = [(request.getfixturevalue(k), n) for k in FIXTURES for n in range(-6, 7)]
+        assert self.check_both_orders(framed) > 0  # pairs of unbounded sides are refused
+
+    def test_both_orders_agree_on_benchmark_complexes(self):
+        framed = [(c, n) for c in benchmark_complexes().values() for n in (-7, -2, 1, 3, 8)]
+        assert self.check_both_orders(framed) > 0
+
+    @pytest.mark.parametrize("depth", [100, 400])
+    def test_deep_side_pairs_through_its_partner(self, walked, trefoil, mirror_trefoil, depth):
+        """A deep first side has more generators than its partner, so the
+        partner's type A module is derived, and the report is the one the
+        first side's own type A module gives."""
+        splice_report(trefoil, depth, trefoil, 3)  # warm: the complexes' kept bases and stable walks
+        for c1, n1, c2, n2 in (
+            (trefoil, depth, trefoil, 3),
+            (mirror_trefoil, -depth, mirror_trefoil, -3),
+            (mirror_trefoil, -depth, trefoil, 3),
+        ):
+            walked.clear()
+            r = splice_report(c1, n1, c2, n2)
+            side1, side2 = FramedSide(c1, n1), FramedSide(c2, n2)
+            assert [len(m.generators) for m in walked] == [len(side2.d.generators)]
+            assert len(side2.d.generators) < len(side1.d.generators)
+            # a side that holds its type A module keeps the type A role
+            vars(side1)["cfa"] = derive_cfa(side1.d, against=side2.d)
+            assert _splice(side1, side2) == r, f"{side1} x {side2}"
+
+    def test_survey_derives_side_one_whole(self, walked, trefoil):
+        """A bounded side 1 that meets several framings is derived whole, once,
+        however many generators it has."""
+        rows = survey(trefoil, (100, 100), trefoil, (2, 4))
+        assert walked == [FramedSide(trefoil, 100).d]
+        assert rows == [splice_report(trefoil, 100, trefoil, n2) for n2 in (2, 3, 4)]
 
     def test_bounded_side_count(
         self, trefoil, mirror_trefoil, figure_eight, t25, unknot_complex
