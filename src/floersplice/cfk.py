@@ -42,12 +42,13 @@ class KnotComplex:
             if g in seen:
                 raise ValueError(f"duplicate generator {g!r}")
             seen.add(g)
-            if not isinstance(self.alexander.get(g), int):
+            a = self.alexander.get(g)
+            if not isinstance(a, int) or isinstance(a, bool):
                 raise ValueError(f"generator {g!r} has no int Alexander grading")
         for src, dst, k in self.differential:
             if src not in seen or dst not in seen:
                 raise ValueError(f"differential entry ({src},{dst}) uses unknown generator")
-            if not isinstance(k, int):
+            if not isinstance(k, int) or isinstance(k, bool):
                 raise ValueError(f"U power {k!r} in entry ({src},{dst}) is not an int")
             if k < 0:
                 raise ValueError(f"negative U power in entry ({src},{dst},{k})")
@@ -83,8 +84,8 @@ def staircase(steps: list[int], sign: str, name: str | None = None) -> KnotCompl
         raise ValueError("staircase sign must be '+' or '-'")
     if not steps or len(steps) % 2 != 0:
         raise ValueError("step vector must be nonempty of even length")
-    if any(b <= 0 for b in steps):
-        raise ValueError("steps must be positive")
+    if any(not isinstance(b, int) or isinstance(b, bool) or b <= 0 for b in steps):
+        raise ValueError("steps must be positive integers")
     if steps != steps[::-1]:
         raise ValueError("step vector must be palindromic")
     total = sum(steps)

@@ -16,13 +16,13 @@ from .cfk import FormatError, KnotComplex, parse_complex, simplify, validate_com
 from .splice import (
     FramedSide,
     InvariantViolation,
-    Prepared,
     predict_lspace,
+    prepare,
     splice_report,
     survey,
     survey_summary,
 )
-from .typea import ops_lines
+from .typea import derive_cfa, ops_lines
 from .typed import to_dot
 
 
@@ -74,7 +74,7 @@ def _cmd_cfd(args) -> int:
 
 
 def _cmd_cfa(args) -> int:
-    sys.stdout.writelines(ops_lines(FramedSide(_load(args.file), args.framing).cfa))
+    sys.stdout.writelines(ops_lines(derive_cfa(FramedSide(_load(args.file), args.framing).d)))
     return 0
 
 
@@ -132,7 +132,7 @@ def _cmd_durable(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    s1, s2 = (Prepared.of(_load(f)).s.require_compatible() for f in (args.file1, args.file2))
+    s1, s2 = (prepare(_load(f)).require_compatible() for f in (args.file1, args.file2))
     result = predict_lspace(s1.tau, s1.lspace_form, args.n1, s2.tau, s2.lspace_form, args.n2)
     print(result)
     return 0

@@ -582,9 +582,14 @@ def durable_candidates(s: SimplifiedBases) -> list[int]:
     They are the nonzero elements of every B'_k (only its basis vectors
     past SPAN_CAP) together with the xi basis vectors and eta rows (which
     covers the designated generators of L-space-form complexes).  They
-    depend on s alone, not on a framing.  Vectors are bitmasks over module
-    generators; iota_0 coordinates coincide with xi indices by construction.
+    depend on s alone, not on a framing: the first call for s lists them
+    and keeps the list in s's instance dict, as build_cfd keeps the stable
+    part.  Vectors are bitmasks over module generators; iota_0 coordinates
+    coincide with xi indices by construction.
     """
+    kept = vars(s).get("_durable_candidates")
+    if kept is not None:
+        return kept
     candidates: list[int] = []
     for k in sorted(set(s.xi_alex) | set(s.eta_alex)):
         basis = bk_prime(s, k)
@@ -594,7 +599,8 @@ def durable_candidates(s: SimplifiedBases) -> list[int]:
             candidates += [gf2.apply_columns(basis, mask) for mask in range(1, 1 << len(basis))]
     candidates += [1 << p for p in range(len(s.xi))]
     candidates += s.b_matrix
-    return list(dict.fromkeys(candidates))
+    kept = vars(s)["_durable_candidates"] = list(dict.fromkeys(candidates))
+    return kept
 
 
 def iter_durable_pairs(m: TypeDModule, candidates: list[int]):

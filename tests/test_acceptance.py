@@ -161,7 +161,8 @@ def test_criterion_07_structural_guards():
     for key, (c1, r1, c2, r2) in SWEEPS.items():
         for n1 in range(r1[0], r1[1] + 1):
             for n2 in range(r2[0], r2[1] + 1):
-                box = FramedSide(c1, n1).box_with(FramedSide(c2, n2))
+                side1, side2 = FramedSide(c1, n1), FramedSide(c2, n2)
+                box = box_tensor(derive_cfa(side1.d, against=side2.d), side2.d)
                 ok &= box.d_squared_is_zero()
                 ok &= box.boundary_flips_grading()
     report_line(7, ok, "d^2 = 0, structure equations, box guards on all pairings")

@@ -119,6 +119,9 @@ class TestStaircase:
             staircase([1, 1, 1], "+")  # odd length
         with pytest.raises(ValueError):
             staircase([], "+")
+        for steps in ([1.5, 1.5], ["1", "1"], [True, True], [0, 0]):
+            with pytest.raises(ValueError, match="^steps must be positive integers$"):
+                staircase(steps, "+")
 
     def test_all_constructions_validate(self):
         for steps in ([1, 1], [1, 1, 1, 1], [2, 2], [2, 1, 1, 2], [3, 1, 2, 2, 1, 3]):
@@ -154,10 +157,15 @@ class TestValidation:
             KnotComplex("x", ("a", "b", "c"), {"a": 0}, ())
         with pytest.raises(ValueError, match="generator 'a' has no int Alexander grading"):
             KnotComplex("z", ("a",), {"a": "0"}, ())
+        # a bool is an int to Python, but would serialize as `gen a False`
+        with pytest.raises(ValueError, match="generator 'a' has no int Alexander grading"):
+            KnotComplex("z", ("a",), {"a": False}, ())
 
     def test_non_int_u_power_refused(self):
         with pytest.raises(ValueError, match=r"U power '0' in entry \(b,a\) is not an int"):
             KnotComplex("y", ("a", "b"), {"a": 0, "b": 1}, (("b", "a", "0"),))
+        with pytest.raises(ValueError, match=r"U power True in entry \(b,a\) is not an int"):
+            KnotComplex("y", ("a", "b"), {"a": 0, "b": 1}, (("b", "a", True),))
 
 
 class TestSimplify:
@@ -284,6 +292,20 @@ def filtered_change(c, moves):
     return make_complex(c.name + "'", gens, A, list(entries))
 
 
+# Fresh complexes that test_barcode_stability re-presents, by name.
+BARCODE_BASES = {
+    "trefoil": lambda: staircase([1, 1], "+"),
+    "t25": lambda: staircase([1, 1, 1, 1], "+"),
+    "s2112": lambda: staircase([2, 1, 1, 2], "+"),
+    "fig8": lambda: make_complex(
+        "fig8",
+        ["a", "b", "c", "d", "e"],
+        {"a": 1, "b": 0, "c": 0, "d": -1, "e": 0},
+        [("a", "b", 0), ("c", "a", 1), ("c", "d", 0), ("d", "b", 1)],
+    ),
+}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(["trefoil", "t25", "fig8", "s2112"]),
@@ -293,17 +315,7 @@ def filtered_change(c, moves):
     ),
 )
 def test_barcode_stability(which, moves):
-    base = {
-        "trefoil": staircase([1, 1], "+"),
-        "t25": staircase([1, 1, 1, 1], "+"),
-        "s2112": staircase([2, 1, 1, 2], "+"),
-        "fig8": make_complex(
-            "fig8",
-            ["a", "b", "c", "d", "e"],
-            {"a": 1, "b": 0, "c": 0, "d": -1, "e": 0},
-            [("a", "b", 0), ("c", "a", 1), ("c", "d", 0), ("d", "b", 1)],
-        ),
-    }[which]
+    base = BARCODE_BASES[which]()
     changed = filtered_change(base, moves)
     report = validate_complex(changed)
     assert report.ok, report.failures()

@@ -2,10 +2,13 @@
 
 import copy
 import pickle
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floersplice.algebra import EMPTY, swap_and_merge
 from floersplice.boxtensor import box_tensor
@@ -22,16 +25,18 @@ from floersplice.splice import (
     OUT_OF_SCOPE,
     FramedSide,
     InvariantViolation,
-    Prepared,
     _splice,
     conjecture_check,
+    durable_candidates,
     predict_lspace,
+    prepare,
     splice_report,
     survey,
     survey_summary,
 )
 from floersplice.typea import AGen, TypeAModule, derive_cfa
 from floersplice.typed import walk_paths
+from test_cfk import BARCODE_BASES, filtered_change
 
 
 class TestPredictor:
@@ -126,6 +131,15 @@ class TestSpliceReport:
         assert d["schema"] == 1
         assert d["computed"] == [r.computed.rank0, r.computed.rank1]
         assert isinstance(r.to_json(), str)
+
+    def test_framing_must_be_an_int(self, trefoil):
+        """A bool framing would reach schema-1 JSON as `true`, and a float
+        would fail deep in the chain's range: both are refused up front."""
+        for n in (True, 3.0, "3"):
+            expected = f"^trefoil: framing {re.escape(repr(n))} is not an int$"
+            for args in ((trefoil, n, trefoil, 2), (trefoil, 2, trefoil, n)):
+                with pytest.raises(ValueError, match=expected):
+                    splice_report(*args)
 
     def test_unknot_side_out_of_scope_still_computes(
         self, trefoil, mirror_trefoil, unknot_complex
@@ -252,8 +266,6 @@ class TestIncompatibleBases:
         """A presentation whose reductions give filtration-incompatible bases
         is refused rather than run through a construction that presumes
         compatibility (which can mislead the predictor)."""
-        from test_cfk import filtered_change
-
         for base, moves in [
             ([2, 1, 1, 2], [(2, 4, 1), (4, 3, 0), (0, 2, 1), (4, 3, 1), (3, 2, 0)]),
             ([1, 1, 1, 1], [(3, 1, 0), (0, 3, 1)]),
@@ -262,6 +274,32 @@ class TestIncompatibleBases:
             assert not simplify(c).bases_compatible
             with pytest.raises(ValueError, match="not filtration compatible"):
                 splice_report(c, -1, c, 2)
+
+
+RE_PRESENTED = {**BARCODE_BASES, "mirror_trefoil": lambda: staircase([1, 1], "-")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(RE_PRESENTED)),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 1)), max_size=5),
+)
+def test_re_presentation_keeps_the_splice(which, moves):
+    """A filtered change of basis keeps every splice's ranks (up to the
+    swap of the two gradings), verdict and prediction, or, when its
+    reductions are not filtration compatible, is refused."""
+    base, trefoil = RE_PRESENTED[which](), staircase([1, 1], "+")
+    changed = filtered_change(base, moves)
+    if not simplify(changed).bases_compatible:
+        with pytest.raises(ValueError, match="not filtration compatible"):
+            splice_report(changed, 3, trefoil, 2)
+        return
+    for n1, n2 in ((3, 2), (-3, -2), (2, -3), (-1, 4)):
+        want, got = splice_report(base, n1, trefoil, n2), splice_report(changed, n1, trefoil, n2)
+        ranks = (got.computed.rank0, got.computed.rank1)
+        assert ranks in {(want.computed.rank0, want.computed.rank1),
+                         (want.computed.rank1, want.computed.rank0)}, (n1, n2)
+        assert (got.verdict, got.prediction) == (want.verdict, want.prediction), (n1, n2)
 
 
 class TestSurvey:
@@ -294,12 +332,16 @@ class TestSurvey:
         ]
         assert [r.to_dict() for r in survey(c1, range1, c2, range2)] == rows
 
-    def test_side_keeps_one_whole_type_a_module(self, trefoil, unknot_complex):
-        side = FramedSide(trefoil, 3)
-        assert side.cfa is side.cfa
-        assert side.cfa.operations == derive_cfa(side.d).operations
+    def test_side_keeps_one_whole_type_a_module(self, walked, trefoil, unknot_complex):
+        """A bounded side 1 derives one whole type A module per row range, which
+        every row pairs; an unbounded side 1 has none and pairs pruned per row."""
+        survey(trefoil, (3, 4), trefoil, (1, 3))
+        assert walked == [FramedSide(trefoil, 3).d, FramedSide(trefoil, 4).d]
+        walked.clear()
+        survey(unknot_complex, (0, 0), trefoil, (1, 3))
+        assert len(walked) == 3
         with pytest.raises(ValueError, match="only a bounded partner ends its walk"):
-            FramedSide(unknot_complex, 0).cfa
+            derive_cfa(FramedSide(unknot_complex, 0).d)
 
     def test_survey_raises_as_its_row(self, unknot_complex):
         with pytest.raises(ValueError) as one:
@@ -344,24 +386,28 @@ def capped_cfa(d, k):
 
 
 class TestRoutes:
-    """box_with derives only the pairable type A operations where that is cheaper;
-    its box complexes must equal those of the whole module, bit for bit.  For an
-    unbounded side 1 the whole module is its operations of words no longer than
-    side 2's longest Reeb path, which no pairable word exceeds."""
+    """A pruned type A module boxes to the whole module's box complex, bit for
+    bit, and _splice reports the whole module's homology on either of its
+    routes.  For an unbounded side 1 the whole module is its operations of
+    words no longer than side 2's longest Reeb path, which no pairable word
+    exceeds."""
 
     @staticmethod
     def check(side1, side2):
-        via_box_with = side1.box_with(side2)
         pruned = derive_cfa(side1.d, against=side2.d) if side2.d.bounded else None
         if side1.d.bounded:
-            whole = box_tensor(side1.cfa, side2.d)
+            whole_a = derive_cfa(side1.d)
+            whole = box_tensor(whole_a, side2.d)
         else:
             k = longest_reeb_path(side2.d)
             whole = box_tensor(capped_cfa(side1.d, k), side2.d)
             assert pruned.max_word_length <= k, f"{side1} x {side2}"
         if pruned is not None:
             assert box_tensor(pruned, side2.d) == whole, f"{side1} x {side2}"
-        assert via_box_with == whole, f"{side1} x {side2}"
+        report = _splice(side1, side2)
+        assert report.computed == graded_homology(whole), f"{side1} x {side2}"
+        if side1.d.bounded:
+            assert _splice(side1, side2, whole_a) == report, f"{side1} x {side2}"
 
     @pytest.mark.parametrize("k1", FIXTURES)
     def test_fixture_grid(self, request, k1):
@@ -375,28 +421,31 @@ class TestRoutes:
                 if side1.d.bounded or side2.d.bounded:
                     self.check(side1, side2)
 
-    def test_deep_and_unbounded_sides(self, trefoil, mirror_trefoil, unknot_complex):
-        """Fresh sides, so box_with picks its route from the two sides alone."""
+    def test_deep_and_unbounded_sides(self, walked, trefoil, mirror_trefoil, unknot_complex):
+        """Without a whole module, _splice derives the side with fewer
+        generators, pruned: one walk per splice."""
         cases = [
-            (unknot_complex, 0, c, n, False)
+            (unknot_complex, 0, c, n)
             for c in (trefoil, mirror_trefoil)
             for n in (-120, -3, 3, 120)
         ]
         cases += [
-            (trefoil, 82, mirror_trefoil, -5, False),
-            (mirror_trefoil, -90, trefoil, 3, False),
-            (trefoil, 60, trefoil, 61, False),
+            (trefoil, 82, mirror_trefoil, -5),
+            (mirror_trefoil, -90, trefoil, 3),
+            (trefoil, 60, trefoil, 61),
         ]
-        for c1, n1, c2, n2, whole in cases:
+        for c1, n1, c2, n2 in cases:
             side1, side2 = FramedSide(c1, n1), FramedSide(c2, n2)
-            side1.box_with(side2)
-            assert ("cfa" in vars(side1)) == whole, f"{side1} x {side2}"
-            self.check(FramedSide(c1, n1), side2)
+            walked.clear()
+            self.check(side1, side2)
+            smaller = min(side1.d, side2.d, key=lambda m: len(m.generators))
+            assert walked == [smaller], f"{side1} x {side2}"
 
     @staticmethod
     def homology_or_refusal(side1, side2):
+        """Side 1's type A module, pruned against side 2, boxed with side 2's type D."""
         try:
-            return graded_homology(side1.box_with(side2))
+            return graded_homology(box_tensor(derive_cfa(side1.d, against=side2.d), side2.d))
         except ValueError as e:
             return str(e)
 
@@ -437,9 +486,8 @@ class TestRoutes:
             side1, side2 = FramedSide(c1, n1), FramedSide(c2, n2)
             assert [len(m.generators) for m in walked] == [len(side2.d.generators)]
             assert len(side2.d.generators) < len(side1.d.generators)
-            # a side that holds its type A module keeps the type A role
-            vars(side1)["cfa"] = derive_cfa(side1.d, against=side2.d)
-            assert _splice(side1, side2) == r, f"{side1} x {side2}"
+            # side 1's own type A module, given to _splice, pairs to the same report
+            assert _splice(side1, side2, derive_cfa(side1.d, against=side2.d)) == r
 
     def test_survey_derives_side_one_whole(self, walked, trefoil):
         """A bounded side 1 that meets several framings is derived whole, once,
@@ -488,14 +536,15 @@ class TestPerComplexCache:
     once per complex object; whatever depends on the framing, once per side."""
 
     def test_once_per_complex_object(self, monkeypatch):
-        from floersplice import splice
+        from floersplice import splice, typed
 
         calls = {"validate_complex": [], "simplify": [], "durable_candidates": []}
 
         def counted(name, fn):
             def wrapper(arg):
-                calls[name].append(arg)
-                return fn(arg)
+                out = fn(arg)
+                calls[name].append((arg, out))
+                return out
             return wrapper
 
         for name in calls:
@@ -506,16 +555,22 @@ class TestPerComplexCache:
         for n in (-3, 0, 5):
             splice_report(c1, n, c2, n + 1)
             splice_report(c2, n, c1, n)
-        s1, s2 = Prepared.of(c1).s, Prepared.of(c2).s
-        assert [id(c) for c in calls["validate_complex"]] == [id(c1), id(c2)]
-        assert [id(c) for c in calls["simplify"]] == [id(c1), id(c2)]
-        assert [id(s) for s in calls["durable_candidates"]] == [id(s1), id(s2)]
+        s1, s2 = prepare(c1), prepare(c2)
+        assert [id(c) for c, _ in calls["validate_complex"]] == [id(c1), id(c2)]
+        assert [id(c) for c, _ in calls["simplify"]] == [id(c1), id(c2)]
+        # every side reads the one list of durable candidates kept on its bases,
+        # and so does find_durable_pairs
+        kept = {(id(s), id(out)) for s, out in calls["durable_candidates"]}
+        assert kept == {(id(s), id(durable_candidates(s))) for s in (s1, s2)}
+        with monkeypatch.context() as m:
+            m.setattr(typed, "bk_prime", lambda s, k: pytest.fail("candidates listed again"))
+            assert FramedSide(c1, 3).durable_pairs and FramedSide(c2, 3).durable_pairs
 
         fresh = benchmark_complexes()["trefoil"]
-        assert fresh == c1 and "_prepared" not in vars(fresh)
+        assert fresh == c1 and "_bases" not in vars(fresh)
         splice_report(fresh, 3, c2, 2)
-        assert [id(c) for c in calls["simplify"]] == [id(c1), id(c2), id(fresh)]
-        assert Prepared.of(fresh).s is not s1
+        assert [id(c) for c, _ in calls["simplify"]] == [id(c1), id(c2), id(fresh)]
+        assert prepare(fresh) is not s1
 
     def test_warm_reports_equal_fresh(self):
         """Every report is the same whether its complexes were prepared before or
@@ -538,16 +593,14 @@ class TestPerComplexCache:
         equal and prepares itself on its first framing."""
         c = benchmark_complexes()["fig8#trefoil"]
         first = splice_report(c, 1, c, -1).to_dict()
-        assert "_prepared" in vars(c)
+        assert "_bases" in vars(c)
         for back in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
-            assert back == c and "_prepared" not in vars(back)
+            assert back == c and "_bases" not in vars(back)
             assert splice_report(back, 1, back, -1).to_dict() == first
 
     @pytest.mark.parametrize("refused", ["invalid", "incompatible"])
     def test_refusal_is_raised_again(self, refused):
         """A refused complex keeps being refused, with the same error, on either side."""
-        from test_cfk import filtered_change
-
         if refused == "invalid":
             c = make_complex(
                 "bad", ["x", "y", "z"], {"x": 2, "y": 1, "z": 0}, [("x", "y", 0), ("y", "z", 0)]
