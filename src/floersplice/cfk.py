@@ -292,11 +292,13 @@ def validate_complex(c: KnotComplex) -> ValidationReport:
 class SimplifiedBases:
     """Vertically and horizontally simplified bases of a reduced complex.
 
-    Basis vectors are bitmasks in input generator coordinates (at U = 0;
-    the horizontal vectors are the lowest-grading homogeneous parts of the
-    honest F2[U] basis elements).  Arrows pair indices (2j-1, 2j) in each
-    family, with index 0 unpaired.  b_matrix row p is eta_p written in
-    the xi basis (a_matrix is its inverse).
+    Basis vectors are bitmasks in input generator coordinates, each read at
+    its own Alexander level: the xi vectors are the top-level parts of the
+    vertical reduction classes, the eta vectors the lowest-level parts of
+    the honest F2[U] horizontal basis elements (at U = 0).  Both bases are
+    homogeneous, so b_matrix row p, eta_p written in the xi basis, names
+    xi vectors at eta_p's level only (a_matrix is its inverse).  Arrows
+    pair indices (2j-1, 2j) in each family, with index 0 unpaired.
     """
 
     complex: KnotComplex
@@ -313,17 +315,6 @@ class SimplifiedBases:
     lspace_form: bool
     sign: str | None
     steps: list[int] | None
-    bases_compatible: bool
-
-    def require_compatible(self) -> SimplifiedBases:
-        """Self, or ValueError if the bases are not filtration compatible (see build_cfd)."""
-        if not self.bases_compatible:
-            raise ValueError(
-                f"{self.complex.name}: the vertical and horizontal reductions produced"
-                " bases that are not filtration compatible; re-present the complex"
-                " in a basis where they are"
-            )
-        return self
 
 
 def _reduce_pairing(columns: list[int], order: list[int]):
@@ -433,6 +424,9 @@ def simplify(c: KnotComplex) -> SimplifiedBases:
 
     xi, vertical_arrows = assemble(vpairs, vunpaired)
     xi_alex = [vec_alex(v) for v in xi]
+    # Each vertical vector is read at its own level, its highest-grading part,
+    # so each eta vector below is a combination of xi vectors at its level.
+    xi = [sum(1 << i for i in gf2.bits(v) if A[gens[i]] == a) for v, a in zip(xi, xi_alex)]
 
     # Horizontal basis vectors are reduction classes whose honest F2[U]
     # representatives carry U powers A(g) - level on each generator g of the
@@ -464,11 +458,6 @@ def simplify(c: KnotComplex) -> SimplifiedBases:
 
     lspace_form, sign, steps = _staircase_recognizer(xi_alex, eta_alex, xi, eta)
 
-    compatible = all(
-        all(xi_alex[q] == eta_alex[p] for q in gf2.bits(row))
-        for p, row in enumerate(b_matrix)
-    )
-
     return SimplifiedBases(
         complex=c,
         xi=xi,
@@ -484,14 +473,12 @@ def simplify(c: KnotComplex) -> SimplifiedBases:
         lspace_form=lspace_form,
         sign=sign,
         steps=steps,
-        bases_compatible=compatible,
     )
 
 
 def knot_invariants(s: SimplifiedBases) -> dict:
-    """tau, genus, whether the bases are compatible, and staircase data in L-space form."""
+    """tau, genus, whether the complex is of L-space form, and its staircase data if so."""
     out = {"tau": s.tau, "genus": s.genus, "lspace_form": s.lspace_form}
-    out["bases_compatible"] = s.bases_compatible
     if s.lspace_form:
         out["sign"] = s.sign
         out["step_vector"] = list(s.steps or [])

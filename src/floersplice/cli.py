@@ -55,7 +55,7 @@ def _cmd_validate(args) -> int:
         print(f"warning: {w}")
     if not report.ok:
         return 1
-    s = simplify(c).require_compatible()
+    s = simplify(c)
     print(f"tau={s.tau} genus={s.genus} lspace_form={s.lspace_form}")
     return 0
 
@@ -132,7 +132,7 @@ def _cmd_durable(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    s1, s2 = (prepare(_load(f)).require_compatible() for f in (args.file1, args.file2))
+    s1, s2 = (prepare(_load(f)) for f in (args.file1, args.file2))
     result = predict_lspace(s1.tau, s1.lspace_form, args.n1, s2.tau, s2.lspace_form, args.n2)
     print(result)
     return 0

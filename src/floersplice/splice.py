@@ -159,6 +159,12 @@ def prepare(c: KnotComplex) -> SimplifiedBases:
     return s
 
 
+def _require_int(n, what: str) -> None:
+    """ValueError naming `what` unless n is an int (a bool is not)."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"{what} {n!r} is not an int")
+
+
 class FramedSide:
     """One framed complement, prepared once per splice_report or survey call.
 
@@ -171,8 +177,7 @@ class FramedSide:
     """
 
     def __init__(self, c: KnotComplex, n: int):
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError(f"{c.name}: framing {n!r} is not an int")
+        _require_int(n, f"{c.name}: framing")
         s = prepare(c)
         d = build_cfd(s, n)
         dreport = validate_type_d(d)
@@ -271,7 +276,11 @@ def survey(
 
     Each side is prepared once, on first use in row order, so a failure
     surfaces at the same row as with one splice_report call per row.
+    A range end that is not an int is refused before any row.
     """
+    for r in (range1, range2):
+        for end in r:
+            _require_int(end, f"survey range {r!r}: end")
     sides2: dict[int, FramedSide] = {}
     reports = []
     for n1 in range(range1[0], range1[1] + 1):

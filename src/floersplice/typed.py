@@ -333,12 +333,10 @@ def build_cfd(s: SimplifiedBases, n: int) -> TypeDModule:
     unstable chain's generators and edges and builds the module over the
     stable part.  Both edge lists are distinct by construction.
 
-    The construction (and the L-space-form detection feeding the unstable
-    chain choice) presumes each eta basis vector is a combination of xi
-    vectors at its own filtration level; presentations whose reductions
-    miss that property are refused.
+    The construction reads each eta basis vector as a combination of xi
+    vectors at its own Alexander level, which holds for every s that
+    simplify returns: both bases are read at their own levels.
     """
-    s.require_compatible()
     stable = vars(s).get("_stable_cfd")
     if stable is None:  # the first framing of s builds the stable part and keeps it
         gens, edges = _stable_part(s)

@@ -226,7 +226,6 @@ class TestKnotInvariants:
             "tau": 1,
             "genus": 1,
             "lspace_form": True,
-            "bases_compatible": True,
             "sign": "+",
             "step_vector": [1, 1],
         }
@@ -237,11 +236,7 @@ class TestKnotInvariants:
 
     def test_figure_eight(self, figure_eight):
         inv = knot_invariants(simplify(figure_eight))
-        assert inv == {"tau": 0, "genus": 1, "lspace_form": False, "bases_compatible": True}
-
-    def test_incompatible_bases_flagged(self):
-        c = filtered_change(staircase([1, 1], "+"), [(2, 1, 0)])
-        assert knot_invariants(simplify(c))["bases_compatible"] is False
+        assert inv == {"tau": 0, "genus": 1, "lspace_form": False}
 
     def test_staircase_round_trip(self):
         for steps in ([1, 1], [1, 1, 1, 1], [2, 1, 1, 2], [2, 2]):
@@ -327,3 +322,6 @@ def test_barcode_stability(which, moves):
         l for *_, l in s1.horizontal_arrows
     )
     assert s0.tau == s1.tau
+    # Both bases are read at their own levels, so the recogniser compares
+    # graded vectors and sees the same staircase in every presentation.
+    assert knot_invariants(s1) == knot_invariants(s0)

@@ -133,17 +133,25 @@ def test_predict(capsys):
     assert out.strip() == "out-of-scope"
 
 
-def test_incompatible_bases_refused(tmp_path, capsys):
-    """A trefoil re-presented so its reductions give filtration-incompatible
-    bases would read lspace_form=False and predict False at (3, 2), where the
-    true answer is True; both commands refuse it instead."""
+def test_re_presented_complexes_accepted(tmp_path, capsys):
+    """A trefoil and a T(2,5) re-presented so that a vertical reduction class
+    spans two Alexander levels read as their originals: validate finds the
+    same invariants, predict and splice give the original's answers."""
     path = tmp_path / "retrefoil.cfk"
     path.write_text(serialize_complex(filtered_change(staircase([1, 1], "+"), [(2, 1, 0)])))
-    for argv in (("validate", str(path)), ("predict", str(path), "3", TREFOIL, "2")):
-        code, out, err = run(capsys, *argv)
-        assert code == 1, argv
-        assert "not filtration compatible" in err
-        assert "lspace_form" not in out and "False" not in out
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0 and out.splitlines()[-1] == "tau=1 genus=1 lspace_form=True"
+    assert run(capsys, "predict", str(path), "3", TREFOIL, "2") == (0, "True\n", "")
+    re_t25 = str(DATA / "t25_represented.cfk")
+    code, out, _ = run(capsys, "validate", re_t25)
+    assert code == 0 and out.splitlines()[-1] == "tau=2 genus=2 lspace_form=True"
+    for n1 in (3, 4, 5):
+        computed = []
+        for f in (str(DATA / "t25.cfk"), re_t25):
+            code, out, _ = run(capsys, "splice", f, str(n1), TREFOIL, "2", "--json")
+            assert code == 0
+            computed.append(json.loads(out)["computed"])
+        assert computed[0] == computed[1], n1
 
 
 def test_simplify_refusal_names_the_complex(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Predictor, conjecture arithmetic, splice reports, and surveys."""
 
 import copy
+import functools
 import pickle
 import re
 from fractions import Fraction
@@ -261,22 +262,50 @@ class TestGuardMessages:
             splice_report(figure_eight, 1, trefoil, 4)
 
 
-class TestIncompatibleBases:
-    def test_incompatible_reduction_refused(self):
-        """A presentation whose reductions give filtration-incompatible bases
-        is refused rather than run through a construction that presumes
-        compatibility (which can mislead the predictor)."""
-        for base, moves in [
-            ([2, 1, 1, 2], [(2, 4, 1), (4, 3, 0), (0, 2, 1), (4, 3, 1), (3, 2, 0)]),
-            ([1, 1, 1, 1], [(3, 1, 0), (0, 3, 1)]),
-        ]:
-            c = filtered_change(staircase(base, "+"), moves)
-            assert not simplify(c).bases_compatible
-            with pytest.raises(ValueError, match="not filtration compatible"):
-                splice_report(c, -1, c, 2)
+def outcome(report):
+    """A splice's graded ranks, verdict and prediction."""
+    return report.computed.rank0, report.computed.rank1, report.verdict, report.prediction
+
+
+# Presentations whose vertical reduction classes are not homogeneous: each
+# horizontal vector is a combination of xi vectors at its own level only once
+# the xi vectors are read at their own levels too.
+RE_PRESENTED_EXAMPLES = [
+    ([2, 1, 1, 2], [(2, 4, 1), (4, 3, 0), (0, 2, 1), (4, 3, 1), (3, 2, 0)]),
+    ([1, 1, 1, 1], [(3, 1, 0), (0, 3, 1)]),
+    ([1, 1], [(2, 1, 0)]),
+    ([1, 1, 1, 1], [(2, 0, 0)]),
+]
+
+
+class TestRePresentedBases:
+    @pytest.mark.parametrize("steps, moves", RE_PRESENTED_EXAMPLES,
+                             ids=["s2112", "t25", "trefoil", "t25-b"])
+    def test_splices_like_the_original(self, steps, moves, trefoil, figure_eight):
+        """A re-presentation whose vertical reduction classes span several
+        levels splices like its original against the trefoil and the figure
+        eight in both orders and against itself, with no grading swap."""
+        base = staircase(steps, "+")
+        changed = filtered_change(base, moves)
+        assert validate_complex(changed).ok
+        for n1 in range(-6, 8):
+            for n2 in range(-5, 6):
+                for partner in (trefoil, figure_eight):
+                    for want, got in (((base, n1, partner, n2), (changed, n1, partner, n2)),
+                                      ((partner, n2, base, n1), (partner, n2, changed, n1))):
+                        assert outcome(splice_report(*got)) == outcome(splice_report(*want)), got
+                want, got = splice_report(base, n1, base, n2), splice_report(changed, n1, changed, n2)
+                assert outcome(got) == outcome(want), (n1, n2)
 
 
 RE_PRESENTED = {**BARCODE_BASES, "mirror_trefoil": lambda: staircase([1, 1], "-")}
+PARTNERS = {k: RE_PRESENTED[k]() for k in ("trefoil", "mirror_trefoil", "fig8")}
+
+
+@functools.cache
+def original_splice(which, n1, partner, n2):
+    """splice_report of the unchanged complex, computed once per test session."""
+    return splice_report(RE_PRESENTED[which](), n1, PARTNERS[partner], n2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -285,21 +314,23 @@ RE_PRESENTED = {**BARCODE_BASES, "mirror_trefoil": lambda: staircase([1, 1], "-"
     st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 1)), max_size=5),
 )
 def test_re_presentation_keeps_the_splice(which, moves):
-    """A filtered change of basis keeps every splice's ranks (up to the
-    swap of the two gradings), verdict and prediction, or, when its
-    reductions are not filtration compatible, is refused."""
-    base, trefoil = RE_PRESENTED[which](), staircase([1, 1], "+")
+    """A filtered change of basis is never refused, and keeps every splice's
+    ranks (up to the swap of the two gradings), verdict and prediction:
+    against the trefoil, its mirror and the figure eight, at framings that
+    include 2 tau - 1, 2 tau and 2 tau + 1, where the type D module changes shape."""
+    base = RE_PRESENTED[which]()
     changed = filtered_change(base, moves)
-    if not simplify(changed).bases_compatible:
-        with pytest.raises(ValueError, match="not filtration compatible"):
-            splice_report(changed, 3, trefoil, 2)
-        return
-    for n1, n2 in ((3, 2), (-3, -2), (2, -3), (-1, 4)):
-        want, got = splice_report(base, n1, trefoil, n2), splice_report(changed, n1, trefoil, n2)
-        ranks = (got.computed.rank0, got.computed.rank1)
-        assert ranks in {(want.computed.rank0, want.computed.rank1),
-                         (want.computed.rank1, want.computed.rank0)}, (n1, n2)
-        assert (got.verdict, got.prediction) == (want.verdict, want.prediction), (n1, n2)
+    two_tau = 2 * simplify(base).tau
+    framings = [(3, 2), (-3, -2), (2, -3), (-1, 4),
+                (two_tau - 1, 1), (two_tau, -1), (two_tau + 1, 2)]
+    for partner in PARTNERS:
+        for n1, n2 in framings:
+            want = original_splice(which, n1, partner, n2)
+            got = splice_report(changed, n1, PARTNERS[partner], n2)
+            ranks = (got.computed.rank0, got.computed.rank1)
+            assert ranks in {(want.computed.rank0, want.computed.rank1),
+                             (want.computed.rank1, want.computed.rank0)}, (partner, n1, n2)
+            assert (got.verdict, got.prediction) == (want.verdict, want.prediction), (partner, n1, n2)
 
 
 class TestSurvey:
@@ -342,6 +373,16 @@ class TestSurvey:
         assert len(walked) == 3
         with pytest.raises(ValueError, match="only a bounded partner ends its walk"):
             derive_cfa(FramedSide(unknot_complex, 0).d)
+
+    def test_range_ends_must_be_ints(self, trefoil):
+        """A float, str or bool range end is refused, naming the range, by the
+        rule a framing follows, before any row is computed."""
+        cases = (((0.0, 2.0), "0.0"), (("0", "2"), "'0'"), ((True, 2), "True"), ((0, False), "False"))
+        for bad, end in cases:
+            expected = f"^survey range {re.escape(repr(bad))}: end {end} is not an int$"
+            for args in ((trefoil, bad, trefoil, (1, 2)), (trefoil, (1, 2), trefoil, bad)):
+                with pytest.raises(ValueError, match=expected):
+                    survey(*args)
 
     def test_survey_raises_as_its_row(self, unknot_complex):
         with pytest.raises(ValueError) as one:
@@ -598,7 +639,7 @@ class TestPerComplexCache:
             assert back == c and "_bases" not in vars(back)
             assert splice_report(back, 1, back, -1).to_dict() == first
 
-    @pytest.mark.parametrize("refused", ["invalid", "incompatible"])
+    @pytest.mark.parametrize("refused", ["invalid", "unsimplifiable"])
     def test_refusal_is_raised_again(self, refused):
         """A refused complex keeps being refused, with the same error, on either side."""
         if refused == "invalid":
@@ -607,10 +648,10 @@ class TestPerComplexCache:
             )
             assert not validate_complex(c).ok
             expected = "bad: validation failed: d_squared_zero"
-        else:
-            c = filtered_change(staircase([1, 1, 1, 1], "+"), [(3, 1, 0), (0, 3, 1)])
-            assert not simplify(c).bases_compatible
-            expected = "not filtration compatible"
+        else:  # passes validation, but its horizontal reduction leaves three unpaired
+            c = make_complex("h", ["a", "b", "c"], {"a": 0, "b": 1, "c": 1}, [("b", "a", 0)])
+            assert validate_complex(c).ok
+            expected = "h: horizontal reduction left 3 unpaired generators"
         trefoil = staircase([1, 1], "+")
         for args in [(c, 1, trefoil, 2), (trefoil, 2, c, 1)]:
             errors = []
