@@ -11,11 +11,16 @@ recognizer used to detect L-space-knot complexes.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from . import gf2
+
+
+_NAME = re.compile(r"[^\s#+=]+")  # what a `gen` line and the terms of a `d` line can carry
+_NAME_RULE = "a name is a nonempty str with no whitespace, '#', '+' or '='"
 
 
 class FormatError(ValueError):
@@ -42,6 +47,8 @@ class KnotComplex:
             if g in seen:
                 raise ValueError(f"duplicate generator {g!r}")
             seen.add(g)
+            if not (isinstance(g, str) and _NAME.fullmatch(g)):
+                raise ValueError(f"generator {g!r}: {_NAME_RULE}")
             a = self.alexander.get(g)
             if not isinstance(a, int) or isinstance(a, bool):
                 raise ValueError(f"generator {g!r} has no int Alexander grading")
@@ -145,6 +152,8 @@ def parse_complex(text: str, name: str = "complex") -> KnotComplex:
             if len(tokens) != 3:
                 raise FormatError("expected `gen <name> <alexander>`", lineno)
             g = tokens[1]
+            if not _NAME.fullmatch(g):
+                raise FormatError(f"generator {g!r}: {_NAME_RULE}", lineno)
             try:
                 a = int(tokens[2])
             except ValueError:
@@ -317,31 +326,41 @@ class SimplifiedBases:
     steps: list[int] | None
 
 
-def _reduce_pairing(columns: list[int], order: list[int]):
-    """Lowest-one column reduction in the given processing order.
+def _reduced_basis(c: KnotComplex, side: str, keep, sign: int):
+    """One side's simplified basis, each vector read at its own level.
 
-    order lists generator indices from earliest to latest; boundary supports
-    must lie strictly earlier than the column's own position.  Returns
-    (pairs, unpaired) where pairs are (src_vec, dst_vec, src_gen, dst_gen)
-    with vectors in generator coordinates and unpaired is a list of
-    (vec, gen) for the essential cycles.
+    Lowest-one reduction of the part of the differential that keep accepts,
+    processing generators in ascending (sign * A, index): keep's entries
+    point strictly earlier, and each source meets its closest target, so
+    arrow lengths are canonical.  The basis is the one unpaired class, then
+    each pair's source and target, pairs by (length, source index); a vector
+    is read as its part at its extreme sign * A.  Returns (basis, levels,
+    arrows); raises ValueError naming the side when other than one
+    generator stays unpaired.
     """
+    a = [c.alexander[g] for g in c.generators]
+    n, mask = len(a), (1 << len(a)) - 1
+    order = sorted(range(n), key=lambda i: (sign * a[i], i))
     pos = {g: p for p, g in enumerate(order)}
-    n, mask = len(columns), (1 << len(columns)) - 1
+    cols = _columns(c, keep)
     # Column p is generator order[p]'s boundary in position coordinates, from
     # bit n up, tagged by its generator below: its residue's high part is the
     # boundary of the basis vector its tags name, in generator coordinates.
     _, residues = gf2.echelon(
-        [sum(1 << (n + pos[i]) for i in gf2.bits(columns[g])) | 1 << g for g in order], n)
-    pairs_by_col = {p: (r >> n).bit_length() - 1 for p, r in enumerate(residues) if r >> n}
+        [sum(1 << (n + pos[i]) for i in gf2.bits(cols[g])) | 1 << g for g in order], n)
+    low = {p: (r >> n).bit_length() - 1 for p, r in enumerate(residues) if r >> n}
+    unpaired = set(range(n)).difference(low, low.values())
+    if len(unpaired) != 1:
+        raise ValueError(f"{c.name}: {side} reduction left {len(unpaired)} unpaired generators (expected 1)")
 
-    paired_positions = set(pairs_by_col) | set(pairs_by_col.values())
-    unpaired = [(residues[p] & mask, g) for p, g in enumerate(order) if p not in paired_positions]
-    pairs = [
-        (residues[p] & mask, sum(1 << order[q] for q in gf2.bits(residues[p] >> n)), order[p], order[low])
-        for p, low in sorted(pairs_by_col.items())
-    ]
-    return pairs, unpaired
+    vectors, arrows = [residues[unpaired.pop()] & mask], []
+    pairs = sorted((abs(a[order[p]] - a[order[q]]), order[p], p) for p, q in low.items())
+    for j, (length, _, p) in enumerate(pairs, start=1):
+        vectors += [residues[p] & mask, sum(1 << order[b] for b in gf2.bits(residues[p] >> n))]
+        arrows.append((2 * j - 1, 2 * j, length))
+    levels = [sign * max(sign * a[i] for i in gf2.bits(v)) for v in vectors]
+    basis = [sum(1 << i for i in gf2.bits(v) if a[i] == lvl) for v, lvl in zip(vectors, levels)]
+    return basis, levels, arrows
 
 
 def _staircase_recognizer(xi_alex, eta_alex, xi, eta):
@@ -379,75 +398,23 @@ def simplify(c: KnotComplex) -> SimplifiedBases:
     """Compute simplified bases, arrows, change of basis, tau and genus.
 
     Pre-condition: c passes validate_complex.  Raises ValueError when
-    either reduction leaves more than one unpaired generator (the complex
+    either reduction leaves other than one unpaired generator (the complex
     does not have one-dimensional vertical homology) or when
     A(xi_0) != -A(eta_0).
     """
     A = c.alexander
-    gens = c.generators
-
-    def vec_alex(vec: int) -> int:
-        return max(A[gens[i]] for i in gf2.bits(vec))
-
-    # Vertical side: differentials strictly drop the grading, so process in
-    # ascending (A, input index); the lowest-one pairing then matches each
-    # source to its closest target, making arrow lengths canonical.
-    vorder = sorted(range(len(gens)), key=lambda i: (A[gens[i]], i))
-    vpairs, vunpaired = _reduce_pairing(_columns(c, lambda src, dst, k: k == 0), vorder)
-    if len(vunpaired) != 1:
-        raise ValueError(
-            f"{c.name}: vertical reduction left {len(vunpaired)} unpaired generators (expected 1)"
-        )
-
-    # Horizontal side: the grading-raising part, processed in descending A.
-    horder = sorted(range(len(gens)), key=lambda i: (-A[gens[i]], i))
-    hcols = _columns(c, lambda src, dst, k: 1 <= k == A[dst] - A[src])
-    hpairs, hunpaired = _reduce_pairing(hcols, horder)
-    if len(hunpaired) != 1:
-        raise ValueError(
-            f"{c.name}: horizontal reduction left {len(hunpaired)} unpaired generators (expected 1)"
-        )
-
-    def assemble(pairs, unpaired):
-        basis = [unpaired[0][0]]
-        arrows = []
-        decorated = []
-        for src_vec, dst_vec, src_gen, dst_gen in pairs:
-            length = abs(A[gens[src_gen]] - A[gens[dst_gen]])
-            decorated.append((length, src_gen, src_vec, dst_vec))
-        decorated.sort(key=lambda t: (t[0], t[1]))
-        for j, (length, _src, src_vec, dst_vec) in enumerate(decorated, start=1):
-            basis.append(src_vec)
-            basis.append(dst_vec)
-            arrows.append((2 * j - 1, 2 * j, length))
-        return basis, arrows
-
-    xi, vertical_arrows = assemble(vpairs, vunpaired)
-    xi_alex = [vec_alex(v) for v in xi]
-    # Each vertical vector is read at its own level, its highest-grading part,
-    # so each eta vector below is a combination of xi vectors at its level.
-    xi = [sum(1 << i for i in gf2.bits(v) if A[gens[i]] == a) for v, a in zip(xi, xi_alex)]
-
-    # Horizontal basis vectors are reduction classes whose honest F2[U]
-    # representatives carry U powers A(g) - level on each generator g of the
-    # support; at U = 0 only the lowest-grading part survives, and that level
-    # is the vector's filtration level.
-    eta_classes, horizontal_arrows = assemble(hpairs, hunpaired)
-    eta = []
-    eta_alex = []
-    for vec in eta_classes:
-        lvl = min(A[gens[i]] for i in gf2.bits(vec))
-        lead = 0
-        for i in gf2.bits(vec):
-            if A[gens[i]] == lvl:
-                lead |= 1 << i
-        eta.append(lead)
-        eta_alex.append(lvl)
+    # Vertical: the part mod U, each vector read at its top level.  Horizontal:
+    # the grading-raising part; at U = 0 an honest F2[U] representative keeps
+    # only its lowest level.  Both bases are homogeneous, so each eta vector
+    # is a combination of xi vectors at its own level.
+    xi, xi_alex, vertical_arrows = _reduced_basis(c, "vertical", lambda src, dst, k: k == 0, 1)
+    eta, eta_alex, horizontal_arrows = _reduced_basis(
+        c, "horizontal", lambda src, dst, k: 1 <= k == A[dst] - A[src], -1)
 
     tau = xi_alex[0]
     if tau != -eta_alex[0]:
         raise ValueError(f"{c.name}: A(xi_0) = {tau} does not equal -A(eta_0) = {-eta_alex[0]}")
-    genus = max(abs(A[g]) for g in gens)
+    genus = max(abs(A[g]) for g in c.generators)
 
     b_matrix = gf2.solve(xi, eta)
     if b_matrix is None:

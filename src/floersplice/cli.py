@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation or input failure, 2 internal invariant
-violation (a structural guarantee of the computation failed).
+Exit codes: 0 success, 1 validation, input or command-line failure, 2
+internal invariant violation (a structural guarantee of the computation failed).
 """
 
 from __future__ import annotations
@@ -188,7 +188,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("n2", type=int)
     p.set_defaults(func=_cmd_predict)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a malformed command line, 0 after --help
+        return 1 if e.code else 0
     try:
         return args.func(args)
     except InvariantViolation as e:

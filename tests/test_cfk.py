@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -80,6 +81,13 @@ class TestParsing:
     def test_unknown_generator(self):
         with pytest.raises(FormatError):
             parse_complex("gen a 0\nd a = b\n")
+
+    @pytest.mark.parametrize("name", ["b+c", "b=c", "=", "+"])
+    def test_generator_name_refused_at_its_gen_line(self, name):
+        """A name a `d` line could not carry is refused where it is declared."""
+        with pytest.raises(FormatError, match=f"generator {re.escape(repr(name))}: a name is") as e:
+            parse_complex(f"gen a 0\ngen {name} 1\nd {name} = a\n")
+        assert e.value.line == 2
 
     def test_negative_power_rejected(self):
         with pytest.raises(FormatError):
@@ -161,6 +169,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="generator 'a' has no int Alexander grading"):
             KnotComplex("z", ("a",), {"a": False}, ())
 
+    @pytest.mark.parametrize("name", ["", "a b", "a\tb", "a#b", "b+c", "b=c", 7, None])
+    def test_generator_name_outside_the_file_format_refused(self, name):
+        """Every name a complex accepts is one its file text carries back unchanged."""
+        with pytest.raises(ValueError, match=f"^generator {re.escape(repr(name))}: a name is a nonempty str"):
+            make_complex("n", ["a", name], {"a": 0, name: 1}, [(name, "a", 0)])
+
     def test_non_int_u_power_refused(self):
         with pytest.raises(ValueError, match=r"U power '0' in entry \(b,a\) is not an int"):
             KnotComplex("y", ("a", "b"), {"a": 0, "b": 1}, (("b", "a", "0"),))
@@ -215,8 +229,9 @@ class TestSimplify:
 
     def test_rejects_rank_violating_complex(self):
         c = make_complex("two", ["x", "y"], {"x": 0, "y": 1}, [])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as e:
             simplify(c)
+        assert str(e.value) == "two: vertical reduction left 2 unpaired generators (expected 1)"
 
 
 class TestKnotInvariants:

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from floersplice.cfk import serialize_complex, staircase
 from floersplice.cli import main
 from test_cfk import filtered_change
@@ -162,6 +164,25 @@ def test_simplify_refusal_names_the_complex(tmp_path, capsys):
     code, _, err = run(capsys, "splice", str(path), "1", TREFOIL, "3")
     assert code == 1
     assert err == "error: h: horizontal reduction left 3 unpaired generators (expected 1)\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["splice", TREFOIL, "x", TREFOIL, "2"], "argument n1: invalid int value: 'x'"),
+    (["cfd", TREFOIL], "the following arguments are required: --framing"),
+    (["survey", TREFOIL, TREFOIL, "--range1", "-3..2", "--range2", "0..1"],
+     "argument --range1: expected one argument"),
+])
+def test_usage_error_exit_code(capsys, argv, message):
+    """A malformed command line is an input failure: exit 1 with argparse's
+    message on stderr, and no SystemExit for an in-process caller."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: floersplice ") and err.endswith(f": error: {message}\n")
+
+
+def test_help_exit_code(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: floersplice")
 
 
 def test_missing_file(capsys):
