@@ -76,7 +76,7 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
     if b is not None and b is not d and (b.generators, b.edges) != (d.generators, d.edges):
         raise ValueError("type A module was pruned against another type D module")
 
-    agens, dgens = a.generators, d.generators
+    agens, dgens = a.source.generators, d.generators
     na, nd = len(agens), len(dgens)
     acc: dict[int, int] = {}  # (asrc * nd + dstart) * na + adst -> type D ends, mod 2
 
@@ -94,7 +94,7 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
                     acc[key] = acc.get(key, 0) ^ ends
 
     # (b) identity-labeled edges of the type D side, from its single-label map
-    aidem, didem = a.idempotents, d.idempotents
+    aidem, didem = a.source.idempotents, d.idempotents
     for start, ends in d.composites[EMPTY,].items():
         for ai in range(na):
             if aidem[ai] == didem[start]:

@@ -52,6 +52,8 @@ class KnotComplex:
             a = self.alexander.get(g)
             if not isinstance(a, int) or isinstance(a, bool):
                 raise ValueError(f"generator {g!r} has no int Alexander grading")
+        if stray := [a for a in self.alexander if a not in seen]:
+            raise ValueError(f"Alexander grading for {stray[0]!r}, which is not a generator")
         for src, dst, k in self.differential:
             if src not in seen or dst not in seen:
                 raise ValueError(f"differential entry ({src},{dst}) uses unknown generator")

@@ -1,8 +1,9 @@
 """Type A modules derived from type D modules.
 
-Generators correspond one to one with the source module's (bar notation is
-implicit: the id is reused).  Every directed path of coefficient maps
-contributes one multiplication operation whose input word is the
+A type A module holds its type D source and adds only its operations: it
+has the source's generators (bar notation is implicit: the id is reused)
+and gradings, each iota_0 one flipped.  Every directed path of coefficient
+maps contributes one multiplication operation whose input word is the
 swap-and-merge of the path's labels; identity-labeled steps contribute no
 letters, and a path of identity labels alone yields a differential (an
 operation with empty word).  Operations cancel in pairs over F2.
@@ -14,38 +15,27 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 from .algebra import REEB_IDEMPOTENTS, is_merged, swap_and_merge, word_grading
 from .cfk import ValidationReport
 from .typed import _IDENTITY, TypeDModule, _acyclic, walk_paths
 
 
-class AGen(NamedTuple):
-    """A generator, cheap to create; hot loops read the module's lists instead of its fields."""
-
-    id: str
-    idempotent: int
-    grading: int
-
-
 @dataclass(frozen=True)
 class TypeAModule:
-    generators: list[AGen]
+    """The operations derived from source, a type D module whose generators
+    and idempotents are this module's, and whose gradings it flips at iota_0."""
+
+    source: TypeDModule
     operations: frozenset[tuple[int, tuple[str, ...], int]]  # (input, word, output)
     # the type D module derive_cfa pruned against; None for a whole module
     against: TypeDModule | None = field(default=None, repr=False, compare=False)
-    # generator -> its idempotent and its grading, the lists the hot loops read
-    idempotents: list[int] = field(init=False, repr=False, compare=False)
-    gradings: list[int] = field(init=False, repr=False, compare=False)
     # word -> (input, output) pairs of its operations, and the longest word,
     # built once from operations
     by_word: dict[tuple[str, ...], list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
     max_word_length: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "idempotents", [g.idempotent for g in self.generators])
-        object.__setattr__(self, "gradings", [g.grading for g in self.generators])
         by_word: dict[tuple[str, ...], list[tuple[int, int]]] = {}
         for src, word, dst in sorted(self.operations):
             by_word.setdefault(word, []).append((src, dst))
@@ -53,17 +43,21 @@ class TypeAModule:
         object.__setattr__(self, "max_word_length", max(map(len, by_word), default=0))
 
     @cached_property
+    def gradings(self) -> list[int]:
+        """generator -> its grading, source's with each iota_0 one flipped."""
+        return [gr ^ i ^ 1 for gr, i in zip(self.source.gradings, self.source.idempotents)]
+
+    @cached_property
     def tally(self) -> Counter:
-        """(idempotent, grading) -> number of generators, counted on first read."""
-        return Counter(zip(self.idempotents, self.gradings))
+        """(idempotent, grading) -> number of generators: source's tally, flipped as gradings is."""
+        return Counter({(i, gr ^ i ^ 1): n for (i, gr), n in self.source.tally.items()})
 
 
 def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModule:
     """Enumerate coefficient-map paths and emit merged-word operations.
 
-    The derived module flips the grading of every iota_0 generator.  Its
-    generators are built in one pass from m's generators and gradings, but
-    for the stable part's, kept with its walk unless the chain regraded it.
+    The derived module holds m as its source: it has m's generators and
+    flips the grading of every iota_0 one.
 
     With against, the type D module the result will be paired with, only
     the operations whose word has a nonzero composite map in against are
@@ -103,7 +97,7 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
         if not _acyclic(m.adj, _IDENTITY):
             raise ValueError("identity-labeled maps close a cycle; the walk would not end")
 
-    gradings = m.gradings
+    m.gradings  # a module whose gradings do not solve is refused before the walk
 
     steps: dict[tuple[tuple[str, ...], str], tuple[str, ...] | None] = {}
     nonzero: dict[tuple[str, ...], bool] = {}
@@ -121,12 +115,7 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
             steps[word, label] = merged if pairs(merged[:-1]) else None
         return steps[word, label]
 
-    kept, into = _stable_walk(m)
-    nb = len(kept)
-    if nb and gradings[:nb] != m.stable.gradings:  # the chain regraded a stable component
-        kept = []
-    gens = kept + [AGen(g.id, g.idempotent, gr ^ g.idempotent ^ 1)
-                   for g, gr in zip(m.generators[len(kept):], gradings[len(kept):])]
+    nb, into = _stable_walk(m)
     parity = {(src, word, end): 1 for end, paths in into.items() for src, word in paths if pairs(word)}
     leaving: dict[int, list[tuple[str, int]]] = {}  # stable generator -> its chain out-edges
     for src, label, dst in m.chain[:bisect_left(m.chain, (nb,))]:  # sorted: those come first
@@ -134,30 +123,30 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
     roots = [(start, word, first)
              for u, first in leaving.items() for start, word in [(u, ()), *into.get(u, [])]]
     roots += [(u, (), m.adj[u]) for u in range(nb, len(m.generators))]
-    for start, end, word in walk_paths(m.adj, step, (), roots):
+    for start, end, word in walk_paths(m.adj, step, roots):
         if pairs(word):
             key = (start, word, end)
             parity[key] = parity.get(key, 0) ^ 1
 
     ops = frozenset(key for key, p in parity.items() if p)
-    return TypeAModule(gens, ops, against)
+    return TypeAModule(m, ops, against)
 
 
-def _stable_walk(m: TypeDModule) -> tuple[list[AGen], dict[int, list[tuple[int, tuple[str, ...]]]]]:
-    """(generators, end -> (start, word) of each path into it): the whole
-    type A module of m's stable part, its generators and its odd-parity
-    paths, derived on the first call for the stable part and kept,
-    read-only, in its instance dict as cached_property keeps a value.  A
-    module without a stable part, or with an unbounded one, gets ([], {})."""
+def _stable_walk(m: TypeDModule) -> tuple[int, dict[int, list[tuple[int, tuple[str, ...]]]]]:
+    """(number of stable generators, end -> (start, word) of each path into
+    it): the odd-parity paths of the whole type A module of m's stable part,
+    derived on the first call for the stable part and kept, read-only, in
+    its instance dict as cached_property keeps a value.  A module without a
+    stable part, or with an unbounded one, gets (0, {})."""
     base = m.stable
     if base is None or not base.bounded:
-        return [], {}
+        return 0, {}
     if "_cfa_walk" not in vars(base):
         a, into = derive_cfa(base), {}
         for src, word, dst in sorted(a.operations):
             into.setdefault(dst, []).append((src, word))
-        vars(base)["_cfa_walk"] = (a.generators, into)
-    return vars(base)["_cfa_walk"]
+        vars(base)["_cfa_walk"] = into
+    return len(base.generators), vars(base)["_cfa_walk"]
 
 
 def validate_cfa(a: TypeAModule) -> ValidationReport:
@@ -168,8 +157,9 @@ def validate_cfa(a: TypeAModule) -> ValidationReport:
     a differential, which flips the grading.
     """
     report = ValidationReport(dict.fromkeys(("idempotents", "merged", "grading_law"), True))
+    gens, gradings = a.source.generators, a.gradings
     for src, word, dst in sorted(a.operations):
-        gs, gd = a.generators[src], a.generators[dst]
+        gs, gd = gens[src], gens[dst]
         if word:
             left = REEB_IDEMPOTENTS[word[0]][0]
             right = REEB_IDEMPOTENTS[word[-1]][1]
@@ -184,19 +174,19 @@ def validate_cfa(a: TypeAModule) -> ValidationReport:
         else:
             if gs.idempotent != gd.idempotent:
                 report.fail("idempotents", f"differential {gs.id} -> {gd.id} mixes idempotents")
-        want = (gs.grading + word_grading(word) + len(word) + 1) % 2
-        if gd.grading != want:
+        want = (gradings[src] + word_grading(word) + len(word) + 1) % 2
+        if gradings[dst] != want:
             report.fail("grading_law", f"grading law fails on op {gs.id},{word} -> {gd.id}")
     return report
 
 
 def ops_lines(a: TypeAModule) -> list[str]:
     """One `m{k+1}(<gen>, <letters>) = <gen>` line per op, each ending in a newline, sorted."""
-    lines = []
+    lines, gens = [], a.source.generators
     for src, word, dst in a.operations:
         letters = " ".join(f"rho{w}" for w in word)
-        inner = f"{a.generators[src].id}, {letters}" if word else a.generators[src].id
-        lines.append(f"m{len(word) + 1}({inner}) = {a.generators[dst].id}\n")
+        inner = f"{gens[src].id}, {letters}" if word else gens[src].id
+        lines.append(f"m{len(word) + 1}({inner}) = {gens[dst].id}\n")
     lines.sort()
     return lines
 

@@ -231,19 +231,16 @@ def _extend_gradings(m: TypeDModule, base, edges) -> tuple[list[int], list[int]]
     return base_gr + gr[nb:], base_roots + top[nb:]
 
 
-def walk_paths(adj: dict[int, list[tuple[str, int]]], step, state, roots=None):
-    """Yield (start, end, state) for every directed path of one or more edges.
+def walk_paths(adj: dict[int, list[tuple[str, int]]], step, roots):
+    """Yield (start, end, state) for every directed path that begins along
+    the edges of a root, a triple (start, state, edges).
 
-    Each path's state begins as `state` at its start and is extended by
+    Each path's state begins as its root's and is extended by
     step(state, label) along every edge; a step that returns None cuts the
-    path there (it is neither yielded nor extended).  Given roots, triples
-    (start, state, edges), the walk yields only the paths that begin along
-    one of a root's edges, each path's state beginning as the root's.  The
-    walk keeps an explicit stack, so path length is bounded by acyclicity
-    of adj or by the cuts, never by the interpreter's recursion limit.
+    path there (it is neither yielded nor extended).  The walk keeps an
+    explicit stack, so path length is bounded by acyclicity of adj or by
+    the cuts, never by the interpreter's recursion limit.
     """
-    if roots is None:
-        roots = [(start, state, adj[start]) for start in adj]
     for start, state, first in roots:
         stack = [(first, state)]
         while stack:

@@ -14,7 +14,7 @@ def load(name):
 
 
 def gen_index(module, gen_id):
-    """Position of the generator with this id in a type A or type D module."""
+    """Position of the generator with this id in a type D module (a type A module's source)."""
     return [g.id for g in module.generators].index(gen_id)
 
 

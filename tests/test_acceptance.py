@@ -174,7 +174,7 @@ def test_criterion_08_operation_vectors():
     def ops(c, n):
         d = solve_gradings(build_cfd(simplify(c), n))
         a = derive_cfa(d)
-        return {(a.generators[s].id, w, a.generators[t].id) for s, w, t in a.operations}
+        return {(a.source.generators[s].id, w, a.source.generators[t].id) for s, w, t in a.operations}
 
     # single-edge operations and the t = 0 turn, on the 2-framed trefoil
     tre2 = ops(TREFOIL, 2)
@@ -202,7 +202,7 @@ def test_criterion_09_survival_at_double_boundary():
     # The whole complex, by matrix products: the counted box must match it,
     # and both pairs are absent from it with a zero row and column there.
     pairs = [("x2", "x2"), ("kap1_1", "kap1_1")]  # xbar_0 (x) u_0, ybar (x) v
-    g1, g2 = assert_isolated(a, d, box, [(gen_index(a, x), gen_index(d, y)) for x, y in pairs])
+    g1, g2 = assert_isolated(a, d, box, [(gen_index(a.source, x), gen_index(d, y)) for x, y in pairs])
     ok = g1 != g2
     r = graded_homology(box)
     ok &= r.rank0 >= 1 and r.rank1 >= 1  # both classes persist

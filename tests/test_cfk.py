@@ -175,6 +175,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^generator {re.escape(repr(name))}: a name is a nonempty str"):
             make_complex("n", ["a", name], {"a": 0, name: 1}, [(name, "a", 0)])
 
+    def test_alexander_key_that_is_not_a_generator_refused(self):
+        """A grading the file text would drop is refused, so the round trip is equal."""
+        with pytest.raises(ValueError, match="^Alexander grading for 'zz', which is not a generator$"):
+            make_complex("x", ["e"], {"e": 0, "zz": 5}, [])
+        with pytest.raises(ValueError, match="^Alexander grading for 7, which is not a generator$"):
+            KnotComplex("x", ("a", "b"), {"a": 0, 7: 1, "b": 1}, ())
+        c = make_complex("x", ["e"], {"e": 0}, [])
+        assert parse_complex(serialize_complex(c), name="x") == c
+
     def test_non_int_u_power_refused(self):
         with pytest.raises(ValueError, match=r"U power '0' in entry \(b,a\) is not an int"):
             KnotComplex("y", ("a", "b"), {"a": 0, "b": 1}, (("b", "a", "0"),))

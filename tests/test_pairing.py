@@ -33,17 +33,17 @@ def test_generators_are_idempotent_matched_pairs(trefoil):
     assert len(labels) == 3 * 3 + 2 * 2
     assert box.dim(0) + box.dim(1) == len(labels)
     for ai, di in labels:
-        assert a.generators[ai].idempotent == d.generators[di].idempotent
+        assert a.source.generators[ai].idempotent == d.generators[di].idempotent
     for a_id, d_id in box.labels:
-        ai, di = gen_index(a, a_id), gen_index(d, d_id)
-        assert a.generators[ai].idempotent == d.generators[di].idempotent
+        ai, di = gen_index(a.source, a_id), gen_index(d, d_id)
+        assert a.source.generators[ai].idempotent == d.generators[di].idempotent
 
 
 def test_grading_is_sum(trefoil):
     a, d = modules(trefoil, 3)
     box = box_tensor(a, d)
     for idx, (a_id, d_id) in enumerate(box.labels):
-        ga = a.generators[gen_index(a, a_id)].grading
+        ga = a.gradings[gen_index(a.source, a_id)]
         gd = d.gradings[gen_index(d, d_id)]
         assert box.gradings[idx] == (ga + gd) % 2
 
@@ -63,7 +63,7 @@ def test_survival_generators_isolated(trefoil):
     a, d = modules(trefoil, 2)
     box = box_tensor(a, d)
     pairs = [("x2", "x2"), ("kap1_1", "kap1_1")]
-    g1, g2 = assert_isolated(a, d, box, [(gen_index(a, x), gen_index(d, y)) for x, y in pairs])
+    g1, g2 = assert_isolated(a, d, box, [(gen_index(a.source, x), gen_index(d, y)) for x, y in pairs])
     assert g1 != g2
 
 
@@ -163,7 +163,7 @@ def independent_boundary(a, d):
 
     pair_index = {}
     labels = []
-    for ai, ag in enumerate(a.generators):
+    for ai, ag in enumerate(a.source.generators):
         for di, dg in enumerate(d.generators):
             if ag.idempotent == dg.idempotent:
                 pair_index[ai, di] = len(labels)
@@ -183,7 +183,7 @@ def independent_boundary(a, d):
     for asrc, word, adst in a.operations:
         if not word:
             for di, dg in enumerate(d.generators):
-                if dg.idempotent == a.generators[asrc].idempotent:
+                if dg.idempotent == a.source.generators[asrc].idempotent:
                     add((asrc, di), (adst, di))
             continue
         composite = None
@@ -194,13 +194,13 @@ def independent_boundary(a, d):
                 else compose(matrix(letter), composite)
             )
         for di in range(len(d.generators)):
-            if d.generators[di].idempotent != a.generators[asrc].idempotent:
+            if d.generators[di].idempotent != a.source.generators[asrc].idempotent:
                 continue
             for ti in gf2.bits(composite[di]):
                 add((asrc, di), (adst, ti))
     for dsrc, label, ddst in d.edges:
         if label == EMPTY:
-            for ai, ag in enumerate(a.generators):
+            for ai, ag in enumerate(a.source.generators):
                 if ag.idempotent == d.generators[dsrc].idempotent:
                     add((ai, dsrc), (ai, ddst))
 
@@ -220,7 +220,7 @@ def assert_counted_box(a, d, box):
     Returns the reference (labels, boundary).
     """
     labels, boundary = independent_boundary(a, d)
-    ids = [(a.generators[ai].id, d.generators[di].id) for ai, di in labels]
+    ids = [(a.source.generators[ai].id, d.generators[di].id) for ai, di in labels]
     kept = [ids.index(label) for label in box.labels]
     assert kept == sorted(kept), "touched pairs are listed in reference order"
     hit = 0
@@ -232,7 +232,7 @@ def assert_counted_box(a, d, box):
     position = {i: k for k, i in enumerate(kept)}
     restricted = [sum(1 << position[t] for t in gf2.bits(boundary[i])) for i in kept]
     assert restricted == box.boundary
-    gradings = [(a.generators[ai].grading + d.gradings[di]) % 2 for ai, di in labels]
+    gradings = [(a.gradings[ai] + d.gradings[di]) % 2 for ai, di in labels]
     assert [gradings[i] for i in kept] == box.gradings
     for g in (0, 1):
         assert box.dim(g) == gradings.count(g)
@@ -246,17 +246,17 @@ def assert_isolated(a, d, box, pairs):
     labels, boundary = assert_counted_box(a, d, box)
     out = []
     for ai, di in pairs:
-        assert (a.generators[ai].id, d.generators[di].id) not in box.labels
+        assert (a.source.generators[ai].id, d.generators[di].id) not in box.labels
         i = labels.index((ai, di))
         assert boundary[i] == 0 and not any((col >> i) & 1 for col in boundary)
-        out.append((a.generators[ai].grading + d.gradings[di]) % 2)
+        out.append((a.gradings[ai] + d.gradings[di]) % 2)
     return out
 
 
 def reference_ranks(a, d):
     """Graded homology ranks of the whole reference complex."""
     labels, boundary = independent_boundary(a, d)
-    gradings = [(a.generators[ai].grading + d.gradings[di]) % 2 for ai, di in labels]
+    gradings = [(a.gradings[ai] + d.gradings[di]) % 2 for ai, di in labels]
     out = [gradings.count(0), gradings.count(1)]
     for g in (0, 1):
         r = gf2.rank([col for col, h in zip(boundary, gradings) if h == g])
@@ -345,10 +345,10 @@ def contributions(a, d):
                     out["a"][(asrc, start), (adst, end)] += 1
         else:
             for di, dg in enumerate(d.generators):
-                if dg.idempotent == a.generators[asrc].idempotent:
+                if dg.idempotent == a.source.generators[asrc].idempotent:
                     out["c"][(asrc, di), (adst, di)] += 1
     for dsrc, label, ddst in d.edges:
-        for ai, ag in enumerate(a.generators):
+        for ai, ag in enumerate(a.source.generators):
             if label == EMPTY and ag.idempotent == d.generators[dsrc].idempotent:
                 out["b"][(ai, dsrc), (ai, ddst)] += 1
     return out
@@ -370,7 +370,7 @@ def test_contributions_of_different_kinds_cancel(figure_eight, unknot_complex):
         (derive_cfa(f), u, "c", (("nu2", "x0"), ("nu1", "x0"))),
     ]
     for a, d, kind, ids in cases:
-        entry = tuple((gen_index(a, ai), gen_index(d, di)) for ai, di in ids)
+        entry = tuple((gen_index(a.source, ai), gen_index(d, di)) for ai, di in ids)
         kinds = contributions(a, d)
         assert (kinds["a"][entry], kinds[kind][entry]) == (1, 1), entry
         assert sum(kinds[k][entry] for k in "abc") == 2

@@ -35,7 +35,7 @@ from floersplice.splice import (
     survey,
     survey_summary,
 )
-from floersplice.typea import AGen, TypeAModule, derive_cfa
+from floersplice.typea import TypeAModule, derive_cfa
 from floersplice.typed import walk_paths
 from test_cfk import BARCODE_BASES, filtered_change
 
@@ -399,7 +399,8 @@ FIXTURES = ("trefoil", "mirror_trefoil", "figure_eight", "t25", "unknot_complex"
 
 def longest_reeb_path(d):
     """Edges on the longest Reeb-labeled path of a bounded module, by enumeration."""
-    paths = walk_paths(d.adj, lambda edges, label: None if label == EMPTY else edges + 1, 0)
+    roots = [(s, 0, d.adj[s]) for s in d.adj]
+    paths = walk_paths(d.adj, lambda edges, label: None if label == EMPTY else edges + 1, roots)
     return max((edges for *_, edges in paths), default=0)
 
 
@@ -416,14 +417,10 @@ def capped_cfa(d, k):
         return (swap_and_merge((label,), word), edges + 1) if edges < 3 * k + 2 else None
 
     parity = {}
-    for start, end, (word, _) in walk_paths(d.adj, step, ((), 0)):
+    for start, end, (word, _) in walk_paths(d.adj, step, [(s, ((), 0), d.adj[s]) for s in d.adj]):
         if len(word) <= k:
             parity[start, word, end] = parity.get((start, word, end), 0) ^ 1
-    gens = [
-        AGen(g.id, g.idempotent, (d.gradings[i] + (g.idempotent == 0)) % 2)
-        for i, g in enumerate(d.generators)
-    ]
-    return TypeAModule(gens, frozenset(op for op, p in parity.items() if p))
+    return TypeAModule(d, frozenset(op for op, p in parity.items() if p))
 
 
 class TestRoutes:

@@ -42,7 +42,7 @@ def hand_built():
 
 def ops_by_ids(a):
     return {
-        (a.generators[s].id, w, a.generators[t].id) for s, w, t in a.operations
+        (a.source.generators[s].id, w, a.source.generators[t].id) for s, w, t in a.operations
     }
 
 
@@ -51,15 +51,16 @@ class TestDerive:
         for c in (trefoil, figure_eight):
             d = solve_gradings(build_cfd(simplify(c), 1))
             a = derive_cfa(d)
-            assert [g.id for g in a.generators] == [g.id for g in d.generators]
-            assert [g.idempotent for g in a.generators] == [
+            assert [g.id for g in a.source.generators] == [g.id for g in d.generators]
+            assert [g.idempotent for g in a.source.generators] == [
                 g.idempotent for g in d.generators
             ]
 
     def test_iota0_grading_flip(self, request):
-        """The generators derive_cfa builds in one pass, and the per-generator
-        lists the box reads, flip the grading of iota_0 generators only: every
-        fixture at -20..20, whole (when bounded) and pruned against trefoil[3]."""
+        """The type A module keeps its source's generators and idempotents,
+        and the gradings the box reads flip those of iota_0 generators only:
+        every fixture at -20..20, whole (when bounded) and pruned against
+        trefoil[3]."""
         partner = build_cfd(simplify(request.getfixturevalue("trefoil")), 3)
         for name in ("trefoil", "mirror_trefoil", "t25", "figure_eight", "unknot_complex"):
             s = simplify(request.getfixturevalue(name))
@@ -68,10 +69,10 @@ class TestDerive:
                 flipped = [(gr + (g.idempotent == 0)) % 2 for g, gr in zip(d.generators, d.gradings)]
                 derived = [derive_cfa(d)] if d.bounded else []
                 for a in [*derived, derive_cfa(d, against=partner)]:
-                    assert [(g.id, g.idempotent) for g in a.generators] == [
+                    assert [(g.id, g.idempotent) for g in a.source.generators] == [
                         (g.id, g.idempotent) for g in d.generators], (name, n)
-                    assert [g.grading for g in a.generators] == a.gradings == flipped, (name, n)
-                    assert a.idempotents == [g.idempotent for g in d.generators], (name, n)
+                    assert a.gradings == flipped, (name, n)
+                    assert a.source.idempotents == [g.idempotent for g in d.generators], (name, n)
 
     def test_trefoil_framing_two_snapshot(self, trefoil):
         """Frozen enumeration for the 2-framed trefoil complement.
@@ -191,7 +192,8 @@ def _merged_once(d):
     """The operations of d by the definition, without a memo: every path's
     raw labels, merged once, counted mod 2."""
     parity = {}
-    for start, end, labels in walk_paths(d.adj, lambda labels, label: labels + (label,), ()):
+    roots = [(s, (), d.adj[s]) for s in d.adj]
+    for start, end, labels in walk_paths(d.adj, lambda labels, label: labels + (label,), roots):
         key = (start, swap_and_merge(labels), end)
         parity[key] = parity.get(key, 0) ^ 1
     return frozenset(op for op, p in parity.items() if p)
@@ -246,12 +248,12 @@ def test_pruned_walk_keeps_nothing_between_calls(t25, trefoil, unknot_complex):
 # ---------------------------------------------------------------------------
 
 def _derived(d, against=None):
-    """What derive_cfa gives: the generators and operations, or the refusal's text."""
+    """What derive_cfa gives: the generators, gradings and operations, or the refusal's text."""
     try:
         a = derive_cfa(d, against=against)
     except ValueError as e:
         return str(e)
-    return a.generators, a.operations
+    return a.source.generators, a.gradings, a.operations
 
 
 def _partners(request):
@@ -300,8 +302,7 @@ def test_stable_walk_is_kept_once_and_never_changed(request, monkeypatch):
         kept = []
 
         def snapshot():
-            nb, into = vars(stable)["_cfa_walk"]
-            return nb, {end: list(paths) for end, paths in into.items()}
+            return {end: list(paths) for end, paths in vars(stable)["_cfa_walk"].items()}
 
         derived = []
         for n in (5, -5, 0, 40, 5):
@@ -347,10 +348,10 @@ class TestValidate:
                 assert report.ok, (c.name, n, report.problems)
 
     def test_unmerged_word_rejected(self):
-        from floersplice.typea import AGen, TypeAModule
+        from floersplice.typea import TypeAModule
 
         a = TypeAModule(
-            [AGen("a", 0, 0), AGen("b", 0, 0)],
+            TypeDModule([DGen("a", 0, "xi"), DGen("b", 0, "xi")], frozenset()),
             frozenset({(0, ("1", "2"), 1)}),
         )
         report = validate_cfa(a)

@@ -455,7 +455,8 @@ def _path_counts(d, longest):
     counted mod 2 by walking every path; zero columns are dropped."""
     counts: dict[tuple[str, ...], dict[int, int]] = {}
     paths = walk_paths(
-        d.adj, lambda w, label: w + (label,) if label != EMPTY and len(w) < longest else None, ()
+        d.adj, lambda w, label: w + (label,) if label != EMPTY and len(w) < longest else None,
+        [(s, (), d.adj[s]) for s in d.adj],
     )
     for start, end, w in paths:
         cols = counts.setdefault(w, {})
@@ -597,8 +598,8 @@ def test_tallies_recount_generators(trefoil, mirror_trefoil, figure_eight, t25, 
             for i, g in enumerate(d.generators):
                 key = (g.idempotent, d.gradings[i])
                 want_d[key] = want_d.get(key, 0) + 1
-            for g in a.generators:
-                want_a[g.idempotent, g.grading] = want_a.get((g.idempotent, g.grading), 0) + 1
+            for g, gr in zip(a.source.generators, a.gradings):
+                want_a[g.idempotent, gr] = want_a.get((g.idempotent, gr), 0) + 1
             assert d.tally == want_d and a.tally == want_a, (c.name, n)
             for gr in (0, 1):
                 assert a.tally[0, gr] == d.tally[0, 1 - gr] and a.tally[1, gr] == d.tally[1, gr]
