@@ -100,28 +100,6 @@ def in_span(vectors: list[int], target: int) -> bool:
     return echelon(vectors + [target])[1][-1] == 0
 
 
-def span_basis(vectors: list[int]) -> list[int]:
-    """A reduced basis of the span, deterministic in input order."""
-    return [res for res in echelon(vectors)[1] if res]
-
-
-def intersect(u: list[int], w: list[int]) -> list[int]:
-    """Basis of span(u) & span(w), by stacking kernels.
-
-    A vector in the intersection is A*x = B*y; solve [A | B] * (x, y) = 0
-    and read off the A*x parts of the kernel: the residues of the tagged
-    columns of [A | B] that fall below the tags' shift.
-    """
-    u = span_basis(u)
-    w = span_basis(w)
-    if not u or not w:
-        return []
-    n, mask = len(u) + len(w), (1 << len(u)) - 1
-    _, residues = echelon([v << n | 1 << i for i, v in enumerate(u + w)], n)
-    kernel = [res for res in residues if not res >> n]
-    return span_basis([vec for combo in kernel if (vec := apply_columns(u, combo & mask))])
-
-
 def bits(v: int) -> list[int]:
     """Indices of set bits, ascending."""
     out = []

@@ -369,6 +369,10 @@ def _stable_part(s: SimplifiedBases) -> tuple[list[DGen], list[tuple[int, str, i
     arrow's generators, and within one arrow the labels or the ends differ."""
     gens = [DGen(f"x{p}", 0, "xi") for p in range(len(s.xi))]
     edges = []
+    xi_support = [0] * len(s.eta)  # column p of a_matrix: the xi's whose eta expansion holds eta_p
+    for q, row in enumerate(s.a_matrix):
+        for p in gf2.bits(row):
+            xi_support[p] |= 1 << q
     for j, (src, dst, h) in enumerate(s.vertical_arrows, start=1):
         k = len(gens)
         gens += [DGen(f"kap{j}_{i}", 1, "kappa") for i in range(1, h + 1)]
@@ -376,7 +380,7 @@ def _stable_part(s: SimplifiedBases) -> tuple[list[DGen], list[tuple[int, str, i
     for j, (src, dst, l) in enumerate(s.horizontal_arrows, start=1):
         k = len(gens)
         gens += [DGen(f"lam{j}_{i}", 1, "lambda") for i in range(1, l + 1)]
-        edges += [(q, "3", k) for q, row in enumerate(s.a_matrix) if row >> src & 1]  # eta_src's xi
+        edges += [(q, "3", k) for q in gf2.bits(xi_support[src])]
         edges += [(i, "23", i + 1) for i in range(k, k + l - 1)]
         edges += [(k + l - 1, "2", q) for q in gf2.bits(s.b_matrix[dst])]
     return gens, edges
@@ -466,14 +470,28 @@ def bk_prime(s: SimplifiedBases, k: int) -> list[int]:
     """Basis of B'_k in xi coordinates.
 
     B_k is spanned by the xi and eta basis vectors of Alexander grading
-    exactly k; it is intersected with the span of the even xi's (index >= 2)
-    and with the span of the odd eta's.
+    exactly k; B'_k is its intersection with the span of the even xi's
+    (index >= 2) and with the span of the odd eta's.  Both bases are
+    homogeneous: each eta row is a combination of xi's at its own level.
+    So B_k is the span of the xi's at level k, and a sum of odd eta rows
+    that lies there is the sum of its rows at level k, the other levels'
+    rows cancelling level by level.  B'_k is thus the combinations of the
+    odd eta rows at level k that vanish off the even xi's.
     """
-    bk = [1 << p for p, a in enumerate(s.xi_alex) if a == k]
-    bk += [s.b_matrix[p] for p, a in enumerate(s.eta_alex) if a == k]
-    even_xi = [1 << p for p in range(2, len(s.xi), 2)]
-    odd_eta = [s.b_matrix[p] for p in range(1, len(s.eta), 2)]
-    return gf2.intersect(gf2.intersect(bk, even_xi), odd_eta)
+    return _bk_primes(s).get(k, [])
+
+
+def _bk_primes(s: SimplifiedBases) -> dict[int, list[int]]:
+    """bk_prime of every level with an odd eta row, one elimination per level:
+    each row is tagged with itself below its part off the even xi's, so the
+    residues that keep no such part are the vectors of B'_k's basis."""
+    n = len(s.xi)
+    off = ~sum(1 << p for p in range(2, n, 2))
+    tagged: dict[int, list[int]] = {}
+    for p in range(1, len(s.eta), 2):
+        row = s.b_matrix[p]
+        tagged.setdefault(s.eta_alex[p], []).append((row & off) << n | row)
+    return {k: [res for res in gf2.echelon(rows, n)[1] if not res >> n] for k, rows in tagged.items()}
 
 
 # A B'_k basis of at most SPAN_CAP vectors contributes every nonzero element
@@ -586,8 +604,7 @@ def durable_candidates(s: SimplifiedBases) -> list[int]:
     if kept is not None:
         return kept
     candidates: list[int] = []
-    for k in sorted(set(s.xi_alex) | set(s.eta_alex)):
-        basis = bk_prime(s, k)
+    for _, basis in sorted(_bk_primes(s).items()):
         if len(basis) > SPAN_CAP:
             candidates += basis
         else:

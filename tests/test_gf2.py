@@ -74,21 +74,6 @@ def test_echelon_tags(vs):
         assert (high == 0) == (vs[i] in span_set(vs[:i]))
 
 
-@given(vectors)
-def test_span_basis(vs):
-    basis = gf2.span_basis(vs)
-    assert span_set(basis) == span_set(vs)
-    assert gf2.rank(basis) == len(basis)
-
-
-@given(vectors, vectors)
-def test_intersect(u, w):
-    expected = span_set(u) & span_set(w)
-    basis = gf2.intersect(u, w)
-    assert span_set(basis) == expected
-    assert gf2.rank(basis) == len(basis)
-
-
 @given(vectors, st.integers(0, 255))
 def test_apply_columns(cols, v):
     v &= (1 << len(cols)) - 1

@@ -384,6 +384,16 @@ class TestSurvey:
                 with pytest.raises(ValueError, match=expected):
                     survey(*args)
 
+    def test_range_must_be_two_ends(self, trefoil):
+        """A range of one end or three, or one that is not a tuple or list, is
+        refused naming the range, not read in part."""
+        for bad in ((1,), (1, 2, 3), (), 2, "12", range(1, 3)):
+            expected = f"^survey range {re.escape(repr(bad))} is not two ends$"
+            for args in ((trefoil, bad, trefoil, (1, 2)), (trefoil, (1, 2), trefoil, bad)):
+                with pytest.raises(ValueError, match=expected):
+                    survey(*args)
+        assert len(survey(trefoil, [1, 2], trefoil, (1, 1))) == 2
+
     def test_survey_raises_as_its_row(self, unknot_complex):
         with pytest.raises(ValueError) as one:
             splice_report(unknot_complex, 0, unknot_complex, 0)
@@ -601,7 +611,7 @@ class TestPerComplexCache:
         kept = {(id(s), id(out)) for s, out in calls["durable_candidates"]}
         assert kept == {(id(s), id(durable_candidates(s))) for s in (s1, s2)}
         with monkeypatch.context() as m:
-            m.setattr(typed, "bk_prime", lambda s, k: pytest.fail("candidates listed again"))
+            m.setattr(typed, "_bk_primes", lambda s: pytest.fail("candidates listed again"))
             assert FramedSide(c1, 3).durable_pairs and FramedSide(c2, 3).durable_pairs
 
         fresh = benchmark_complexes()["trefoil"]

@@ -357,6 +357,33 @@ class TestValidate:
         report = validate_cfa(a)
         assert not report.checks["merged"]
 
+    # Three generators a, b (iota_0) and c (iota_1) with no edges: each is
+    # graded 0 in the type D module, so a and b are graded 1 here and c 0.
+    SOURCE = TypeDModule([DGen("a", 0, "xi"), DGen("b", 0, "xi"), DGen("c", 1, "mu")], frozenset())
+
+    @pytest.mark.parametrize("op, problem", [
+        ((0, ("1",), 0), "idempotent mismatch in op a,('1',)"),  # rho1 leaves iota_0 for iota_1
+        ((2, ("12",), 0), "idempotent mismatch in op c,('12',)"),
+        ((0, (), 2), "differential a -> c mixes idempotents"),
+    ])
+    def test_idempotent_mismatch_rejected(self, op, problem):
+        from floersplice.typea import TypeAModule
+
+        report = validate_cfa(TypeAModule(self.SOURCE, frozenset({op})))
+        assert report.checks == {"idempotents": False, "merged": True, "grading_law": True}
+        assert report.problems == [problem]
+
+    @pytest.mark.parametrize("op, problem", [
+        ((0, (), 1), "grading law fails on op a,() -> b"),  # a differential flips a's grading 1, b has 1
+        ((0, ("1",), 2), "grading law fails on op a,('1',) -> c"),
+    ])
+    def test_grading_law_violation_rejected(self, op, problem):
+        from floersplice.typea import TypeAModule
+
+        report = validate_cfa(TypeAModule(self.SOURCE, frozenset({op})))
+        assert report.checks == {"idempotents": True, "merged": True, "grading_law": False}
+        assert report.problems == [problem]
+
     def test_identity_only_module(self):
         a = derive_cfa(hand_built()["single"])
         assert not a.operations

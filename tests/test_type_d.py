@@ -20,7 +20,7 @@ from floersplice.algebra import (
     label_product,
 )
 from floersplice.boxtensor import box_tensor
-from floersplice.cfk import simplify, unknot
+from floersplice.cfk import simplify, staircase, unknot
 from floersplice.typea import derive_cfa
 from floersplice.typed import (
     DGen,
@@ -330,6 +330,59 @@ class TestBkPrime:
     def test_nontrivial_for_non_lspace_form(self, figure_eight):
         s = simplify(figure_eight)
         assert any(bk_prime(s, k) for k in range(-s.genus, s.genus + 1))
+
+    def test_equals_whole_space_reference(self, trefoil, mirror_trefoil, t25, figure_eight,
+                                          unknot_complex):
+        """At every level, bk_prime spans what the whole-space formula spans:
+        B_k intersected with span(even xi) and then with span(odd eta).  The
+        durable candidates are then the ones the reference bases give, as no
+        level here has more than SPAN_CAP vectors."""
+        from conftest import load
+        from test_cfk import BARCODE_BASES, filtered_change
+        from test_connected_sum import tensor_product
+        from test_splice import benchmark_complexes
+
+        def span_basis(vs):
+            return [res for res in gf2.echelon(vs)[1] if res]
+
+        def intersect(u, w):
+            u, w = span_basis(u), span_basis(w)
+            n, mask = len(u) + len(w), (1 << len(u)) - 1
+            kernel = [res for res in gf2.echelon([v << n | 1 << i for i, v in enumerate(u + w)], n)[1]
+                      if not res >> n]
+            return span_basis([gf2.apply_columns(u, combo & mask) for combo in kernel])
+
+        def reference(s, k):
+            bk = [1 << p for p, a in enumerate(s.xi_alex) if a == k]
+            bk += [s.b_matrix[p] for p, a in enumerate(s.eta_alex) if a == k]
+            even_xi = [1 << p for p in range(2, len(s.xi), 2)]
+            odd_eta = [s.b_matrix[p] for p in range(1, len(s.eta), 2)]
+            return intersect(intersect(bk, even_xi), odd_eta)
+
+        t, f = BARCODE_BASES["trefoil"](), BARCODE_BASES["fig8"]()
+        complexes = [trefoil, mirror_trefoil, t25, figure_eight, unknot_complex, load("t25_represented")]
+        complexes += benchmark_complexes().values()
+        complexes += [staircase([1] * (2 * g), sign) for g in (1, 2, 3, 5, 8, 16, 64) for sign in "+-"]
+        complexes += [tensor_product(tensor_product(t, t, "tt"), t, "ttt"), tensor_product(f, f, "ff"),
+                      tensor_product(tensor_product(f, t, "ft"), t, "ftt"),
+                      tensor_product(tensor_product(f, f, "ff"), t, "fft")]
+        rng = random.Random(0)
+        for _ in range(300):
+            moves = [(rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 1)) for _ in range(rng.randint(0, 5))]
+            complexes.append(filtered_change(BARCODE_BASES[rng.choice(sorted(BARCODE_BASES))](), moves))
+        nonzero = 0
+        for c in complexes:
+            s = simplify(c)
+            candidates = set()
+            for k in sorted(set(s.xi_alex) | set(s.eta_alex)):
+                got, want = bk_prime(s, k), reference(s, k)
+                assert gf2.rank(got) == len(got) == len(want) == gf2.rank(got + want), (c.name, k)
+                assert len(want) <= typed.SPAN_CAP
+                candidates |= {gf2.apply_columns(want, mask) for mask in range(1, 1 << len(want))}
+                nonzero += bool(want)
+            candidates |= {1 << p for p in range(len(s.xi))} | set(s.b_matrix)
+            assert set(typed.durable_candidates(s)) == candidates, c.name
+        assert nonzero > 50  # the comparison is not vacuous
 
     def test_bk_prime_composition_constraint(self, figure_eight):
         """Nonzero D_I . D_2 . D_3 on a B'_k vector forces I = 123."""
@@ -684,7 +737,7 @@ class TestFindDurablePairs:
         gens = [DGen(f"x{i}", 0, "xi") for i in range(size)]
         gens += [DGen(f"k{i}", 1, "kappa") for i in range(size)]
         m = TypeDModule(gens, frozenset((i, "123", size + i) for i in range(size)))
-        s = SimpleNamespace(xi_alex=[0], eta_alex=[], xi=["x0"], b_matrix=[])
+        s = SimpleNamespace(xi=["x0"], b_matrix=[])
         basis = [0b11 << i for i in range(size - 1)] + [1 << (size - 1)]
         received = []
 
@@ -692,7 +745,7 @@ class TestFindDurablePairs:
             received.append(v)
             return {"durable": False, "weakly_durable": True}
 
-        monkeypatch.setattr(typed, "bk_prime", lambda s_, k: basis)
+        monkeypatch.setattr(typed, "_bk_primes", lambda s_: {0: basis})
         monkeypatch.setattr(typed, "durability", record)
         pairs = typed.find_durable_pairs(m, s)
         xs, ys = received[0::2], received[1::2]
