@@ -81,6 +81,18 @@ def echelon(vectors: list[int], shift: int = 0) -> tuple[dict[int, int], list[in
     return pivots, residues
 
 
+def reduced_basis(vectors: list[int]) -> list[int]:
+    """The span's reduced echelon basis, by ascending top bit: no vector has
+    another's top bit set, so the basis depends on the span alone."""
+    basis: list[int] = []
+    for v in sorted(echelon(vectors)[0].values()):  # distinct top bits: ascending
+        for w in basis:
+            if v >> (w.bit_length() - 1) & 1:
+                v ^= w
+        basis.append(v)
+    return basis
+
+
 def solve(basis: list[int], targets: list[int]) -> list[int] | None:
     """Coefficients c (bitmask) of each target: XOR of basis[i] over bits of c == target.
 

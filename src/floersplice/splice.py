@@ -276,13 +276,16 @@ def survey(
 
     Each side is prepared once, on first use in row order, so a failure
     surfaces at the same row as with one splice_report call per row.
-    A range that is not a tuple or list of two int ends is refused before any row.
+    A range that is not a tuple or list of two int ends, or is empty (its
+    first end past its last), is refused before any row.
     """
     for r in (range1, range2):
         if not isinstance(r, (tuple, list)) or len(r) != 2:
             raise ValueError(f"survey range {r!r} is not two ends")
         for end in r:
             _require_int(end, f"survey range {r!r}: end")
+        if r[0] > r[1]:
+            raise ValueError(f"survey range {r!r} is empty")
     sides2: dict[int, FramedSide] = {}
     reports = []
     for n1 in range(range1[0], range1[1] + 1):

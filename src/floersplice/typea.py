@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .algebra import REEB_IDEMPOTENTS, is_merged, swap_and_merge, word_grading
 from .cfk import ValidationReport
-from .typed import _IDENTITY, TypeDModule, _acyclic, walk_paths
+from .typed import TypeDModule, walk_paths
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
             raise ValueError("type D module is unbounded; only a bounded partner ends its walk")
         if not against.bounded:
             raise ValueError("both framed complements are unbounded; cannot pair")
-        if not _acyclic(m.adj, _IDENTITY):
+        if not m.identity_acyclic:
             raise ValueError("identity-labeled maps close a cycle; the walk would not end")
 
     m.gradings  # a module whose gradings do not solve is refused before the walk

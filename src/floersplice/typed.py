@@ -8,7 +8,8 @@ from simplified bases: one chain of iota_1 generators per vertical and per
 horizontal arrow, plus the framing dependent unstable chain joining xi_0
 to eta_0.  The first part, the stable part, is built, validated and graded
 once per bases and kept on them; each framing builds only its unstable
-chain over it.
+chain over it.  Every pass over a framed module extends the stable part's
+result through the chain edges or, where it cannot, redoes the whole module.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ class DGen(NamedTuple):
 
 @dataclass(frozen=True)
 class TypeDModule:
-    """Generators and labeled edges, over a stable part or none.  A module
-    begins with its stable part's generators and holds its edges (ValueError
-    otherwise), starts from the stable part's values, shared read-only, and
-    walks only its other edges, `chain`, sorted: once to build its out-edges,
-    boundedness and single-label maps (each map lives only in composites),
-    once to check it (validate_type_d) and once to grade it, on first read."""
+    """Generators and labeled edges, over a stable part or none, whose
+    generators it begins with and whose edges it holds (ValueError otherwise).
+    Each pass extends the stable part's result, shared read-only, through the
+    other edges, `chain`, sorted, or else redoes the whole module: construction
+    (out-edges, boundedness, single-label maps, which live only in composites),
+    the checks (validate_type_d) and the gradings, on first read."""
 
     generators: list[DGen]
     edges: frozenset[tuple[int, str, int]]  # (src index, label, dst index)
@@ -69,8 +70,6 @@ class TypeDModule:
         kept = base.composites  # a label the chain does not use keeps its map
         adj = {**base.adj, **{i: [] for i in range(nb, n)}}
         singles: dict[str, dict[int, int]] = {label: {} for label in LABELS}
-        indegree = [0] * n  # of each chain generator, from chain generators
-        leave, enter = set(), []  # where chain edges leave and enter the stable part
         for src, label, dst in chain:
             if label not in singles:
                 raise ValueError(f"unknown coefficient-map label {label!r}")
@@ -80,17 +79,12 @@ class TypeDModule:
             col[src] = (col.get(src) or kept[label,].get(src, 0)) | 1 << dst
             if src < nb:  # a sorted copy: the stable part's list is shared
                 adj[src] = sorted(adj[src] + [(label, dst)])
-                leave.add(src)
             else:
                 adj[src].append((label, dst))
-            if dst < nb:
-                enter.append(dst)
-            elif src >= nb:
-                indegree[dst] += 1
         object.__setattr__(self, "chain", chain)
         object.__setattr__(self, "idempotents", base.idempotents + [g.idempotent for g in gens[nb:]])
         object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "bounded", base.bounded and _acyclic_beyond(self, leave, enter, indegree))
+        object.__setattr__(self, "bounded", base.bounded and _acyclic_beyond(self))
         composites = {(lab,): {**kept[lab,], **cols} if cols else kept[lab,] for lab, cols in singles.items()}
         object.__setattr__(self, "composites", composites)
 
@@ -159,19 +153,20 @@ class TypeDModule:
 
         Every edge x -D_I-> y imposes gr(y) = gr(x) + 1 + gr(rho_I) mod 2; the
         lowest-indexed generator of each connected component is anchored to 0.
-        The stable part's components are extended through the chain edges.
-        Raises ValueError naming the edge that closes an inconsistent cycle
-        first in a solve over all edges; a failed solve is not kept, so every
-        read raises again.
+        The stable part's gradings are extended through the chain edges, or,
+        if a chain edge disagrees with them, all edges are solved: ValueError
+        names the edge that closes an inconsistent cycle first.  A failed
+        solve is not kept, so every read raises again.
         """
-        return self._graded[0]
+        try:
+            return _solve_gradings(self, (self.stable or _EMPTY_PART).gradings, self.chain)
+        except ValueError:  # the solve over all edges regrades, or names the edge
+            return _solve_gradings(self, [], sorted(self.edges))
 
     @cached_property
-    def _graded(self) -> tuple[list[int], list[int]]:
-        try:
-            return _extend_gradings(self, self.stable or _EMPTY_PART, self.chain)
-        except ValueError:  # the solve over all edges names the edge
-            return _extend_gradings(self, _EMPTY_PART, sorted(self.edges))
+    def identity_acyclic(self) -> bool:
+        """Whether no identity-labeled maps close a cycle, searched only in an unbounded module."""
+        return self.bounded or _acyclic(self.adj, _IDENTITY)
 
     @cached_property
     def tally(self) -> Counter:
@@ -188,47 +183,38 @@ class TypeDModule:
 # stable part: no generators, so every edge is a chain edge.
 _EMPTY_PART = SimpleNamespace(
     generators=[], edges=frozenset(), ids=frozenset(), idempotents=[], adj={}, ins={}, bounded=True,
-    composites={(label,): {} for label in LABELS}, _graded=([], []), _checks=([], {}),
+    composites={(label,): {} for label in LABELS}, gradings=[], _checks=([], {}),
 )
 
 
-def _extend_gradings(m: TypeDModule, base, edges) -> tuple[list[int], list[int]]:
-    """m's (gradings, component roots), extending base's through edges: each
-    component of base is one node, its root (lowest generator), each other
-    generator its own, and nodes are visited in index order, so every
-    component is anchored at its lowest generator as in a solve over all edges."""
-    nb, n = len(base.generators), len(m.generators)
-    base_gr, base_roots = base._graded
-    node, off = base_roots + list(range(nb, n)), base_gr + [0] * (n - nb)
-    stable_roots = sorted(set(base_roots))
-    neighbors: dict[int, list[tuple[int, int, str, int]]] = {v: [] for v in [*stable_roots, *range(nb, n)]}
+def _solve_gradings(m: TypeDModule, known: list[int], edges) -> list[int]:
+    """m's gradings, extending known (those of its first len(known)
+    generators) through edges.  Roots are taken in index order, graded ends
+    of edges first, so each new component is anchored at its lowest
+    generator; ValueError names the edge whose ends disagree."""
+    nb, n = len(known), len(m.generators)
+    neighbors: dict[int, list[tuple[int, int, str, int]]] = {}
     for src, label, dst in edges:
-        step = 1 ^ GRADING[label] ^ off[src] ^ off[dst]
-        neighbors[node[src]].append((node[dst], step, label, src))
-        neighbors[node[dst]].append((node[src], step, label, src))
-
-    gr: list[int | None] = [None] * n  # by node
-    top: list[int | None] = [None] * n
-    for root in neighbors:
-        if gr[root] is not None:
+        step = 1 ^ GRADING[label]
+        neighbors.setdefault(src, []).append((dst, step, label, src))
+        neighbors.setdefault(dst, []).append((src, step, label, src))
+    gr: list[int | None] = known + [None] * (n - nb)
+    for root in [*sorted(v for v in neighbors if v < nb), *range(nb, n)]:
+        if root >= nb and gr[root] is not None:  # a component already graded
             continue
-        gr[root], top[root] = 0, root
+        gr[root] = gr[root] or 0  # a new component is anchored at 0
         queue = [root]
         while queue:
             v = queue.pop()
-            for other, step, label, esrc in neighbors[v]:
+            for other, step, label, esrc in neighbors.get(v, ()):
                 want = gr[v] ^ step
                 if gr[other] is None:
-                    gr[other], top[other] = want, root
+                    gr[other] = want
                     queue.append(other)
                 elif gr[other] != want:
-                    raise ValueError(
-                        "inconsistent grading cycle through edge "
-                        f"{m.generators[esrc].id} -D{label or '_empty'}->"
-                    )
-    if any(gr[r] or top[r] != r for r in stable_roots):  # a component of base is regraded or joined
-        return [gr[v] ^ o for v, o in zip(node, off)], [top[v] for v in node]
-    return base_gr + gr[nb:], base_roots + top[nb:]
+                    edge = f"{m.generators[esrc].id} -D{label or '_empty'}->"
+                    raise ValueError(f"inconsistent grading cycle through edge {edge}")
+    return gr
 
 
 def walk_paths(adj: dict[int, list[tuple[str, int]]], step, roots):
@@ -258,21 +244,19 @@ _ALL_LABELS = frozenset(LABELS)
 _IDENTITY = frozenset({EMPTY})
 
 
-def _acyclic(adj: dict[int, list[tuple[str, int]]], labels: frozenset[str] = _ALL_LABELS, first: int = 0,
-             indegree: list[int] | None = None) -> bool:
+def _acyclic(adj: dict[int, list[tuple[str, int]]], labels: frozenset[str] = _ALL_LABELS,
+             first: int = 0) -> bool:
     """Whether the edges of adj labeled in labels close no directed cycle among
-    the generators from first on (adj has an entry for every generator); their
-    in-degrees along those edges are counted unless given.
+    the generators from first on (adj has an entry for every generator).
 
     Kahn's pass: generators of in-degree 0 are peeled off, each lowering the
     in-degree of its successors, and every one is peeled iff no cycle blocks.
     """
-    if indegree is None:
-        indegree = [0] * len(adj)
-        for node in range(first, len(adj)):
-            for lab, dst in adj[node]:
-                if lab in labels and dst >= first:
-                    indegree[dst] += 1
+    indegree = [0] * len(adj)
+    for node in range(first, len(adj)):
+        for lab, dst in adj[node]:
+            if lab in labels and dst >= first:
+                indegree[dst] += 1
     peeled = [i for i in range(first, len(adj)) if not indegree[i]]
     for node in peeled:  # grows while it is read
         for lab, nxt in adj[node]:
@@ -283,23 +267,24 @@ def _acyclic(adj: dict[int, list[tuple[str, int]]], labels: frozenset[str] = _AL
     return len(peeled) == len(adj) - first
 
 
-def _acyclic_beyond(m: TypeDModule, leave: set[int], enter: list[int], indegree: list[int]) -> bool:
+def _acyclic_beyond(m: TypeDModule) -> bool:
     """Whether m closes no directed cycle, given that its stable part closes
     none.  A new cycle takes a chain edge; unless one entering the stable
-    part (at enter) reaches, along its edges, one leaving it (from leave),
-    the cycle avoids the stable part, so only the chain generators are
-    peeled, with their in-degrees among themselves (indegree)."""
-    base = m.stable or _EMPTY_PART
-    stack, seen = enter, set(enter)
+    part reaches, along its edges, one leaving it, the cycle avoids the
+    stable part, so only the chain generators are peeled."""
+    nb = len((m.stable or _EMPTY_PART).generators)
+    leave = {src for src, _, _ in m.chain if src < nb}
+    stack = [dst for _, _, dst in m.chain if dst < nb]
+    seen = set(stack)
     while stack:
         node = stack.pop()
         if node in leave:
             return _acyclic(m.adj)
-        for _, nxt in base.adj[node]:
+        for _, nxt in m.adj[node]:  # the stable part's edges: node leaves by no chain edge
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return _acyclic(m.adj, first=len(base.generators), indegree=indegree)
+    return _acyclic(m.adj, first=nb)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +408,7 @@ def validate_type_d(m: TypeDModule) -> ValidationReport:
                 "structure_equation",
                 f"structure equation fails at output label {out_label or 'empty'}",
             )
-    if not (m.bounded or _acyclic(m.adj, _IDENTITY)):  # a module with no cycle has no identity-only one
+    if not m.identity_acyclic:
         report.fail("empty_cycle_free", "directed cycle of identity-labeled maps")
     return report
 
@@ -484,14 +469,16 @@ def bk_prime(s: SimplifiedBases, k: int) -> list[int]:
 def _bk_primes(s: SimplifiedBases) -> dict[int, list[int]]:
     """bk_prime of every level with an odd eta row, one elimination per level:
     each row is tagged with itself below its part off the even xi's, so the
-    residues that keep no such part are the vectors of B'_k's basis."""
+    residues that keep no such part span B'_k.  Each basis is returned
+    reduced, so it depends on B'_k alone, not on the order of the rows."""
     n = len(s.xi)
     off = ~sum(1 << p for p in range(2, n, 2))
     tagged: dict[int, list[int]] = {}
     for p in range(1, len(s.eta), 2):
         row = s.b_matrix[p]
         tagged.setdefault(s.eta_alex[p], []).append((row & off) << n | row)
-    return {k: [res for res in gf2.echelon(rows, n)[1] if not res >> n] for k, rows in tagged.items()}
+    return {k: gf2.reduced_basis([res for res in gf2.echelon(rows, n)[1] if not res >> n])
+            for k, rows in tagged.items()}
 
 
 # A B'_k basis of at most SPAN_CAP vectors contributes every nonzero element

@@ -195,7 +195,7 @@ def test_bad_range(capsys):
     code, _, err = run(capsys, "survey", TREFOIL, TREFOIL,
                        "--range1", "3..1", "--range2", "0..1")
     assert code == 1
-    assert "empty range '3..1'" in err
+    assert "survey range (3, 1) is empty" in err
     # An end that is missing or not an integer is refused naming the range.
     for bad in ("3..", "..3", "3", "a..3", "1..2..3"):
         code, _, err = run(capsys, "survey", TREFOIL, TREFOIL, f"--range1={bad}", "--range2=0..1")

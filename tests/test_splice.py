@@ -394,6 +394,20 @@ class TestSurvey:
                     survey(*args)
         assert len(survey(trefoil, [1, 2], trefoil, (1, 1))) == 2
 
+    def test_empty_range_refused(self, monkeypatch, trefoil):
+        """A range whose first end is past its last is refused, naming the
+        range, before any row is computed; a range of one framing is not empty."""
+        from floersplice import splice
+
+        monkeypatch.setattr(splice, "FramedSide", lambda c, n: pytest.fail("a row was computed"))
+        for bad in ((3, 1), [0, -1]):
+            expected = f"^survey range {re.escape(repr(bad))} is empty$"
+            for args in ((trefoil, bad, trefoil, (1, 2)), (trefoil, (1, 2), trefoil, bad)):
+                with pytest.raises(ValueError, match=expected):
+                    survey(*args)
+        monkeypatch.undo()
+        assert len(survey(trefoil, (2, 2), trefoil, (1, 1))) == 1
+
     def test_survey_raises_as_its_row(self, unknot_complex):
         with pytest.raises(ValueError) as one:
             splice_report(unknot_complex, 0, unknot_complex, 0)

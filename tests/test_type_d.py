@@ -34,7 +34,7 @@ from floersplice.typed import (
     validate_type_d,
     walk_paths,
 )
-from conftest import compose, gen_index
+from conftest import compose, gen_index, load
 
 
 def cfd(complex_, n):
@@ -383,6 +383,28 @@ class TestBkPrime:
             candidates |= {1 << p for p in range(len(s.xi))} | set(s.b_matrix)
             assert set(typed.durable_candidates(s)) == candidates, c.name
         assert nonzero > 50  # the comparison is not vacuous
+
+    def test_basis_does_not_depend_on_row_order(self):
+        """Swapping two odd eta rows of one level of t#t#t or f#f keeps every
+        bk_prime list: each basis is reduced, so it depends on B'_k alone."""
+        from test_cfk import BARCODE_BASES
+        from test_connected_sum import tensor_product
+
+        t, f = BARCODE_BASES["trefoil"](), BARCODE_BASES["fig8"]()
+        swaps = 0
+        for c in (tensor_product(tensor_product(t, t, "tt"), t, "ttt"), tensor_product(f, f, "ff")):
+            s = simplify(c)
+            levels = range(-s.genus, s.genus + 1)
+            want = [bk_prime(s, k) for k in levels]
+            odd = range(1, len(s.eta), 2)
+            for p, q in product(odd, odd):
+                if p < q and s.eta_alex[p] == s.eta_alex[q]:
+                    rows = list(s.b_matrix)
+                    rows[p], rows[q] = rows[q], rows[p]
+                    swapped = dataclasses.replace(s, b_matrix=rows)
+                    assert [bk_prime(swapped, k) for k in levels] == want, (c.name, p, q)
+                    swaps += 1
+        assert swaps == 33
 
     def test_bk_prime_composition_constraint(self, figure_eight):
         """Nonzero D_I . D_2 . D_3 on a B'_k vector forces I = 123."""
@@ -854,7 +876,7 @@ def test_framed_build_matches_whole_module(trefoil, mirror_trefoil, t25, figure_
             assert d.stable is build_cfd(s, 0).stable
             whole = _whole(d)
             assert _observed(d) == _observed(whole), (c.name, n)
-            assert d._graded == whole._graded, (c.name, n)
+            assert d.gradings == whole.gradings, (c.name, n)
             t = n - 2 * s.tau
             if c.name == "unknot" and t >= 0:
                 assert not d.bounded  # the chain closes a cycle through x0
@@ -864,14 +886,45 @@ def test_framed_build_matches_whole_module(trefoil, mirror_trefoil, t25, figure_
     assert nu_pairs == {"figure_eight", "fig8#trefoil", "trefoil#trefoil"}
 
 
+def test_built_modules_extend_their_stable_gradings(monkeypatch, trefoil, mirror_trefoil, t25,
+                                                   figure_eight, unknot_complex):
+    """Every framing -40..40 of the six fixtures and the benchmark complexes
+    grades by extending its stable part's gradings through the chain edges:
+    no built chain joins or regrades a stable component, so no framed
+    module is solved whole."""
+    from test_splice import benchmark_complexes
+
+    solves = []
+
+    def counted(m, known, edges):
+        if m.stable is not None:
+            solves.append(edges is m.chain)
+        return solve(m, known, edges)
+
+    solve = typed._solve_gradings
+    monkeypatch.setattr(typed, "_solve_gradings", counted)
+    complexes = {c.name: c for c in (trefoil, mirror_trefoil, t25, load("t25_represented"), figure_eight,
+                                      unknot_complex)}
+    for name, c in benchmark_complexes().items():
+        complexes.setdefault(name, c)
+    for c in complexes.values():
+        s = simplify(c)
+        for n in range(-40, 41):
+            build_cfd(s, n).gradings
+    assert len(solves) == 972 and all(solves)
+
+
 def test_chain_joins_and_regrades_stable_components():
     """x0 and x1 are two components of the stable part; the chain generator
-    k joins them, and grading it from x0 regrades x1."""
+    k joins them, and grading it from x0 regrades x1: the chain edge from x1
+    disagrees with x1's stable grading, so the module is solved whole."""
     gens = [DGen("x0", 0, "xi"), DGen("x1", 0, "xi"), DGen("k", 1, "kappa")]
     stable = TypeDModule(gens[:2], frozenset())
     d = TypeDModule(gens, frozenset({(0, "1", 2), (1, "123", 2)}), stable)
-    assert stable._graded == ([0, 0], [0, 1])
-    assert d._graded == _whole(d)._graded == ([0, 1, 1], [0, 0, 0])
+    assert stable.gradings == [0, 0]
+    with pytest.raises(ValueError, match="inconsistent grading cycle"):
+        typed._solve_gradings(d, stable.gradings, d.chain)
+    assert d.gradings == _whole(d).gradings == [0, 1, 1]
 
 
 def test_stable_part_is_built_once_and_shared():
@@ -887,7 +940,7 @@ def test_stable_part_is_built_once_and_shared():
             return (list(stable.generators), stable.edges, {k: list(v) for k, v in stable.adj.items()},
                     {label: stable.matrix(label) for label in LABELS},
                     {w: dict(comp) for w, comp in stable.composites.items()},
-                    stable.bounded, stable._graded, stable._checks,
+                    stable.bounded, stable.gradings, stable._checks,
                     {k: list(v) for k, v in stable.ins.items()})
 
         before = snapshot()
