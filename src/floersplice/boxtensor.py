@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import gf2
 from .algebra import EMPTY
-from .typed import TypeDModule
+from .typed import Column, TypeDModule
 from .typea import TypeAModule
 
 
@@ -76,8 +76,7 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
     if b is not None and b is not d and (b.generators, b.edges) != (d.generators, d.edges):
         raise ValueError("type A module was pruned against another type D module")
 
-    agens, dgens = a.source.generators, d.generators
-    na, nd = len(agens), len(dgens)
+    na, nd = len(a.source.generators), len(d.generators)
     acc: dict[int, int] = {}  # (asrc * nd + dstart) * na + adst -> type D ends, mod 2
 
     # (a) Reeb-labeled paths, as the composite map of each nonempty word
@@ -123,12 +122,14 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
     for src, dst in zip(map(index.__getitem__, srcs), map(index.__getitem__, dsts)):
         boundary[src] |= 1 << dst
 
-    labels, gradings = [], []
+    # d's run, if any, is graded alike: its listed gradings are read from their list
     agrades, dgrades = a.gradings, d.gradings
-    for pair in pairs:
-        ai, di = divmod(pair, nd)
-        labels.append((agens[ai].id, dgens[di].id))
-        gradings.append(agrades[ai] ^ dgrades[di])
+    head, first = (dgrades.head, len(dgrades.head)) if d.run else (dgrades, nd)
+    grade = dgrades[first] if d.run else None
+    gradings = [agrades[pair // nd] ^ (head[di] if (di := pair % nd) < first else grade) for pair in pairs]
+    # The ids are read only when asked: the guards and the homology read none.
+    agens, dgens = a.source.generators, d.generators
+    labels = Column([], len(pairs), lambda k: (agens[pairs[k] // nd].id, dgens[pairs[k] % nd].id))
     untouched = [-gradings.count(0), -gradings.count(1)]
     for (idem, ga), n in a.tally.items():  # a type D grading 0 keeps ga, 1 flips it
         untouched[ga] += n * d.tally[idem, 0]

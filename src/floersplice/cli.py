@@ -1,13 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation, input or command-line failure, 2
-internal invariant violation (a structural guarantee of the computation failed).
+Exit codes: 0 success, 1 validation, input or command-line failure, or
+output closed early (the reader of a pipe stopped reading), 2 internal
+invariant violation (a structural guarantee of the computation failed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 from pathlib import Path
@@ -57,16 +59,22 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _cfd_lines(d):
+    """The cfd text of a type D module, a line at a time: its generators, its
+    edges, sorted, and whether it is bounded."""
+    for g, gr in zip(d.generators, d.gradings):
+        yield f"gen {g.id} iota{g.idempotent} role={g.role} gr={gr}\n"
+    for src, label, dst in sorted(d.edges):
+        yield f"{d.generators[src].id} --D{label or 'empty'}--> {d.generators[dst].id}\n"
+    yield f"bounded={d.bounded}\n"
+
+
 def _cmd_cfd(args) -> int:
     d = FramedSide(_load(args.file), args.framing).d
     if args.format == "dot":
         sys.stdout.write(to_dot(d))
-        return 0
-    for i, g in enumerate(d.generators):
-        print(f"gen {g.id} iota{g.idempotent} role={g.role} gr={d.gradings[i]}")
-    for src, label, dst in sorted(d.edges):
-        print(f"{d.generators[src].id} --D{label or 'empty'}--> {d.generators[dst].id}")
-    print(f"bounded={d.bounded}")
+    else:
+        sys.stdout.writelines(_cfd_lines(d))
     return 0
 
 
@@ -190,7 +198,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:  # argparse exits 2 on a malformed command line, 0 after --help
         return 1 if e.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # Nothing more reaches the reader; writes to devnull keep the
+        # interpreter's final flush from reporting the closed pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InvariantViolation as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return 2

@@ -169,11 +169,12 @@ class FramedSide:
     """One framed complement, prepared once per splice_report or survey call.
 
     Holds the complex's simplified bases `s` and the graded type D module
-    `d`, whose unstable chain is built, validated and graded per framing
-    over the stable part kept on `s`.  The type D module and the durable
-    pairs depend on the framing and are never kept across calls; the pairs
-    and the shortcut's two facts are computed on first use and then kept on
-    the side.
+    `d`, built, validated and graded per framing over the stable part kept
+    on `s`; a long unstable chain is held as a run, so a side costs its
+    stable part and the chain's ends, not its framing.  The type D module
+    and the durable pairs depend on the framing and are never kept across
+    calls; the pairs and the shortcut's two facts are computed on first
+    use and then kept on the side.
     """
 
     def __init__(self, c: KnotComplex, n: int):

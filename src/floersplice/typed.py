@@ -7,16 +7,23 @@ build_cfd assembles the module of an integer n-framed knot complement
 from simplified bases: one chain of iota_1 generators per vertical and per
 horizontal arrow, plus the framing dependent unstable chain joining xi_0
 to eta_0.  The first part, the stable part, is built, validated and graded
-once per bases and kept on them; each framing builds only its unstable
-chain over it.  Every pass over a framed module extends the stable part's
-result through the chain edges or, where it cannot, redoes the whole module.
+once per bases and kept on them.  A framing lists its unstable chain over
+it, except that a chain of |t| >= RUN_MIN mu generators is not listed:
+those generators and the D_23 edges between them, its run, are held as
+the signed length t, every read of them is a closed form, and the framing
+lists only the canceling pair, if any, and the chain's entry and exit
+edges.  Every pass over a framed module extends the stable part's result
+through the listed edges and the run's two ends, so a side costs its
+stable part, not its framing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import chain
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -37,56 +44,80 @@ class DGen(NamedTuple):
 class TypeDModule:
     """Generators and labeled edges, over a stable part or none, whose
     generators it begins with and whose edges it holds (ValueError otherwise).
-    Each pass extends the stable part's result, shared read-only, through the
-    other edges, `chain`, sorted, or else redoes the whole module: construction
-    (out-edges, boundedness, single-label maps, which live only in composites),
-    the checks (validate_type_d) and the gradings, on first read."""
 
-    generators: list[DGen]
-    edges: frozenset[tuple[int, str, int]]  # (src index, label, dst index)
+    With run = t != 0, the generators and edges given are the listed ones:
+    |t| iota_1 generators mu1.. follow them, each joined to the next by a
+    D_23 edge that points to the higher index (t > 0) or the lower (t < 0).
+    A listed edge may meet this run only at its two ends, and not by D_23,
+    and no listed generator past the stable part may have an id starting
+    with "mu" (ValueError otherwise), so the module's generators, edges and
+    lists read the run in closed form, and list none of it.  Each pass extends the
+    stable part's result, shared read-only, through the other listed edges,
+    `chain`, sorted, and the run's ends, or else redoes the whole module:
+    construction (out-edges, boundedness, single-label maps, which live only
+    in composites), the checks (validate_type_d) and the gradings, on first
+    read."""
+
+    generators: Sequence[DGen]
+    edges: Collection[tuple[int, str, int]]  # (src index, label, dst index)
     stable: TypeDModule | None = field(default=None, repr=False, compare=False)
+    run: int = field(default=0, compare=False)
     chain: list[tuple[int, str, int]] = field(init=False, repr=False, compare=False)
     # generator -> its idempotent, the list the hot loops read
-    idempotents: list[int] = field(init=False, repr=False, compare=False)
+    idempotents: Sequence[int] = field(init=False, repr=False, compare=False)
     # src -> its out-edges (label, dst), sorted; every generator has an entry
+    # (a dict, or with a run a Column)
     adj: dict[int, list[tuple[str, int]]] = field(init=False, repr=False, compare=False)
     # whether the labeled graph (all labels) has no directed cycle
     bounded: bool = field(init=False, repr=False, compare=False)
     # nonempty path-order label word -> its map, start -> nonzero ends: the
     # single labels from construction, longer words filled by composite on
     # first ask, also when the map vanishes
-    composites: dict[tuple[str, ...], dict[int, int]] = field(init=False, repr=False, compare=False)
+    composites: dict[tuple[str, ...], Mapping[int, int]] = field(init=False, repr=False, compare=False)
+    # the run's generators (none without one), the index step of its D_23
+    # edges and their sources
+    _run: tuple[range, int, range] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         base = self.stable or _EMPTY_PART
-        gens, nb, n = self.generators, len(base.generators), len(self.generators)
+        gens, nb, first = self.generators, len(base.generators), len(self.generators)
         new = self.edges - base.edges
         if gens[:nb] != base.generators or len(self.edges) - len(new) != len(base.edges):
             raise ValueError("a module must begin with its stable part's generators and hold its edges")
         ids = [g.id for g in gens[nb:]]
-        if len(set(ids)) != len(ids) or not base.ids.isdisjoint(ids):
+        if len(set(ids)) != len(ids) or not base.ids.isdisjoint(ids) or self.run and "mu" in {i[:2] for i in ids}:
             raise ValueError("duplicate generator ids")
-        chain = sorted(new)
+        run, step = range(first, first + abs(self.run)), 1 if self.run > 0 else -1
+        srcs = run[:-1] if step > 0 else run[1:]  # the sources of the run's D_23 edges
+        chain_, last = sorted(new), run.stop - 1
         kept = base.composites  # a label the chain does not use keeps its map
-        adj = {**base.adj, **{i: [] for i in range(nb, n)}}
         singles: dict[str, dict[int, int]] = {label: {} for label in LABELS}
-        for src, label, dst in chain:
+        for src, label, dst in chain_:
             if label not in singles:
                 raise ValueError(f"unknown coefficient-map label {label!r}")
-            if not (0 <= src < n and 0 <= dst < n):
+            if not (0 <= src <= last and 0 <= dst <= last):
                 raise ValueError("edge endpoint out of range")
+            if run and (first < src < last or first < dst < last or label == "23" and max(src, dst) >= first):
+                raise ValueError("a listed edge meets the run only at its ends, and not by D_23")
             col = singles[label]  # edges are distinct: an end is never 0
             col[src] = (col.get(src) or kept[label,].get(src, 0)) | 1 << dst
-            if src < nb:  # a sorted copy: the stable part's list is shared
-                adj[src] = sorted(adj[src] + [(label, dst)])
-            else:
-                adj[src].append((label, dst))
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "idempotents", base.idempotents + [g.idempotent for g in gens[nb:]])
-        object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "bounded", base.bounded and _acyclic_beyond(self))
+        out = [(src, (label, dst)) for src, label, dst in chain_]
+        adj = _lists(base.adj, nb, run, step, out, lambda i: [("23", i + step)])
         composites = {(lab,): {**kept[lab,], **cols} if cols else kept[lab,] for lab, cols in singles.items()}
+        idempotents = base.idempotents + [g.idempotent for g in gens[nb:]]
+        if run:
+            composites["23",] = _Shift(composites["23",], srcs, step)
+            idempotents = Column(idempotents, run.stop, lambda i: 1)
+            listed = sorted(self.edges)  # then the run's D_23 edges, by source
+            object.__setattr__(self, "generators", Column(gens, run.stop, lambda i: _mu(i - first)))
+            object.__setattr__(self, "edges", Column(listed, len(listed) + len(srcs), lambda i: (
+                srcs[i - len(listed)], "23", srcs[i - len(listed)] + step)))
+        object.__setattr__(self, "chain", chain_)
+        object.__setattr__(self, "idempotents", idempotents)
+        object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "composites", composites)
+        object.__setattr__(self, "_run", (run, step, srcs))
+        object.__setattr__(self, "bounded", base.bounded and _acyclic_beyond(self))
 
     @cached_property
     def ids(self) -> frozenset[str]:
@@ -96,16 +127,10 @@ class TypeDModule:
     @cached_property
     def ins(self) -> dict[int, list[tuple[int, str]]]:
         """dst -> its in-edges (src, label), sorted: the stable part's lists,
-        extended by the chain edges as adj is."""
-        base = self.stable or _EMPTY_PART
-        nb = len(base.generators)
-        ins = {**base.ins, **{i: [] for i in range(nb, len(self.generators))}}
-        for src, label, dst in self.chain:
-            if dst < nb:  # a sorted copy: the stable part's list is shared
-                ins[dst] = sorted(ins[dst] + [(src, label)])
-            else:
-                ins[dst].append((src, label))
-        return ins
+        extended by the chain edges as adj is, the run's computed alike."""
+        base, (run, step, _) = self.stable or _EMPTY_PART, self._run
+        into = [(dst, (src, label)) for src, label, dst in self.chain]
+        return _lists(base.ins, len(base.generators), run, -step, into, lambda i: [(i - step, "23")])
 
     # -- basic queries ------------------------------------------------------
 
@@ -114,14 +139,17 @@ class TypeDModule:
         ends = self.composites[label,]
         return [ends.get(i, 0) for i in range(len(self.generators))]
 
-    def composite(self, word: tuple[str, ...]) -> dict[int, int]:
+    def composite(self, word: tuple[str, ...]) -> Mapping[int, int]:
         """The map D_word[-1]...D_word[0] of a path-order label word, start ->
         nonzero ends (shared: do not mutate).
 
         Its entry at a start counts, mod 2, the paths from there whose labels
         spell the word.  It is built from the longest cached prefix, one label
-        map at a time, and kept, vanishing or not, so asking again is one
-        lookup.  The empty word's map, the identity, is not stored: ValueError on ().
+        map at a time (see _then), and kept, vanishing or not, so asking again
+        is one lookup.  With a run, the map of a word of D_23's alone is a
+        _Shift, and every other map has at most two starts on the run, so a
+        word costs its length, not the run's.  The empty word's map, the
+        identity, is not stored: ValueError on ().
         """
         cache = self.composites
         if word in cache:
@@ -136,7 +164,7 @@ class TypeDModule:
         while comp and n < len(word):
             mat = cache[word[n],]
             n += 1
-            comp = cache[word[:n]] = {s: e for s, c in comp.items() if (e := gf2.apply_sparse(mat, c))}
+            comp = cache[word[:n]] = _then(comp, mat)
         cache[word] = comp
         return comp
 
@@ -148,7 +176,7 @@ class TypeDModule:
         return "+".join(names) if names else "0"
 
     @cached_property
-    def gradings(self) -> list[int]:
+    def gradings(self) -> Sequence[int]:
         """Relative Z2 gradings, solved along the edges on first read.
 
         Every edge x -D_I-> y imposes gr(y) = gr(x) + 1 + gr(rho_I) mod 2; the
@@ -156,22 +184,28 @@ class TypeDModule:
         The stable part's gradings are extended through the chain edges, or,
         if a chain edge disagrees with them, all edges are solved: ValueError
         names the edge that closes an inconsistent cycle first.  A failed
-        solve is not kept, so every read raises again.
+        solve is not kept, so every read raises again.  A run's D_23 edges
+        keep the grading, so its generators share one, solved as one node.
         """
         try:
-            return _solve_gradings(self, (self.stable or _EMPTY_PART).gradings, self.chain)
+            gr = _solve_gradings(self, (self.stable or _EMPTY_PART).gradings, self.chain)
         except ValueError:  # the solve over all edges regrades, or names the edge
-            return _solve_gradings(self, [], sorted(self.edges))
+            gr = _solve_gradings(self, [], self.edges.head if self.run else sorted(self.edges))
+        return Column(gr[:-1], len(self.generators), lambda i: gr[-1]) if self.run else gr
 
     @cached_property
     def identity_acyclic(self) -> bool:
         """Whether no identity-labeled maps close a cycle, searched only in an unbounded module."""
-        return self.bounded or _acyclic(self.adj, _IDENTITY)
+        return self.bounded or _acyclic(_contracted(self, 0), _IDENTITY)
 
     @cached_property
     def tally(self) -> Counter:
         """(idempotent, grading) -> number of generators, counted on first read."""
-        return Counter(zip(self.idempotents, self.gradings))
+        if not self.run:
+            return Counter(zip(self.idempotents, self.gradings))
+        tally = Counter(zip(self.idempotents.head, self.gradings.head))
+        tally[1, self.gradings[self._run[0].start]] += abs(self.run)  # the run is iota_1, graded alike
+        return tally
 
     @cached_property
     def _checks(self) -> tuple[list[tuple[int, str, int]], dict[tuple[str, int], int]]:
@@ -187,19 +221,131 @@ _EMPTY_PART = SimpleNamespace(
 )
 
 
+def _mu(j: int) -> DGen:
+    """The run's generator j places after its first (tuple.__new__ skips the
+    named tuple's __new__, a Python call)."""
+    return tuple.__new__(DGen, (f"mu{j + 1}", 1, "mu"))
+
+
+def _lists(kept: dict, nb: int, run: range, d: int, new, inner):
+    """Per-generator edge lists: kept's (those below nb, shared, so extended
+    only in sorted copies), and each (generator, item) of new added in
+    order.  With a run, a Column: each run end's list is sorted, with its
+    D_23 edge inner(end) if end + d is on the run, and each interior
+    generator's one D_23 edge, inner(i), is computed on reading."""
+    lists = {**kept, **{i: [] for i in range(nb, run.start)}}
+    ends = {i: [] for i in (*run[:1], *run[-1:])}
+    for key, item in new:
+        if key < nb:
+            lists[key] = sorted(lists[key] + [item])
+        else:
+            (lists if key < run.start else ends)[key].append(item)
+    if not run:
+        return lists
+    for end in ends:
+        ends[end] = sorted(ends[end] + (inner(end) if end + d in run else []))
+    return Column(list(lists.values()), run.stop, lambda i: ends[i] if i in ends else inner(i))
+
+
+class Column(Sequence):
+    """A per-generator list whose run entries are computed, not stored: the
+    items of head, then item(i) for each later index i below n (from 0: a
+    negative index is refused)."""
+
+    __slots__ = ("head", "n", "item")
+    __hash__ = None
+
+    def __init__(self, head: list, n: int, item):
+        self.head, self.n, self.item = head, n, item
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int):
+        head = self.head
+        if 0 <= i < len(head):
+            return head[i]
+        if len(head) <= i < self.n:
+            return self.item(i)
+        raise IndexError("generator index out of range")
+
+    def __iter__(self):
+        return chain(self.head, map(self.item, range(len(self.head), self.n)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
+class _Shift(Mapping):
+    """The map of a word of D_23's alone, on a module with a run: kept, a dict
+    off the run, and each run generator in starts sent to the one offset on."""
+
+    __slots__ = ("kept", "starts", "offset")
+
+    def __init__(self, kept: dict[int, int], starts: range, offset: int):
+        self.kept, self.starts, self.offset = kept, starts, offset
+
+    def __getitem__(self, i: int) -> int:
+        return 1 << i + self.offset if i in self.starts else self.kept[i]
+
+    def get(self, i: int, default=None):
+        return 1 << i + self.offset if i in self.starts else self.kept.get(i, default)
+
+    def __iter__(self):
+        return chain(self.kept, self.starts)
+
+    def __len__(self) -> int:
+        return len(self.kept) + len(self.starts)
+
+    def items(self):
+        offset = self.offset
+        return chain(self.kept.items(), ((i, 1 << i + offset) for i in self.starts))
+
+    def spans(self, v: int) -> bool:
+        """Whether v lies in the span of the ends.  The run starts' ends are
+        single run generators that no kept end touches: v's bits there are free."""
+        if self.starts:
+            lo, hi = sorted((self.starts[0] + self.offset, self.starts[-1] + self.offset + 1))
+            v = (v & (1 << lo) - 1) | (v >> hi << hi)
+        return gf2.in_span(list(self.kept.values()), v)
+
+
+def _then(comp: Mapping[int, int], mat: Mapping[int, int]) -> Mapping[int, int]:
+    """The map of comp's word followed by the single label of mat: mat applied
+    to every end.  A _Shift's run starts move in closed form: along D_23 by
+    mat's offset, and otherwise only where their ends are the run's ends,
+    the one place its other edges leave, so they cost no more than two starts."""
+    if not isinstance(comp, _Shift):
+        return {s: e for s, c in comp.items() if (e := gf2.apply_sparse(mat, c))}
+    out = {s: e for s, c in comp.kept.items() if (e := gf2.apply_sparse(mat, c))}
+    starts, offset = comp.starts, comp.offset
+    if not starts:
+        return out
+    if isinstance(mat, _Shift):
+        lo, hi = max(starts.start, mat.starts.start - offset), min(starts.stop, mat.starts.stop - offset)
+        return _Shift(out, range(lo, hi), offset + mat.offset)
+    for s in {starts[0], starts[-1]}:
+        if e := mat.get(s + offset):
+            out[s] = e
+    return out
+
+
 def _solve_gradings(m: TypeDModule, known: list[int], edges) -> list[int]:
     """m's gradings, extending known (those of its first len(known)
-    generators) through edges.  Roots are taken in index order, graded ends
-    of edges first, so each new component is anchored at its lowest
+    generators) through edges, with m's run, if any, one node after its
+    listed generators.  Roots are taken in index order, graded ends of
+    edges first, so each new component is anchored at its lowest
     generator; ValueError names the edge whose ends disagree."""
-    nb, n = len(known), len(m.generators)
+    nb, first = len(known), len(m.generators) - abs(m.run)
     neighbors: dict[int, list[tuple[int, int, str, int]]] = {}
     for src, label, dst in edges:
         step = 1 ^ GRADING[label]
-        neighbors.setdefault(src, []).append((dst, step, label, src))
-        neighbors.setdefault(dst, []).append((src, step, label, src))
-    gr: list[int | None] = known + [None] * (n - nb)
-    for root in [*sorted(v for v in neighbors if v < nb), *range(nb, n)]:
+        a, b = src if src < first else first, dst if dst < first else first
+        neighbors.setdefault(a, []).append((b, step, label, src))
+        neighbors.setdefault(b, []).append((a, step, label, src))
+    size = first + (m.run != 0)
+    gr: list[int | None] = known + [None] * (size - nb)
+    for root in [*sorted(v for v in neighbors if v < nb), *range(nb, size)]:
         if root >= nb and gr[root] is not None:  # a component already graded
             continue
         gr[root] = gr[root] or 0  # a new component is anchored at 0
@@ -244,27 +390,39 @@ _ALL_LABELS = frozenset(LABELS)
 _IDENTITY = frozenset({EMPTY})
 
 
-def _acyclic(adj: dict[int, list[tuple[str, int]]], labels: frozenset[str] = _ALL_LABELS,
-             first: int = 0) -> bool:
-    """Whether the edges of adj labeled in labels close no directed cycle among
-    the generators from first on (adj has an entry for every generator).
+def _acyclic(adj: Mapping[int, list[tuple[str, int]]], labels: frozenset[str] = _ALL_LABELS) -> bool:
+    """Whether the edges of adj labeled in labels close no directed cycle
+    among adj's nodes; an edge to a node outside adj is left out.
 
-    Kahn's pass: generators of in-degree 0 are peeled off, each lowering the
+    Kahn's pass: nodes of in-degree 0 are peeled off, each lowering the
     in-degree of its successors, and every one is peeled iff no cycle blocks.
     """
-    indegree = [0] * len(adj)
-    for node in range(first, len(adj)):
-        for lab, dst in adj[node]:
-            if lab in labels and dst >= first:
+    indegree = dict.fromkeys(adj, 0)
+    for out in adj.values():
+        for lab, dst in out:
+            if lab in labels and dst in indegree:
                 indegree[dst] += 1
-    peeled = [i for i in range(first, len(adj)) if not indegree[i]]
+    peeled = [node for node, d in indegree.items() if not d]
     for node in peeled:  # grows while it is read
         for lab, nxt in adj[node]:
-            if lab in labels and nxt >= first:
+            if lab in labels and nxt in indegree:
                 indegree[nxt] -= 1
                 if not indegree[nxt]:
                     peeled.append(nxt)
-    return len(peeled) == len(adj) - first
+    return len(peeled) == len(indegree)
+
+
+def _contracted(m: TypeDModule, lo: int) -> dict[int, list[tuple[str, int]]]:
+    """m's out-edges from generator lo on, the run's interior left out: the
+    D_23 edge out of the run's start end goes straight to its far end, which
+    keeps every path and cycle through the run."""
+    run, step, _ = m._run
+    short = {i: m.adj[i] for i in range(lo, run.start)}
+    if run:
+        start, far = (run[0], run[-1]) if step > 0 else (run[-1], run[0])
+        short[far] = m.adj[far]
+        short[start] = [(lab, far if lab == "23" else dst) for lab, dst in m.adj[start]]
+    return short
 
 
 def _acyclic_beyond(m: TypeDModule) -> bool:
@@ -279,12 +437,12 @@ def _acyclic_beyond(m: TypeDModule) -> bool:
     while stack:
         node = stack.pop()
         if node in leave:
-            return _acyclic(m.adj)
+            return _acyclic(_contracted(m, 0))
         for _, nxt in m.adj[node]:  # the stable part's edges: node leaves by no chain edge
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return _acyclic(m.adj, first=nb)
+    return _acyclic(_contracted(m, nb))
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +470,11 @@ def build_cfd(s: SimplifiedBases, n: int) -> TypeDModule:
     The xi generators and the arrow chains depend on s alone: the first call
     for s lists their edges and builds them as a module of their own, the
     stable part, and keeps it in s's instance dict.  Every call lists its
-    unstable chain's generators and edges and builds the module over the
-    stable part.  Both edge lists are distinct by construction.
+    canceling pair and the edges that enter or leave its mu chain, and
+    builds the module over the stable part; a chain of |t| >= RUN_MIN mu
+    generators is not listed but held as the module's run (see
+    TypeDModule), so nothing a deep framing lists or stores grows with it.
+    Both edge lists are distinct by construction.
 
     The construction reads each eta basis vector as a combination of xi
     vectors at its own Alexander level, which holds for every s that
@@ -323,29 +484,40 @@ def build_cfd(s: SimplifiedBases, n: int) -> TypeDModule:
     if stable is None:  # the first framing of s builds the stable part and keeps it
         gens, edges = _stable_part(s)
         stable = vars(s)["_stable_cfd"] = TypeDModule(gens, frozenset(edges))
-    gens, chain = _unstable_chain(s, n, stable.generators)
-    return TypeDModule(gens, stable.edges | frozenset(chain), stable)
+    gens, chain, run = _unstable_chain(s, n, stable.generators)
+    return TypeDModule(gens, stable.edges | frozenset(chain), stable, run)
+
+
+# A chain of fewer mu generators than RUN_MIN is listed, as the stable part
+# is: below it, computing a run's entries on every read costs a side more
+# than listing them once (splice_report of trefoil[n] or figure_eight[n]
+# with trefoil[3], in process: the two cost the same near |t| = 8-12).
+RUN_MIN = 8
 
 
 def _unstable_chain(s: SimplifiedBases, n: int,
-                    stable: list[DGen]) -> tuple[list[DGen], list[tuple[int, str, int]]]:
-    """The generators of the n-framed module (the stable ones, then the chain's)
-    and the list of the unstable chain's edges, each once."""
+                    stable: list[DGen]) -> tuple[list[DGen], list[tuple[int, str, int]], int]:
+    """The listed generators of the n-framed module (the stable ones, the
+    canceling pair, if any, and the mu chain if it is shorter than RUN_MIN),
+    its listed chain edges, each once, and its run (see TypeDModule): t, or
+    0 when the mu chain is listed."""
     nb, t = len(stable), n - 2 * s.tau
+    run = t if abs(t) >= RUN_MIN else 0
     # The canceling pair nu1 <- nu2 sits where the directed chain enters:
     # after D_1 (iota_1) when t = 0, after D_12 (iota_0) when t > 0.
     nus = [] if s.lspace_form or t < 0 else [DGen(f"nu{i}", int(t == 0), "nu") for i in (1, 2)]
-    gens = [*stable, *nus, *[DGen(f"mu{i}", 1, "mu") for i in range(1, abs(t) + 1)]]
-    first, last = nb + len(nus), len(gens) - 1  # the mu chain, if any, runs first..last
-    if t < 0:  # entered from both ends, D_23 maps pointing back to the D_1 end
-        return gens, [(0, "1", first), *[(i + 1, "23", i) for i in range(first, last)],
-                      *[(q, "3", last) for q, row in enumerate(s.a_matrix) if row & 1]]
+    first = nb + len(nus)
+    last = first + abs(t) - 1  # the mu chain, if any, is first..last
+    gens = [*stable, *nus, *map(_mu, range(0 if run else abs(t)))]
+    inner = [] if run else [(i + 1, "23", i) if t < 0 else (i, "23", i + 1) for i in range(first, last)]
+    if t < 0:  # entered from both ends, its D_23 edges pointing back to the D_1 end
+        return gens, [(0, "1", first), *inner, *[(q, "3", last) for q, row in enumerate(s.a_matrix) if row & 1]], run
     ends = gf2.bits(s.b_matrix[0])
     if not nus and t == 0:
-        return gens, [(0, "12", q) for q in ends]
+        return gens, [(0, "12", q) for q in ends], run
     pair = [(nb + 1, EMPTY, nb), (0, "12" if t else "1", nb)]  # nu1 <- nu2, left by D_3 (t > 0) or D_2
     enter = ([*pair, (nb + 1, "3", first)] if t else pair) if nus else [(0, "123", first)]
-    return gens, [*enter, *[(i, "23", i + 1) for i in range(first, last)], *[(last, "2", q) for q in ends]]
+    return gens, [*enter, *inner, *[(last, "2", q) for q in ends]], run
 
 
 def _stable_part(s: SimplifiedBases) -> tuple[list[DGen], list[tuple[int, str, int]]]:
@@ -416,9 +588,11 @@ def validate_type_d(m: TypeDModule) -> ValidationReport:
 def _check_edges(m: TypeDModule) -> tuple[list[tuple[int, str, int]], dict[tuple[str, int], int]]:
     """(edges breaking idempotents, in order; nonzero structure-equation images,
     (output label, start) -> ends): the stable part's, extended by every edge
-    pair that takes a chain edge, in one walk of the chain."""
+    pair that takes a listed chain edge, in one walk of them.  A run adds no
+    other pair: its D_23 edges join iota_1 generators, as the idempotents
+    allow, and two of them in a row give rho_23 rho_23 = 0."""
     base = m.stable or _EMPTY_PART
-    nb, idems, adj = len(base.generators), m.idempotents, m.adj
+    nb, idems, adj, (run, step, _) = len(base.generators), m.idempotents, m.adj, m._run
     bad, images = base._checks
     bad, images = list(bad), dict(images)
     for edge in m.chain:
@@ -429,10 +603,12 @@ def _check_edges(m: TypeDModule) -> tuple[list[tuple[int, str, int]], dict[tuple
         for second, end in adj[dst]:
             if (product := after.get(second)) is not None:
                 images[product, src] = images.get((product, src), 0) ^ 1 << end
-        if src < nb:  # a stable edge into src, then this one
-            for first_src, first in base.ins[src]:
-                if (product := _PRODUCTS[first].get(label)) is not None:
-                    images[product, first_src] = images.get((product, first_src), 0) ^ 1 << dst
+        # an edge into src that is not listed, then this one: a stable edge,
+        # or the run's D_23 edge into its end
+        before = base.ins[src] if src < nb else [(src - step, "23")] if src in run and src - step in run else ()
+        for first_src, first in before:
+            if (product := _PRODUCTS[first].get(label)) is not None:
+                images[product, first_src] = images.get((product, first_src), 0) ^ 1 << dst
     images = {key: image for key, image in images.items() if image}
     return sorted(bad), images
 
@@ -527,10 +703,12 @@ def _hits(v: int, m: TypeDModule, word: tuple[str, ...]) -> bool:
     That row is read backwards along the in-edges, one label at a time, as
     the starts (mod 2) of the paths that spell the word's suffix and end at
     v, so no whole map is built.  For a combination it is membership of v in
-    the span of the map's ends, the basis-independent reading.
+    the span of the map's ends, the basis-independent reading; a _Shift
+    answers it without listing its run.
     """
     if v & (v - 1):
-        return gf2.in_span(list(m.composite(word).values()), v)
+        comp = m.composite(word)
+        return comp.spans(v) if isinstance(comp, _Shift) else gf2.in_span(list(comp.values()), v)
     ins, row = m.ins, v
     for label in reversed(word):
         starts = 0

@@ -1,6 +1,9 @@
 """Command-line interface behavior and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -201,3 +204,24 @@ def test_bad_range(capsys):
         code, _, err = run(capsys, "survey", TREFOIL, TREFOIL, f"--range1={bad}", "--range2=0..1")
         assert code == 1
         assert f"range must look like a..b with integer ends, got {bad!r}" in err, bad
+
+
+@pytest.mark.parametrize("argv", [
+    ("cfa", TREFOIL, "--framing", "200"),
+    ("cfd", TREFOIL, "--framing", "100000"),
+    ("survey", TREFOIL, MIRROR, "--range1=-30..30", "--range2=-30..30"),
+])
+def test_closed_output_pipe_ends_quietly(argv):
+    """A reader that stops after one line, as `| head -1` does, ends the
+    command with exit code 1 and nothing on stderr: no traceback, and no
+    "Exception ignored" line from the interpreter's final flush."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen([sys.executable, "-m", "floersplice", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1 and first
+    assert b"Traceback" not in err and err == b""

@@ -423,7 +423,7 @@ FIXTURES = ("trefoil", "mirror_trefoil", "figure_eight", "t25", "unknot_complex"
 
 def longest_reeb_path(d):
     """Edges on the longest Reeb-labeled path of a bounded module, by enumeration."""
-    roots = [(s, 0, d.adj[s]) for s in d.adj]
+    roots = [(s, 0, d.adj[s]) for s in range(len(d.generators))]
     paths = walk_paths(d.adj, lambda edges, label: None if label == EMPTY else edges + 1, roots)
     return max((edges for *_, edges in paths), default=0)
 
@@ -441,7 +441,7 @@ def capped_cfa(d, k):
         return (swap_and_merge((label,), word), edges + 1) if edges < 3 * k + 2 else None
 
     parity = {}
-    for start, end, (word, _) in walk_paths(d.adj, step, [(s, ((), 0), d.adj[s]) for s in d.adj]):
+    for start, end, (word, _) in walk_paths(d.adj, step, [(s, ((), 0), d.adj[s]) for s in range(len(d.generators))]):
         if len(word) <= k:
             parity[start, word, end] = parity.get((start, word, end), 0) ^ 1
     return TypeAModule(d, frozenset(op for op, p in parity.items() if p))
@@ -681,3 +681,25 @@ class TestPerComplexCache:
                     splice_report(*args)
                 errors.append((type(e.value), str(e.value)))
             assert errors[0] == errors[1]
+
+
+def test_deep_framing_memory_does_not_grow():
+    """A framed side holds its mu chain as a run, so a splice's memory does
+    not grow with the framing: the tracemalloc peak of trefoil[10^5] spliced
+    with trefoil[3], in either order, is within 256 KiB of the peak at
+    trefoil[10^3].  The complex is prepared before the peaks are taken."""
+    import tracemalloc
+
+    trefoil = staircase([1, 1], "+", name="trefoil")
+    splice_report(trefoil, 3, trefoil, 3)
+
+    def peak(n1, n2):
+        tracemalloc.start()
+        try:
+            splice_report(trefoil, n1, trefoil, n2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for deep, shallow in (((10**5, 3), (10**3, 3)), ((3, 10**5), (3, 10**3))):
+        assert peak(*deep) <= peak(*shallow) + 256 * 1024, deep

@@ -192,7 +192,7 @@ def _merged_once(d):
     """The operations of d by the definition, without a memo: every path's
     raw labels, merged once, counted mod 2."""
     parity = {}
-    roots = [(s, (), d.adj[s]) for s in d.adj]
+    roots = [(s, (), d.adj[s]) for s in range(len(d.generators))]
     for start, end, labels in walk_paths(d.adj, lambda labels, label: labels + (label,), roots):
         key = (start, swap_and_merge(labels), end)
         parity[key] = parity.get(key, 0) ^ 1

@@ -531,7 +531,7 @@ def _path_counts(d, longest):
     counts: dict[tuple[str, ...], dict[int, int]] = {}
     paths = walk_paths(
         d.adj, lambda w, label: w + (label,) if label != EMPTY and len(w) < longest else None,
-        [(s, (), d.adj[s]) for s in d.adj],
+        [(s, (), d.adj[s]) for s in range(len(d.generators))],
     )
     for start, end, w in paths:
         cols = counts.setdefault(w, {})
@@ -607,7 +607,9 @@ def test_composite_extends_its_cached_parent(monkeypatch, trefoil, mirror_trefoi
                                              unknot_complex):
     """With every word of up to three letters cached, the map of a four-letter
     word applies its last label's map once per nonzero column of its parent's
-    map, and caches that word alone: no shorter prefix is rebuilt."""
+    map, and caches that word alone: no shorter prefix is rebuilt.  A parent
+    that is a word of D_23's alone on a module with a run (a _Shift) applies
+    it to its listed columns only: its run columns move in closed form."""
     calls = _count_sparse_applies(monkeypatch)
     short = [w for length in (1, 2, 3) for w in product(REEB_LABELS, repeat=length)]
     extended = 0
@@ -625,7 +627,8 @@ def test_composite_extends_its_cached_parent(monkeypatch, trefoil, mirror_trefoi
                     d.composite(w + (x,))
                     assert len(d.composites) == cached + 1 and w + (x,) in d.composites, (c.name, n, w, x)
                     assert all(cols is d.composites[x,] for cols, _ in calls), (c.name, n, w, x)
-                    assert sorted(v for _, v in calls) == sorted(parent.values()), (c.name, n, w, x)
+                    listed = parent.kept if isinstance(parent, typed._Shift) else parent
+                    assert sorted(v for _, v in calls) == sorted(listed.values()), (c.name, n, w, x)
                     extended += bool(parent)
     assert extended > 0
 
@@ -843,21 +846,24 @@ def test_dot_export(trefoil):
 def _observed(d):
     """What a module built over a stable part must share with the same
     generators and edges built whole: structure, maps, boundedness, gradings
-    (or the refusal's text) and the validation report."""
+    (or the refusal's text) and the validation report.  A module with a run
+    reads its run without listing it, so each read is listed here."""
     try:
-        gradings = d.gradings
+        gradings = list(d.gradings)
     except ValueError as e:
         gradings = str(e)
     report = validate_type_d(d)
-    singles = {word: comp for word, comp in d.composites.items() if len(word) == 1}
+    singles = {word: dict(comp.items()) for word, comp in d.composites.items() if len(word) == 1}
     mats = {label: d.matrix(label) for label in LABELS}
-    return (d.generators, d.edges, d.adj, mats, singles, d.bounded, gradings,
+    adj = [d.adj[i] for i in range(len(d.generators))]
+    return (list(d.generators), frozenset(d.edges), adj, mats, singles, d.bounded, gradings,
             report.checks, report.problems)
 
 
 def _whole(d):
-    """The whole-module reference: d's generators and edges over no stable part."""
-    return TypeDModule(d.generators, d.edges)
+    """The whole-module reference: d's generators and edges, all listed, over
+    no stable part and with no run."""
+    return TypeDModule(list(d.generators), frozenset(d.edges))
 
 
 def test_framed_build_matches_whole_module(trefoil, mirror_trefoil, t25, figure_eight,
@@ -1082,17 +1088,186 @@ def test_list_built_chain_matches_the_parity_reference(trefoil, mirror_trefoil, 
                                                        unknot_complex):
     """For the fixtures and the benchmark complexes at framings -120..120,
     build_cfd gives the generators and edges of the parity reference, and
-    neither the stable part nor the unstable chain it lists repeats an edge."""
+    neither the stable part nor the unstable chain it lists repeats an edge.
+    It lists its generators and the chain's edges up to its run, if any."""
     from test_splice import benchmark_complexes
 
     complexes = [trefoil, mirror_trefoil, t25, figure_eight, unknot_complex]
     complexes += benchmark_complexes().values()
+    runs = 0
     for c in complexes:
         s = simplify(c)
         gens, edges = typed._stable_part(s)
         assert len(set(edges)) == len(edges), c.name
         for n in range(-120, 121):
             d = build_cfd(s, n)
-            gens, chain = typed._unstable_chain(s, n, d.stable.generators)
-            assert len(set(chain)) == len(chain) and gens == d.generators, (c.name, n)
-            assert (d.generators, d.edges) == _reference_cfd(s, n), (c.name, n)
+            gens, chain, run = typed._unstable_chain(s, n, d.stable.generators)
+            assert len(set(chain)) == len(chain) and gens == list(d.generators)[:len(gens)], (c.name, n)
+            assert (len(gens) + abs(run), run) == (len(d.generators), d.run), (c.name, n)
+            assert (list(d.generators), frozenset(d.edges)) == _reference_cfd(s, n), (c.name, n)
+            runs += run != 0
+    assert runs > 0
+
+
+# ---------------------------------------------------------------------------
+# The run: a framed module reads its mu chain in closed form
+# ---------------------------------------------------------------------------
+
+def _listed_module(s, n, stable):
+    """The n-framed module over stable's generators and edges, built whole as
+    TypeDModule(generators, edges) with its whole unstable chain listed: the
+    reference for every read of a module with a run."""
+    nb, t = len(stable.generators), n - 2 * s.tau
+    nus = [] if s.lspace_form or t < 0 else [DGen(f"nu{i}", int(t == 0), "nu") for i in (1, 2)]
+    gens = [*stable.generators, *nus, *[DGen(f"mu{i}", 1, "mu") for i in range(1, abs(t) + 1)]]
+    first, last = nb + len(nus), len(gens) - 1  # the mu chain, if any, runs first..last
+    ends = gf2.bits(s.b_matrix[0])
+    if t < 0:  # entered from both ends, D_23 maps pointing back to the D_1 end
+        chain = [(0, "1", first), *[(i + 1, "23", i) for i in range(first, last)],
+                 *[(q, "3", last) for q, row in enumerate(s.a_matrix) if row & 1]]
+    elif not nus and t == 0:
+        chain = [(0, "12", q) for q in ends]
+    else:
+        pair = [(nb + 1, EMPTY, nb), (0, "12" if t else "1", nb)]
+        enter = ([*pair, (nb + 1, "3", first)] if t else pair) if nus else [(0, "123", first)]
+        chain = [*enter, *[(i, "23", i + 1) for i in range(first, last)], *[(last, "2", q) for q in ends]]
+    return TypeDModule(gens, stable.edges | frozenset(chain))
+
+
+def _reads(d, text=True):
+    """Every framing-wide read of a module: its generators, gradings (or the
+    refusal's text), tally and sorted edges, its validation report,
+    boundedness and identity-cycle search; and its cfd text and DOT, which
+    are rendered from the first four."""
+    from floersplice.cli import _cfd_lines
+
+    try:
+        graded = list(d.gradings), d.tally
+        rendered = ("".join(_cfd_lines(d)), to_dot(d)) if text else ()
+    except ValueError as e:
+        graded = rendered = str(e)
+    report = validate_type_d(d)
+    return (list(d.generators), graded, sorted(d.edges), report.checks, report.problems, d.bounded,
+            d.identity_acyclic, rendered)
+
+
+def _gate_complexes():
+    """The six fixtures and the ten benchmark complexes, once each by name."""
+    from test_splice import benchmark_complexes
+
+    complexes = {c.name: c for c in map(load, ("trefoil", "mirror_trefoil", "figure_eight", "t25",
+                                                 "t25_represented", "unknot"))}
+    for name, c in benchmark_complexes().items():
+        complexes.setdefault(name, c)
+    assert len(complexes) == 12
+    return complexes.values()
+
+
+def test_framed_module_reads_as_its_listed_chain(request):
+    """At every framing in -300..300 of the six fixtures and the ten benchmark
+    complexes, the module build_cfd gives reads as its chain listed whole:
+    the same generators, gradings, tally, sorted edges, validation report,
+    bounded and identity_acyclic, which the cfd text and DOT are rendered
+    from.  At -40..40 and +-300 the rendered text and DOT are compared too,
+    and so is the map of every word of up to three Reeb labels.  Framings
+    with |t| >= RUN_MIN hold a run."""
+    words = [w for k in (1, 2, 3) for w in product(REEB_LABELS, repeat=k)]
+    runs = 0
+    for c in _gate_complexes():
+        s = simplify(c)
+        for n in range(-300, 301):
+            d = build_cfd(s, n)
+            ref = _listed_module(s, n, d.stable)
+            near = abs(n) <= 40 or abs(n) == 300
+            assert _reads(d, near) == _reads(ref, near), (c.name, n)
+            if near:
+                for w in words:
+                    assert dict(d.composite(w).items()) == ref.composite(w), (c.name, n, w)
+            runs += d.run != 0
+    assert runs > 12 * 500
+
+
+def _faulty(s, fault):
+    """Fresh bases of s's complex whose kept stable part holds the edges of
+    fault too, so every framing is built over a faulty stable part."""
+    gens, edges = typed._stable_part(s)
+    bases = simplify(s.complex)
+    vars(bases)["_stable_cfd"] = TypeDModule(gens, frozenset(edges) | fault)
+    return bases
+
+
+def test_planted_faults_read_as_in_the_listed_chain(request):
+    """A stable part with a planted fault (an edge breaking idempotents, an
+    identity edge into x0 that composes with the chain's edges out of it,
+    or an identity cycle) is reported, graded and searched for cycles the
+    same over a run as with the chain listed whole, at framings -30..30 and
+    +-300 of every gate complex.  Where the fault closes an inconsistent
+    grading cycle through the chain, both refuse; the edge the refusal
+    names may differ with a run, whose D_23 edges are solved as one node."""
+    faults = {"idempotents": frozenset({(0, "2", 1)}), "into x0": frozenset({(1, EMPTY, 0)}),
+              "identity cycle": frozenset({(1, EMPTY, 2), (2, EMPTY, 1)})}
+    failed = Counter()
+    for c in _gate_complexes():
+        for name, fault in faults.items():
+            if max(max(src, dst) for src, _, dst in fault) >= len(simplify(c).xi):
+                continue  # the unknot's stable part is x0 alone
+            s = _faulty(simplify(c), fault)
+            for n in [*range(-30, 31), -300, 300]:
+                d = build_cfd(s, n)
+                ref = _listed_module(s, n, d.stable)
+                got, want = _reads(d), _reads(ref)
+                failed[name] += not all(got[3].values())
+                if d.run and isinstance(want[1], str):
+                    assert got[1].startswith("inconsistent grading cycle through edge"), (c.name, name, n)
+                    got, want = got[:1] + got[2:-1], want[:1] + want[2:-1]
+                assert got == want, (c.name, name, n)
+    assert all(failed[name] for name in faults), failed
+
+
+run_graphs = st.tuples(
+    st.lists(st.integers(0, 1), min_size=0, max_size=4),  # the listed generators' idempotents
+    st.integers(1, 6).flatmap(lambda size: st.tuples(st.just(size), st.sampled_from((1, -1)))),
+    st.lists(st.tuples(st.integers(0, 5), st.sampled_from([lab for lab in LABELS if lab != "23"]),
+                       st.integers(0, 5)), max_size=8),
+    st.integers(0, 4),
+)
+
+
+@given(run_graphs)
+@example(([0, 1], (3, 1), [(0, "123", 2), (4, "2", 0)], 1))  # entered at its start, left at its far end
+@example(([0], (4, -1), [(0, "1", 1), (0, "3", 4), (4, "", 0)], 1))  # entered at both ends, an identity exit
+@example(([0, 0], (2, 1), [(2, "2", 1), (1, "", 0), (0, "123", 2)], 2))  # a cycle through the run
+@example(([1], (1, 1), [(1, "", 1), (0, "", 1)], 1))  # an identity loop on a run of one
+def test_any_run_reads_as_its_listing(graph):
+    """A module with a run over any stable part and listed edges that meet
+    the run at its ends (each end drawn from 4 or 5, and not by D_23) reads
+    as the same generators and edges listed whole: structure, maps, every
+    word of up to three labels, gradings or a refusal, validation, the
+    identity-cycle search, the tally and the row reading of _hits.  A run's
+    D_23 edges are solved as one node, so a refusal may name another edge of
+    the inconsistent cycle."""
+    idems, (size, step), drawn, k = graph
+    listed = [DGen(f"g{i}", idem, "xi") for i, idem in enumerate(idems)]
+    k, first = min(k, len(listed)), len(listed)
+    ends = (first, first + size - 1)
+    where = {**{i: i for i in range(first)}, 4: ends[0], 5: ends[1]}
+    edges = frozenset((where[a], lab, where[b]) for a, lab, b in drawn if a in where and b in where)
+    stable = TypeDModule(listed[:k], frozenset(e for e in edges if e[0] < k and e[2] < k))
+    d = TypeDModule(listed, edges, stable, size * step)
+    mus = [DGen(f"mu{j}", 1, "mu") for j in range(1, size + 1)]
+    inner = {(i, "23", i + 1) if step > 0 else (i + 1, "23", i) for i in range(first, first + size - 1)}
+    whole = TypeDModule(listed + mus, edges | inner)
+    got, want = _observed(d), _observed(whole)
+    refused = isinstance(want[6], str)
+    if refused:  # the refusal may name another edge of an inconsistent cycle
+        assert got[6].startswith("inconsistent grading cycle through edge")
+        got, want = got[:6] + got[7:], want[:6] + want[7:]
+    assert got == want
+    assert d.identity_acyclic == whole.identity_acyclic
+    for w in (w for n in (1, 2, 3) for w in product(LABELS, repeat=n)):
+        assert dict(d.composite(w).items()) == whole.composite(w), w
+    if not refused:
+        assert d.tally == whole.tally
+    for v in range(len(whole.generators)):
+        for w in (("23",), ("2", "23"), ("23", "23", "1"), ("3",)):
+            assert typed._hits(1 << v, d, w) == typed._hits(1 << v, whole, w), (v, w)
