@@ -32,6 +32,7 @@ from .typed import (
     durability,
     find_durable_pairs,
     solve_gradings,
+    to_dot,
     validate_type_d,
 )
 
@@ -67,6 +68,7 @@ __all__ = [
     "survey",
     "survey_summary",
     "swap_and_merge",
+    "to_dot",
     "unknot",
     "validate_cfa",
     "validate_complex",

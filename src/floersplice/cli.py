@@ -25,7 +25,7 @@ from .splice import (
     survey_summary,
 )
 from .typea import derive_cfa, ops_lines
-from .typed import to_dot
+from .typed import dot_lines, sorted_edges
 
 
 def _load(path: str) -> KnotComplex:
@@ -64,17 +64,14 @@ def _cfd_lines(d):
     edges, sorted, and whether it is bounded."""
     for g, gr in zip(d.generators, d.gradings):
         yield f"gen {g.id} iota{g.idempotent} role={g.role} gr={gr}\n"
-    for src, label, dst in sorted(d.edges):
+    for src, label, dst in sorted_edges(d):
         yield f"{d.generators[src].id} --D{label or 'empty'}--> {d.generators[dst].id}\n"
     yield f"bounded={d.bounded}\n"
 
 
 def _cmd_cfd(args) -> int:
     d = FramedSide(_load(args.file), args.framing).d
-    if args.format == "dot":
-        sys.stdout.write(to_dot(d))
-    else:
-        sys.stdout.writelines(_cfd_lines(d))
+    sys.stdout.writelines(dot_lines(d) if args.format == "dot" else _cfd_lines(d))
     return 0
 
 

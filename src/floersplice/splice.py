@@ -27,9 +27,8 @@ from .homology import GradedRanks, graded_homology, lspace_verdict
 from .typea import TypeAModule, derive_cfa
 from .typed import (
     build_cfd,
-    durable_candidates,
+    durable_fact,
     find_durable_pairs,
-    iter_durable_pairs,
     solve_gradings,
     validate_type_d,
 )
@@ -149,7 +148,8 @@ def prepare(c: KnotComplex) -> SimplifiedBases:
     cached_property keeps a value (so equality, repr and pickling ignore
     it); c cannot change.  A refusal is not kept: the next call raises it
     again.  The bases keep what every framing of c shares: build_cfd's
-    stable part, derive_cfa's walk of it and the durable candidates."""
+    stable part, derive_cfa's walk of it, the durable candidates and the
+    durable shortcut's answers, one per fact and chain class."""
     s = vars(c).get("_bases")
     if s is None:
         report = validate_complex(c)
@@ -173,8 +173,9 @@ class FramedSide:
     on `s`; a long unstable chain is held as a run, so a side costs its
     stable part and the chain's ends, not its framing.  The type D module
     and the durable pairs depend on the framing and are never kept across
-    calls; the pairs and the shortcut's two facts are computed on first
-    use and then kept on the side.
+    calls; the pairs are listed on first use and then kept on the side.
+    The shortcut's two facts are the same for every framing of one chain
+    class, so they are kept on `s` (typed.durable_fact).
     """
 
     def __init__(self, c: KnotComplex, n: int):
@@ -200,14 +201,14 @@ class FramedSide:
     def durable_pairs(self) -> list[tuple[int, int, str]]:
         return find_durable_pairs(self.d, self.s)
 
-    # What the durable-pair shortcut reads of side 1 and of side 2, found at the first hit.
-    @cached_property
+    # What the durable-pair shortcut reads of side 1 and of side 2, kept per chain class.
+    @property
     def has_durable_pair(self) -> bool:
-        return any(p[2] == "durable" for p in iter_durable_pairs(self.d, durable_candidates(self.s)))
+        return durable_fact(self.d, self.s, self.n - 2 * self.s.tau, True)
 
-    @cached_property
+    @property
     def has_pair(self) -> bool:
-        return any(iter_durable_pairs(self.d, durable_candidates(self.s)))
+        return durable_fact(self.d, self.s, self.n - 2 * self.s.tau, False)
 
 
 def _splice(side1: FramedSide, side2: FramedSide, whole: TypeAModule | None = None) -> SpliceReport:

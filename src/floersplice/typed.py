@@ -19,6 +19,7 @@ stable part, not its framing.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -492,6 +493,7 @@ def build_cfd(s: SimplifiedBases, n: int) -> TypeDModule:
 # is: below it, computing a run's entries on every read costs a side more
 # than listing them once (splice_report of trefoil[n] or figure_eight[n]
 # with trefoil[3], in process: the two cost the same near |t| = 8-12).
+# durable_fact keys its answers by t clipped to +-RUN_MIN, the chain class.
 RUN_MIN = 8
 
 
@@ -783,7 +785,8 @@ def durable_candidates(s: SimplifiedBases) -> list[int]:
 def iter_durable_pairs(m: TypeDModule, candidates: list[int]):
     """Yield (x, y = D_123 x, "durable" or "weak") for each candidate x whose
     pair is (weakly) durable in m, lazily, so a caller can stop at its first
-    hit; y is judged only when x is at least weakly durable."""
+    hit; y is judged only when x is at least weakly durable.  The shortcut
+    scans once per complex, chain class and fact (durable_fact)."""
     d123 = m.composites["123",]
     for x in candidates:
         y = gf2.apply_sparse(d123, x)
@@ -799,6 +802,33 @@ def iter_durable_pairs(m: TypeDModule, candidates: list[int]):
             yield x, y, "weak"
 
 
+def durable_fact(m: TypeDModule, s: SimplifiedBases, t: int, durable: bool) -> bool:
+    """Whether m, the module of s framed at t = n - 2 tau, has a durable pair
+    (durable) or any pair of iter_durable_pairs, found at the first hit.
+
+    Each answer is kept in s's instance dict, as durable_candidates keeps
+    its list, keyed by the fact and the chain class: t while |t| < RUN_MIN,
+    else RUN_MIN with t's sign, one of 2 * RUN_MIN + 1.  The first side of
+    a class computes it, every later side of that class reads it, and two
+    concurrent first sides store the same value.  This is exact.  A class
+    below RUN_MIN is one framing.  The others keep the sign of t, so all
+    their modules have one stable part, canceling pair (or none) and chain
+    entry and exit edges, and differ only in the length of the run between.
+    The conditions read label words of at most three letters, out of an
+    iota_0 candidate x or y = D_123 x and into them; such a word steps at
+    most three generators along a run of |t| >= RUN_MIN, so it never passes
+    from one end of the run to the other, and a span reading sees a run only
+    through its two ends (_Shift.spans).  So no answer depends on |t| there.
+    """
+    facts = vars(s).setdefault("_durable_facts", {})
+    key = durable, max(-RUN_MIN, min(t, RUN_MIN))
+    fact = facts.get(key)
+    if fact is None:
+        pairs = iter_durable_pairs(m, durable_candidates(s))
+        fact = facts[key] = any(p[2] == "durable" for p in pairs) if durable else any(pairs)
+    return fact
+
+
 def find_durable_pairs(m: TypeDModule, s: SimplifiedBases) -> list[tuple[int, int, str]]:
     """Every pair of iter_durable_pairs over durable_candidates(s), durable
     ones first, each kind by x."""
@@ -810,16 +840,26 @@ def find_durable_pairs(m: TypeDModule, s: SimplifiedBases) -> list[tuple[int, in
 # DOT export
 # ---------------------------------------------------------------------------
 
-def to_dot(m: TypeDModule) -> str:
-    lines = ["digraph cfd {"]
+def sorted_edges(m: TypeDModule):
+    """m's edges in sorted order, one at a time.  With a run, the listed
+    edges, kept sorted, are merged with the run's D_23 edges, which come by
+    source, so no list of the run is built."""
+    if not m.run:
+        return iter(sorted(m.edges))
+    listed = m.edges.head
+    return heapq.merge(listed, map(m.edges.item, range(len(listed), len(m.edges))))
+
+
+def dot_lines(m: TypeDModule):
+    """The DOT export of m, a line at a time, each ending in a newline."""
+    yield "digraph cfd {\n"
     for g, grading in zip(m.generators, m.gradings):
-        lines.append(
-            f'  "{g.id}" [idempotent={g.idempotent}, role="{g.role}", grading={grading}];'
-        )
-    for src, label, dst in sorted(m.edges):
-        lab = label if label else "empty"
-        lines.append(
-            f'  "{m.generators[src].id}" -> "{m.generators[dst].id}" [label="D{lab}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  "{g.id}" [idempotent={g.idempotent}, role="{g.role}", grading={grading}];\n'
+    for src, label, dst in sorted_edges(m):
+        yield f'  "{m.generators[src].id}" -> "{m.generators[dst].id}" [label="D{label or "empty"}"];\n'
+    yield "}\n"
+
+
+def to_dot(m: TypeDModule) -> str:
+    """The lines of dot_lines, joined."""
+    return "".join(dot_lines(m))

@@ -61,6 +61,33 @@ def test_cfd_dot(capsys):
     assert out.startswith("digraph")
 
 
+@pytest.mark.parametrize("sign, dot", [("+", False), ("-", True)], ids=["trefoil-text", "mirror-dot"])
+def test_cfd_lines_stream_a_run(sign, dot):
+    """The cfd text and DOT are written a line at a time, a run's edges read
+    in order without a list of them: the tracemalloc peak while writing the
+    lines of the side at 10^5 is within 256 KiB of the peak at 10^3."""
+    import tracemalloc
+    from collections import deque
+
+    from floersplice.cli import _cfd_lines
+    from floersplice.splice import FramedSide
+    from floersplice.typed import dot_lines
+
+    c = staircase([1, 1], sign)
+
+    def peak(n):
+        d = FramedSide(c, n if sign == "+" else -n).d
+        d.bounded, d.gradings
+        tracemalloc.start()
+        try:
+            deque((dot_lines if dot else _cfd_lines)(d), maxlen=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10**5) <= peak(10**3) + 256 * 1024
+
+
 def test_cfa_text(capsys):
     code, out, _ = run(capsys, "cfa", TREFOIL, "--framing", "2")
     assert code == 0

@@ -28,7 +28,6 @@ from floersplice.splice import (
     InvariantViolation,
     _splice,
     conjecture_check,
-    durable_candidates,
     predict_lspace,
     prepare,
     splice_report,
@@ -36,7 +35,7 @@ from floersplice.splice import (
     survey_summary,
 )
 from floersplice.typea import TypeAModule, derive_cfa
-from floersplice.typed import walk_paths
+from floersplice.typed import durable_candidates, walk_paths
 from test_cfk import BARCODE_BASES, filtered_change
 
 
@@ -595,7 +594,8 @@ def benchmark_complexes() -> dict:
 
 class TestPerComplexCache:
     """Validation, the simplified bases and the durable candidates are computed
-    once per complex object; whatever depends on the framing, once per side."""
+    once per complex object, and the durable shortcut's facts once per complex
+    and chain class; whatever else depends on the framing, once per side."""
 
     def test_once_per_complex_object(self, monkeypatch):
         from floersplice import splice, typed
@@ -610,7 +610,8 @@ class TestPerComplexCache:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(splice, name, counted(name, getattr(splice, name)))
+            owner = typed if name == "durable_candidates" else splice
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
         cx = benchmark_complexes()
         c1, c2 = cx["trefoil"], cx["fig8#trefoil"]
         survey(c1, (-2, 2), c2, (-2, 2))
@@ -633,6 +634,64 @@ class TestPerComplexCache:
         splice_report(fresh, 3, c2, 2)
         assert [id(c) for c, _ in calls["simplify"]] == [id(c1), id(c2), id(fresh)]
         assert prepare(fresh) is not s1
+
+    def test_durable_facts_once_per_chain_class(self, monkeypatch):
+        """The shortcut scans the durable candidates at most once per complex,
+        chain class and fact, across a survey and repeated reports, and keeps
+        at most two facts per class on the bases however many framings ask."""
+        from floersplice import typed
+
+        scans = []
+
+        def counted(m, candidates):
+            scans.append(m)
+            return iter_durable_pairs(m, candidates)
+
+        iter_durable_pairs = typed.iter_durable_pairs
+        monkeypatch.setattr(typed, "iter_durable_pairs", counted)
+        cx = benchmark_complexes()
+        c1, c2 = cx["trefoil"], cx["fig8#trefoil"]
+
+        def facts():
+            return sum(len(vars(prepare(c)).get("_durable_facts", {})) for c in (c1, c2))
+
+        for _ in range(2):
+            survey(c1, (-12, 12), c2, (-3, 3))
+            for n in (-30, -3, 0, 5, 40):
+                splice_report(c1, n, c2, n + 1)
+                splice_report(c2, n, c1, n)
+            assert len(scans) == facts()
+        trefoil = cx["trefoil"]
+        survey(trefoil, (-500, 500), trefoil, (3, 3))
+        assert len(scans) == facts()
+        assert len(vars(prepare(trefoil))["_durable_facts"]) <= 2 * (2 * typed.RUN_MIN + 1)
+
+    def test_concurrent_sides_keep_the_same_facts(self):
+        """Threads that splice one fresh complex at once, each computing the
+        shortcut's facts that no other has kept yet, give the reports of one
+        thread alone, and the bases keep the facts that one thread keeps."""
+        import sys
+        import threading
+
+        framings = [(n1, n2) for n1 in (-40, -9, -3, 0, 2, 5, 9, 40) for n2 in (-3, 3)]
+        alone = benchmark_complexes()["fig8#trefoil"]
+        want = [splice_report(alone, n1, alone, n2).to_dict() for n1, n2 in framings]
+        shared, got = benchmark_complexes()["fig8#trefoil"], []
+        prepare(shared)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: got.append(
+                [splice_report(shared, n1, shared, n2).to_dict() for n1, n2 in framings])) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 4
+        assert vars(prepare(shared))["_durable_facts"] == vars(prepare(alone))["_durable_facts"]
 
     def test_warm_reports_equal_fresh(self):
         """Every report is the same whether its complexes were prepared before or

@@ -7,7 +7,7 @@ from itertools import product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floersplice import gf2, typed
@@ -1271,3 +1271,61 @@ def test_any_run_reads_as_its_listing(graph):
     for v in range(len(whole.generators)):
         for w in (("23",), ("2", "23"), ("23", "23", "1"), ("3",)):
             assert typed._hits(1 << v, d, w) == typed._hits(1 << v, whole, w), (v, w)
+
+
+# ---------------------------------------------------------------------------
+# The durable shortcut's facts, kept per complex and chain class
+# ---------------------------------------------------------------------------
+
+def _check_kept_facts(c, ts):
+    """At each t of ts, the shortcut's two facts that c's n-framed side reads,
+    with each long class kept from +-10^6 first, equal a cold scan of that
+    side's own module; for |t| >= RUN_MIN the whole pair list equals its list
+    at RUN_MIN of t's sign.  Returns how many facts the bases keep."""
+    from floersplice.splice import FramedSide, prepare
+
+    s = prepare(c)
+    two_tau = 2 * s.tau
+    for sign in (1, -1):  # the long classes are read first at another framing
+        side = FramedSide(c, two_tau + sign * 10**6)
+        assert side.has_pair >= side.has_durable_pair
+    at_min = {sign: find_durable_pairs(build_cfd(s, two_tau + sign * typed.RUN_MIN), s) for sign in (1, -1)}
+    for t in ts:
+        side = FramedSide(c, two_tau + t)
+        pairs = list(typed.iter_durable_pairs(side.d, typed.durable_candidates(s)))
+        want = any(p[2] == "durable" for p in pairs), bool(pairs)
+        assert (side.has_durable_pair, side.has_pair) == want, (c.name, t)
+        if abs(t) >= typed.RUN_MIN:
+            assert find_durable_pairs(side.d, s) == at_min[1 if t > 0 else -1], (c.name, t)
+    return len(vars(s)["_durable_facts"])
+
+
+def test_kept_durable_facts_equal_a_cold_scan():
+    """The six fixtures and the ten benchmark complexes at every t in
+    -300..300 and at +-10^6: each bases keeps at most two facts per chain
+    class, and each fact equals a cold scan of the framing's own module."""
+    for c in _gate_complexes():
+        kept = _check_kept_facts(c, [*range(-300, 301), -10**6, 10**6])
+        assert kept <= 2 * (2 * typed.RUN_MIN + 1), c.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3).map(lambda half: half + half[::-1]),
+    st.sampled_from("+-"),
+    st.sampled_from(["staircase", "re-presented", "sum"]),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 1)), max_size=4),
+)
+def test_kept_durable_facts_on_generated_complexes(steps, sign, kind, moves):
+    """The same comparison over generated complexes at framings in +-20 and
+    +-10^6 around 2 tau: palindromic staircases of either sign, filtered
+    changes of their basis, and their connected sums with the figure eight."""
+    from test_cfk import BARCODE_BASES, filtered_change
+    from test_connected_sum import tensor_product
+
+    c = staircase(steps, sign)
+    if kind == "re-presented":
+        c = filtered_change(c, moves)
+    elif kind == "sum":
+        c = tensor_product(c, BARCODE_BASES["fig8"](), "sum")
+    _check_kept_facts(c, [*range(-20, 21), -10**6, 10**6])
