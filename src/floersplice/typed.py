@@ -841,11 +841,11 @@ def find_durable_pairs(m: TypeDModule, s: SimplifiedBases) -> list[tuple[int, in
 # ---------------------------------------------------------------------------
 
 def sorted_edges(m: TypeDModule):
-    """m's edges in sorted order, one at a time.  With a run, the listed
-    edges, kept sorted, are merged with the run's D_23 edges, which come by
-    source, so no list of the run is built."""
+    """m's edges in sorted order.  With a run, the listed edges, kept sorted,
+    are merged lazily with the run's D_23 edges, which come by source, so no
+    list of the run is built."""
     if not m.run:
-        return iter(sorted(m.edges))
+        return sorted(m.edges)
     listed = m.edges.head
     return heapq.merge(listed, map(m.edges.item, range(len(listed), len(m.edges))))
 
