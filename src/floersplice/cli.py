@@ -64,8 +64,9 @@ def _cfd_lines(d):
     edges, sorted, and whether it is bounded."""
     for g, gr in zip(d.generators, d.gradings):
         yield f"gen {g.id} iota{g.idempotent} role={g.role} gr={gr}\n"
+    names = d.names
     for src, label, dst in sorted_edges(d):
-        yield f"{d.generators[src].id} --D{label or 'empty'}--> {d.generators[dst].id}\n"
+        yield f"{names[src]} --D{label or 'empty'}--> {names[dst]}\n"
     yield f"bounded={d.bounded}\n"
 
 

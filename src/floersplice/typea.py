@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .algebra import REEB_IDEMPOTENTS, is_merged, swap_and_merge, word_grading
 from .cfk import ValidationReport
-from .typed import TypeDModule, walk_paths
+from .typed import TypeDModule, then, walk_paths
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,20 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
     _stable_walk); a call keeps those whose word against pairs and walks
     only the paths that take a chain edge: those that start on the chain,
     and those that leave a stable generator u by one, after a kept path
-    into u or none.  The walk keeps two dicts for the length of one call:
-    the step from a word along a label (the merged word, or None for a
-    cut) and whether a word's map in against is nonzero (always, without
-    against; the empty word's map is the identity).  Both depend only on
-    against, so each distinct word is merged and looked up once however
-    many paths spell it; nothing that depends on against or on the framing
-    is kept from one call to the next.
+    into u or none.
+
+    A path's word is a node of a trie kept for the length of one call:
+    node 0 is the empty word, and every other node is its parent's word
+    followed by one letter, with its map in against, the parent's map
+    followed by that letter's (typed.then).  A step along a label merges it
+    onto the word's last letter alone, the only one merging can touch, and
+    extends the parent node by the result.  Steps are kept per node and
+    label, so each distinct word is stepped and mapped once however many
+    paths spell it, and a step costs the same at any word length: no word
+    is built, sliced or hashed.  The stable walk's words are interned once
+    each; the kept operations' words are spelled at the end, and their maps
+    put in against.composites, where box_tensor reads them.  Nothing else
+    outlives the call.
     """
     if not m.bounded:
         if against is None:
@@ -99,36 +106,83 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
 
     m.gradings  # a module whose gradings do not solve is refused before the walk
 
-    steps: dict[tuple[tuple[str, ...], str], tuple[str, ...] | None] = {}
-    nonzero: dict[tuple[str, ...], bool] = {}
+    # node -> (its parent, its last letter as a 1-tuple, its map in against,
+    # truthy iff nonzero: True for every node without against); node 0, the
+    # empty word, has no letter and the identity's map, nonzero iff against
+    # has generators
+    nodes = [(0, (), against is None or bool(against.generators))]
+    child: dict[tuple[int, str], int] = {}  # (node, letter) -> the node of node's word and letter
+    steps: dict[tuple[int, str], int | None] = {}  # (node, label) -> the merged word's node, or None for a cut
+    cache = None if against is None else against.composites  # the single-label maps, and the kept words'
 
-    def pairs(word):
-        if word not in nonzero:
-            nonzero[word] = against is None or bool(
-                against.composite(word) if word else against.generators
-            )
-        return nonzero[word]
+    def grow(node, x):
+        """The node of node's word followed by the letter x, made on first ask."""
+        nxt = child.get((node, x))
+        if nxt is None:
+            comp = nodes[node][2]
+            if cache is not None and comp:  # a vanishing map stays so
+                comp = then(comp, cache[x,]) if node else cache[x,]
+            nxt = child[node, x] = len(nodes)
+            nodes.append((node, (x,), comp))
+        return nxt
 
-    def step(word, label):
-        if (word, label) not in steps:
-            merged = swap_and_merge((label,), word)
-            steps[word, label] = merged if pairs(merged[:-1]) else None
-        return steps[word, label]
+    def step(node, label):
+        key = node, label
+        nxt = steps.get(key, -1)
+        if nxt == -1:  # merged onto the last letter: the rest of the word stays
+            up, last, _ = nodes[node]
+            merged = swap_and_merge((label,), last)
+            for x in merged[:-1]:  # up becomes the new word minus its last letter
+                up = grow(up, x)
+            nxt = steps[key] = (grow(up, merged[-1]) if merged else up) if nodes[up][2] else None
+        return nxt
 
+    # Each distinct stable word is interned once: it and every kept word have
+    # their tuple in words, and a nonzero map of theirs is put in the cache.
     nb, into = _stable_walk(m)
-    parity = {(src, word, end): 1 for end, paths in into.items() for src, word in paths if pairs(word)}
+    interned: dict[tuple[str, ...], int] = {(): 0}
+    words = {0: ()}  # node -> its word
+    parity = {}  # (start, node, end) -> the number of paths mod 2
+    for end, paths in into.items():
+        for src, word in paths:
+            node = interned.get(word)
+            if node is None:
+                node = 0
+                for x in word:
+                    node = grow(node, x)
+                interned[word] = node
+                words[node] = word
+                if cache is not None and nodes[node][2]:
+                    cache.setdefault(word, nodes[node][2])
+            if nodes[node][2]:
+                parity[src, node, end] = 1
     leaving: dict[int, list[tuple[str, int]]] = {}  # stable generator -> its chain out-edges
     for src, label, dst in m.chain[:bisect_left(m.chain, (nb,))]:  # sorted: those come first
         leaving.setdefault(src, []).append((label, dst))
-    roots = [(start, word, first)
+    roots = [(start, interned[word], first)
              for u, first in leaving.items() for start, word in [(u, ()), *into.get(u, [])]]
-    roots += [(u, (), m.adj[u]) for u in range(nb, len(m.generators))]
-    for start, end, word in walk_paths(m.adj, step, roots):
-        if pairs(word):
-            key = (start, word, end)
+    roots += [(u, 0, m.adj[u]) for u in range(nb, len(m.generators))]
+    for start, end, node in walk_paths(m.adj, step, roots):
+        if nodes[node][2]:
+            key = (start, node, end)
             parity[key] = parity.get(key, 0) ^ 1
 
-    ops = frozenset(key for key, p in parity.items() if p)
+    def spell(node):
+        """A kept node's word: its nearest ancestor's with a word, followed by
+        the letters below it, read up the trie.  The word is kept, and its map
+        put in the cache."""
+        k, word, comp = nodes[node]
+        letters = []
+        while k not in words:
+            k, last, _ = nodes[k]
+            letters += last
+        word = words[node] = words[k] + tuple(reversed(letters)) + word
+        if cache is not None:
+            cache.setdefault(word, comp)
+        return word
+
+    ops = frozenset((src, words[node] if node in words else spell(node), end)
+                    for (src, node, end), p in parity.items() if p)
     return TypeAModule(m, ops, against)
 
 

@@ -73,7 +73,8 @@ class TypeDModule:
     bounded: bool = field(init=False, repr=False, compare=False)
     # nonempty path-order label word -> its map, start -> nonzero ends: the
     # single labels from construction, longer words filled by composite on
-    # first ask, also when the map vanishes
+    # first ask, also when the map vanishes, and by derive_cfa against this
+    # module with the nonzero maps of the words its walk spells
     composites: dict[tuple[str, ...], Mapping[int, int]] = field(init=False, repr=False, compare=False)
     # the run's generators (none without one), the index step of its D_23
     # edges and their sources
@@ -126,6 +127,14 @@ class TypeDModule:
         return frozenset(g.id for g in self.generators)
 
     @cached_property
+    def names(self) -> Sequence[str]:
+        """generator -> its id; a run generator's is computed without its DGen."""
+        if not self.run:
+            return [g.id for g in self.generators]
+        first = self._run[0].start
+        return Column([g.id for g in self.generators.head], len(self.generators), lambda i: f"mu{i - first + 1}")
+
+    @cached_property
     def ins(self) -> dict[int, list[tuple[int, str]]]:
         """dst -> its in-edges (src, label), sorted: the stable part's lists,
         extended by the chain edges as adj is, the run's computed alike."""
@@ -146,7 +155,7 @@ class TypeDModule:
 
         Its entry at a start counts, mod 2, the paths from there whose labels
         spell the word.  It is built from the longest cached prefix, one label
-        map at a time (see _then), and kept, vanishing or not, so asking again
+        map at a time (see then), and kept, vanishing or not, so asking again
         is one lookup.  With a run, the map of a word of D_23's alone is a
         _Shift, and every other map has at most two starts on the run, so a
         word costs its length, not the run's.  The empty word's map, the
@@ -165,7 +174,7 @@ class TypeDModule:
         while comp and n < len(word):
             mat = cache[word[n],]
             n += 1
-            comp = cache[word[:n]] = _then(comp, mat)
+            comp = cache[word[:n]] = then(comp, mat)
         cache[word] = comp
         return comp
 
@@ -311,11 +320,12 @@ class _Shift(Mapping):
         return gf2.in_span(list(self.kept.values()), v)
 
 
-def _then(comp: Mapping[int, int], mat: Mapping[int, int]) -> Mapping[int, int]:
-    """The map of comp's word followed by the single label of mat: mat applied
-    to every end.  A _Shift's run starts move in closed form: along D_23 by
-    mat's offset, and otherwise only where their ends are the run's ends,
-    the one place its other edges leave, so they cost no more than two starts."""
+def then(comp: Mapping[int, int], mat: Mapping[int, int]) -> Mapping[int, int]:
+    """The map of comp's word followed by the single label of mat, a new map:
+    mat applied to every end.  A _Shift's run starts move in closed form:
+    along D_23 by mat's offset, and otherwise only where their ends are the
+    run's ends, the one place its other edges leave, so they cost no more
+    than two starts."""
     if not isinstance(comp, _Shift):
         return {s: e for s, c in comp.items() if (e := gf2.apply_sparse(mat, c))}
     out = {s: e for s, c in comp.kept.items() if (e := gf2.apply_sparse(mat, c))}
@@ -855,8 +865,9 @@ def dot_lines(m: TypeDModule):
     yield "digraph cfd {\n"
     for g, grading in zip(m.generators, m.gradings):
         yield f'  "{g.id}" [idempotent={g.idempotent}, role="{g.role}", grading={grading}];\n'
+    names = m.names
     for src, label, dst in sorted_edges(m):
-        yield f'  "{m.generators[src].id}" -> "{m.generators[dst].id}" [label="D{label or "empty"}"];\n'
+        yield f'  "{names[src]}" -> "{names[dst]}" [label="D{label or "empty"}"];\n'
     yield "}\n"
 
 

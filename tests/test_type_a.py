@@ -199,6 +199,87 @@ def _merged_once(d):
     return frozenset(op for op, p in parity.items() if p)
 
 
+def _tuple_walk(d, against=None):
+    """The operations of d by the walk with the trie's cut rule, whose state
+    is the merged word itself, a tuple merged afresh at every step, and with
+    no stable part: a path is cut once its word minus the last letter has no
+    map in against, and an operation is kept when its word's map is nonzero
+    (always without against; the empty word's map is the identity).  Pass
+    an against that no derive_cfa call has put maps in, such as a copy built
+    whole (_whole), so the reference reads none of the walk's maps."""
+    def pairs(word):
+        return against is None or bool(against.composite(word) if word else against.generators)
+
+    def step(word, label):
+        merged = swap_and_merge((label,), word)
+        return merged if pairs(merged[:-1]) else None
+
+    parity = {}
+    roots = [(s, (), d.adj[s]) for s in range(len(d.generators))]
+    for start, end, word in walk_paths(d.adj, step, roots):
+        if pairs(word):
+            parity[start, word, end] = parity.get((start, word, end), 0) ^ 1
+    return frozenset(op for op, p in parity.items() if p)
+
+
+def test_a_long_run_walks_as_the_tuple_walk(mirror_trefoil, figure_eight, t25, unknot_complex):
+    """unknot[0] and a one-generator D_12 loop, unbounded, against modules
+    with long runs and back: the trie walk, whose words grow with the run,
+    derives the tuple walk's operations.  The framings are every 13th up to
+    |n| = 300, both ends, and all of |n| <= 12, where chains are listed or
+    just long enough to be runs; the tuple walk costs the square of the run."""
+    unbounded = [build_cfd(simplify(unknot_complex), 0), TypeDModule([DGen("y", 0, "xi")], frozenset({(0, "12", 0)}))]
+    for c in (mirror_trefoil, figure_eight, t25):
+        s = simplify(c)
+        for n in sorted({*range(-300, 301, 13), 300, *range(-12, 13)}):
+            d = build_cfd(s, n)
+            assert d.bounded, (c.name, n)
+            for u in unbounded:
+                for m, against in ((u, d), (d, u)):
+                    assert derive_cfa(m, against=against).operations == _tuple_walk(m, _whole(against)), (c.name, n)
+
+
+def test_a_pruned_pairing_reads_every_map_from_the_walk(request, trefoil, monkeypatch):
+    """The pruned walk puts the map of every word it keeps in its partner's
+    composites, so box_tensor asks the partner for no composite: the fixtures
+    at -7..9 against trefoil[3], in both orders."""
+    from floersplice.boxtensor import box_tensor
+
+    def refuse(self, word):
+        raise AssertionError(f"box_tensor computed the composite of {word}")
+
+    for name in FIXTURES:
+        s = simplify(request.getfixturevalue(name))
+        for n in range(-7, 10):
+            side = build_cfd(s, n)
+            for m, against in ((side, build_cfd(simplify(trefoil), 3)), (build_cfd(simplify(trefoil), 3), side)):
+                a = derive_cfa(m, against=against)
+                with monkeypatch.context() as patch:
+                    patch.setattr(TypeDModule, "composite", refuse)
+                    box_tensor(a, against)
+
+
+def test_a_deep_run_walks_in_little_memory(mirror_trefoil, unknot_complex):
+    """unknot[0] spliced with mirror_trefoil[-4000] walks words of up to
+    4,001 letters, and keeps none of them but the short kept ones: the
+    tracemalloc peak of the splice stays at or below 16 MiB (it took about
+    126 MiB when each step merged and hashed its whole word).  Both
+    complexes are prepared before the peak is taken."""
+    import tracemalloc
+
+    from floersplice.splice import prepare, splice_report
+
+    prepare(unknot_complex), prepare(mirror_trefoil)
+    tracemalloc.start()
+    try:
+        report = splice_report(unknot_complex, 0, mirror_trefoil, -4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.computed.rank0, report.computed.rank1) == (0, 1) and report.agree
+    assert peak <= 16 * 2**20, peak
+
+
 def test_whole_walk_matches_merging_each_path_once(request):
     """The memoised walk merges one letter at a time and remembers each step;
     its whole module equals merging every path's labels afresh."""
@@ -264,24 +345,28 @@ def _partners(request):
 
 
 def test_framed_walk_matches_whole_module(request):
-    """Every framing -40..40 of the fixtures and the benchmark complexes:
-    derive_cfa over the kept stable walk, whole and pruned against five
-    partners, equals the same call on the module built whole, refusals too."""
+    """Every framing -40..40 of the fixtures and the benchmark complexes, and
+    the hand-built modules: derive_cfa over the kept stable walk, whole and
+    pruned against five partners, equals the same call on the module built
+    whole, refusals too, and its operations are the walk on word tuples."""
     from test_splice import benchmark_complexes
 
     complexes = [request.getfixturevalue(name) for name in FIXTURES]
     complexes += benchmark_complexes().values()
     partners = _partners(request)
+    modules = [(c.name, n, build_cfd(s, n)) for c in complexes for s in [simplify(c)] for n in range(-40, 41)]
+    modules += [(name, None, d) for name, d in hand_built().items()]
+    references = [_whole(p) for p in partners]  # partners no derive_cfa call writes maps into
     refused = 0
-    for c in complexes:
-        s = simplify(c)
-        for n in range(-40, 41):
-            d = build_cfd(s, n)
-            whole = _whole(d)
-            for against in (None, *partners):
-                got = _derived(d, against)
-                assert got == _derived(whole, against), (c.name, n)
-                refused += isinstance(got, str)
+    for name, n, d in modules:
+        whole = _whole(d)
+        for against, reference in zip((None, *partners), (None, *references)):
+            got = _derived(d, against)
+            assert got == _derived(whole, against), (name, n)
+            if isinstance(got, str):
+                refused += 1
+            else:
+                assert got[2] == _tuple_walk(d, reference), (name, n)
     # the two unknots at framings 0..40, unbounded: alone and against unknot[0] and unknot[1]
     assert refused == 2 * 41 * 3
 
