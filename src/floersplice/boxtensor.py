@@ -58,6 +58,12 @@ class ChainComplex:
         return not any(col & same[g] for col, g in zip(self.boundary, self.gradings))
 
 
+def _listed(d: TypeDModule) -> tuple:
+    """What fixes d's generators and edges: its run and its listed ones (a
+    run's generators and D_23 edges follow from its length and start)."""
+    return (d.run, d.generators.head, d.edges.head) if d.run else (0, d.generators, d.edges)
+
+
 def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
     """Pair a type A module with a type D module.
 
@@ -73,7 +79,7 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
     (sorted: (A, D) order).  Cost follows live words and entries, not na * nd.
     """
     b = a.against
-    if b is not None and b is not d and (b.generators, b.edges) != (d.generators, d.edges):
+    if b is not None and b is not d and _listed(b) != _listed(d):
         raise ValueError("type A module was pruned against another type D module")
 
     na, nd = len(a.source.generators), len(d.generators)

@@ -19,15 +19,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .boxtensor import box_tensor
 from .cfk import KnotComplex, SimplifiedBases, simplify, validate_complex
 from .homology import GradedRanks, graded_homology, lspace_verdict
 from .typea import TypeAModule, derive_cfa
 from .typed import (
+    RUN_MIN,
     build_cfd,
-    durable_fact,
     find_durable_pairs,
     solve_gradings,
     validate_type_d,
@@ -148,8 +147,8 @@ def prepare(c: KnotComplex) -> SimplifiedBases:
     cached_property keeps a value (so equality, repr and pickling ignore
     it); c cannot change.  A refusal is not kept: the next call raises it
     again.  The bases keep what every framing of c shares: build_cfd's
-    stable part, derive_cfa's walk of it, the durable candidates and the
-    durable shortcut's answers, one per fact and chain class."""
+    stable part, derive_cfa's walk of it, the durable candidates and one
+    list of durable pairs per chain class (FramedSide.durable_pairs)."""
     s = vars(c).get("_bases")
     if s is None:
         report = validate_complex(c)
@@ -172,10 +171,8 @@ class FramedSide:
     `d`, built, validated and graded per framing over the stable part kept
     on `s`; a long unstable chain is held as a run, so a side costs its
     stable part and the chain's ends, not its framing.  The type D module
-    and the durable pairs depend on the framing and are never kept across
-    calls; the pairs are listed on first use and then kept on the side.
-    The shortcut's two facts are the same for every framing of one chain
-    class, so they are kept on `s` (typed.durable_fact).
+    is never kept across calls.  The durable pairs are the same for every
+    framing of one chain class, so they are kept on `s` (durable_pairs).
     """
 
     def __init__(self, c: KnotComplex, n: int):
@@ -197,18 +194,30 @@ class FramedSide:
         sides = ((self.s.complex.name, self.n), (other.s.complex.name, other.n))
         return InvariantViolation(f"{self} x {other}: {stage}{detail}", stage, sides)
 
-    @cached_property
+    @property
     def durable_pairs(self) -> list[tuple[int, int, str]]:
-        return find_durable_pairs(self.d, self.s)
-
-    # What the durable-pair shortcut reads of side 1 and of side 2, kept per chain class.
-    @property
-    def has_durable_pair(self) -> bool:
-        return durable_fact(self.d, self.s, self.n - 2 * self.s.tau, True)
-
-    @property
-    def has_pair(self) -> bool:
-        return durable_fact(self.d, self.s, self.n - 2 * self.s.tau, False)
+        """find_durable_pairs of this side, kept in s's instance dict, as
+        durable_candidates keeps its list, one list per chain class: t =
+        n - 2 tau while |t| < RUN_MIN, else RUN_MIN with t's sign, so at most
+        2 * RUN_MIN + 1.  The first side of a class scans every candidate,
+        every later side of that class reads the list, and two concurrent
+        first sides store equal lists.  This is exact.  A class below
+        RUN_MIN is one framing.  The others keep the sign of t, so all their
+        modules have one stable part, canceling pair (or none) and chain
+        entry and exit edges, and differ only in the length of the run
+        between.  The conditions read label words of at most three letters,
+        out of an iota_0 candidate x or y = D_123 x and into them; such a
+        word steps at most three generators along a run of |t| >= RUN_MIN,
+        so it never passes from one end of the run to the other, and a span
+        reading sees a run only through its two ends (typed._Shift.spans).
+        So no pair, nor any generator index in it, depends on |t| there.
+        """
+        kept = vars(self.s).setdefault("_durable_pairs", {})
+        key = max(-RUN_MIN, min(self.n - 2 * self.s.tau, RUN_MIN))
+        pairs = kept.get(key)
+        if pairs is None:
+            pairs = kept[key] = find_durable_pairs(self.d, self.s)
+        return pairs
 
 
 def _splice(side1: FramedSide, side2: FramedSide, whole: TypeAModule | None = None) -> SpliceReport:
@@ -238,12 +247,15 @@ def _splice(side1: FramedSide, side2: FramedSide, whole: TypeAModule | None = No
             f": |rank1 - rank0| = {ranks.euler_abs}"
             f" breaks the Euler identity |n1*n2 - 1| = {abs(n1 * n2 - 1)}",
         )
+    if not ranks.total:  # HF-hat of a closed 3-manifold never vanishes
+        raise side1.violation(side2, "graded homology", ": the total rank is zero")
     verdict = lspace_verdict(ranks)
     prediction = predict_lspace(s1.tau, s1.lspace_form, n1, s2.tau, s2.lspace_form, n2)
     agree = True if prediction == OUT_OF_SCOPE else (prediction == verdict)
 
     bounded = side1.d.bounded and side2.d.bounded
-    fast = True if bounded and side1.has_durable_pair and side2.has_pair else None
+    durable = bounded and any(p[2] == "durable" for p in side1.durable_pairs)
+    fast = True if durable and side2.durable_pairs else None
     if fast and verdict:
         raise side1.violation(
             side2, "durable-pair shortcut", " contradicts the computed verdict"

@@ -503,7 +503,7 @@ def build_cfd(s: SimplifiedBases, n: int) -> TypeDModule:
 # is: below it, computing a run's entries on every read costs a side more
 # than listing them once (splice_report of trefoil[n] or figure_eight[n]
 # with trefoil[3], in process: the two cost the same near |t| = 8-12).
-# durable_fact keys its answers by t clipped to +-RUN_MIN, the chain class.
+# FramedSide.durable_pairs keeps one list per t clipped to +-RUN_MIN, the chain class.
 RUN_MIN = 8
 
 
@@ -792,13 +792,12 @@ def durable_candidates(s: SimplifiedBases) -> list[int]:
     return kept
 
 
-def iter_durable_pairs(m: TypeDModule, candidates: list[int]):
-    """Yield (x, y = D_123 x, "durable" or "weak") for each candidate x whose
-    pair is (weakly) durable in m, lazily, so a caller can stop at its first
-    hit; y is judged only when x is at least weakly durable.  The shortcut
-    scans once per complex, chain class and fact (durable_fact)."""
-    d123 = m.composites["123",]
-    for x in candidates:
+def find_durable_pairs(m: TypeDModule, s: SimplifiedBases) -> list[tuple[int, int, str]]:
+    """Every (x, y = D_123 x, "durable" or "weak") over durable_candidates(s)
+    whose pair is (weakly) durable in m, durable ones first, each kind by x;
+    y is judged only when x is at least weakly durable."""
+    d123, pairs = m.composites["123",], []
+    for x in durable_candidates(s):
         y = gf2.apply_sparse(d123, x)
         if not y:
             continue
@@ -807,42 +806,9 @@ def iter_durable_pairs(m: TypeDModule, candidates: list[int]):
             continue
         dy = durability(m, y)
         if dx["durable"] and dy["durable"]:
-            yield x, y, "durable"
+            pairs.append((x, y, "durable"))
         elif dy["weakly_durable"]:
-            yield x, y, "weak"
-
-
-def durable_fact(m: TypeDModule, s: SimplifiedBases, t: int, durable: bool) -> bool:
-    """Whether m, the module of s framed at t = n - 2 tau, has a durable pair
-    (durable) or any pair of iter_durable_pairs, found at the first hit.
-
-    Each answer is kept in s's instance dict, as durable_candidates keeps
-    its list, keyed by the fact and the chain class: t while |t| < RUN_MIN,
-    else RUN_MIN with t's sign, one of 2 * RUN_MIN + 1.  The first side of
-    a class computes it, every later side of that class reads it, and two
-    concurrent first sides store the same value.  This is exact.  A class
-    below RUN_MIN is one framing.  The others keep the sign of t, so all
-    their modules have one stable part, canceling pair (or none) and chain
-    entry and exit edges, and differ only in the length of the run between.
-    The conditions read label words of at most three letters, out of an
-    iota_0 candidate x or y = D_123 x and into them; such a word steps at
-    most three generators along a run of |t| >= RUN_MIN, so it never passes
-    from one end of the run to the other, and a span reading sees a run only
-    through its two ends (_Shift.spans).  So no answer depends on |t| there.
-    """
-    facts = vars(s).setdefault("_durable_facts", {})
-    key = durable, max(-RUN_MIN, min(t, RUN_MIN))
-    fact = facts.get(key)
-    if fact is None:
-        pairs = iter_durable_pairs(m, durable_candidates(s))
-        fact = facts[key] = any(p[2] == "durable" for p in pairs) if durable else any(pairs)
-    return fact
-
-
-def find_durable_pairs(m: TypeDModule, s: SimplifiedBases) -> list[tuple[int, int, str]]:
-    """Every pair of iter_durable_pairs over durable_candidates(s), durable
-    ones first, each kind by x."""
-    pairs = iter_durable_pairs(m, durable_candidates(s))
+            pairs.append((x, y, "weak"))
     return sorted(pairs, key=lambda t: (t[2] != "durable", t[0]))
 
 

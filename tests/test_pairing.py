@@ -143,6 +143,27 @@ def test_pruned_module_pairs_only_with_its_partner(trefoil, mirror_trefoil):
                 box_tensor(pruned, d3)
 
 
+def test_partner_check_lists_no_run(monkeypatch, trefoil):
+    """box_tensor checks an equal but distinct partner with a run by its
+    listed parts and its run, so no run is listed (listing both of trefoil[10^6]'s
+    took seconds and hundreds of MB): a partner whose run or listed edges
+    differ is still refused."""
+    from floersplice.typed import Column, TypeDModule
+
+    s, n = simplify(trefoil), 10**6
+    d = build_cfd(s, n)
+    pruned = derive_cfa(build_cfd(s, 3), against=d)
+    want = box_tensor(pruned, d)
+    cut = TypeDModule(d.generators.head, frozenset(d.edges.head) - {d.chain[-1]}, d.stable, d.run)
+    with monkeypatch.context() as m:
+        m.setattr(Column, "__iter__", lambda col: pytest.fail("a run was listed"))
+        got = box_tensor(pruned, build_cfd(s, n))
+        for other in (build_cfd(s, n + 1), cut):
+            with pytest.raises(ValueError, match="pruned against another type D module"):
+                box_tensor(pruned, other)
+    assert got == want
+
+
 def test_empty_against_module(trefoil):
     from floersplice.typed import TypeDModule
 

@@ -35,7 +35,7 @@ from floersplice.splice import (
     survey_summary,
 )
 from floersplice.typea import TypeAModule, derive_cfa
-from floersplice.typed import durable_candidates, walk_paths
+from floersplice.typed import durable_candidates, find_durable_pairs, walk_paths
 from test_cfk import BARCODE_BASES, filtered_change
 
 
@@ -108,19 +108,24 @@ class TestSpliceReport:
         assert r.prediction is False
         assert r.durable_fast_path is True
 
-    def test_first_hit_durable_facts_match_the_full_list(
+    def test_shortcut_reads_the_kept_durable_lists(
         self, trefoil, mirror_trefoil, t25, figure_eight, unknot_complex
     ):
-        """The shortcut's two facts, each found at its first hit, agree with
-        the sorted list the durable command prints."""
+        """Each side's kept list is the sorted list the durable command prints,
+        a cold scan of its own module, and the shortcut reads both of its facts
+        from it: a durable pair on side 1, any pair on side 2."""
+        partner = FramedSide(figure_eight, 1)
         seen = set()
         for c in (trefoil, mirror_trefoil, t25, figure_eight, unknot_complex):
             for n in range(-4, 5):
                 side = FramedSide(c, n)
                 pairs = side.durable_pairs
-                assert side.has_durable_pair == any(p[2] == "durable" for p in pairs)
-                assert side.has_pair == bool(pairs)
-                seen.add((side.has_durable_pair, side.has_pair))
+                assert pairs == find_durable_pairs(side.d, side.s)
+                facts = any(p[2] == "durable" for p in pairs), bool(pairs)
+                seen.add(facts)
+                bounded = side.d.bounded
+                assert _splice(side, partner).durable_fast_path is (True if bounded and facts[0] else None)
+                assert _splice(partner, side).durable_fast_path is (True if bounded and facts[1] else None)
         assert seen == {(False, False), (False, True), (True, True)}
 
     def test_report_fields(self, trefoil, mirror_trefoil):
@@ -251,6 +256,25 @@ class TestGuardMessages:
         assert caught.value.stage == "graded homology"
         assert caught.value.sides == (("trefoil", 3), ("trefoil", 2))
         assert str(caught.value).startswith("trefoil[3] x trefoil[2]: graded homology: ")
+
+    def test_zero_total_rank_is_a_violation(self, monkeypatch, capsys, trefoil):
+        """At trefoil[1] x trefoil[1] ranks (0, 0) pass the Euler identity
+        (n1*n2 - 1 = 0); the zero total rank is an invariant violation that
+        names both sides, and the CLI exits 2, not 1 as for an input."""
+        from floersplice.cli import main
+
+        monkeypatch.setattr("floersplice.splice.graded_homology", lambda box: GradedRanks(0, 0))
+        with pytest.raises(InvariantViolation) as caught:
+            splice_report(trefoil, 1, trefoil, 1)
+        assert str(caught.value) == "trefoil[1] x trefoil[1]: graded homology: the total rank is zero"
+        assert caught.value.stage == "graded homology"
+        assert caught.value.sides == (("trefoil", 1), ("trefoil", 1))
+
+        path = str(Path(__file__).parent / "data" / "trefoil.cfk")
+        assert main(["splice", path, "1", path, "1"]) == 2
+        assert capsys.readouterr().err == (
+            "internal invariant violation: trefoil[1] x trefoil[1]: graded homology: the total rank is zero\n"
+        )
 
     def test_durable_contradiction(self, monkeypatch, figure_eight, trefoil):
         monkeypatch.setattr("floersplice.splice.lspace_verdict", lambda ranks: True)
@@ -636,40 +660,40 @@ class TestPerComplexCache:
         assert prepare(fresh) is not s1
 
     def test_durable_facts_once_per_chain_class(self, monkeypatch):
-        """The shortcut scans the durable candidates at most once per complex,
-        chain class and fact, across a survey and repeated reports, and keeps
-        at most two facts per class on the bases however many framings ask."""
-        from floersplice import typed
+        """Both facts of the shortcut read one durable pair list per complex
+        and chain class, scanned once across a survey and repeated reports,
+        and the bases keep at most one list per class however many framings
+        ask."""
+        from floersplice import splice, typed
 
         scans = []
 
-        def counted(m, candidates):
+        def counted(m, s):
             scans.append(m)
-            return iter_durable_pairs(m, candidates)
+            return find_durable_pairs(m, s)
 
-        iter_durable_pairs = typed.iter_durable_pairs
-        monkeypatch.setattr(typed, "iter_durable_pairs", counted)
+        monkeypatch.setattr(splice, "find_durable_pairs", counted)
         cx = benchmark_complexes()
         c1, c2 = cx["trefoil"], cx["fig8#trefoil"]
 
-        def facts():
-            return sum(len(vars(prepare(c)).get("_durable_facts", {})) for c in (c1, c2))
+        def lists():
+            return sum(len(vars(prepare(c)).get("_durable_pairs", {})) for c in (c1, c2))
 
         for _ in range(2):
             survey(c1, (-12, 12), c2, (-3, 3))
             for n in (-30, -3, 0, 5, 40):
                 splice_report(c1, n, c2, n + 1)
                 splice_report(c2, n, c1, n)
-            assert len(scans) == facts()
+            assert len(scans) == lists()
         trefoil = cx["trefoil"]
         survey(trefoil, (-500, 500), trefoil, (3, 3))
-        assert len(scans) == facts()
-        assert len(vars(prepare(trefoil))["_durable_facts"]) <= 2 * (2 * typed.RUN_MIN + 1)
+        assert len(scans) == lists()
+        assert len(vars(prepare(trefoil))["_durable_pairs"]) <= 2 * typed.RUN_MIN + 1
 
     def test_concurrent_sides_keep_the_same_facts(self):
-        """Threads that splice one fresh complex at once, each computing the
-        shortcut's facts that no other has kept yet, give the reports of one
-        thread alone, and the bases keep the facts that one thread keeps."""
+        """Threads that splice one fresh complex at once, each scanning the
+        durable pair lists that no other has kept yet, give the reports of one
+        thread alone, and the bases keep the lists that one thread keeps."""
         import sys
         import threading
 
@@ -691,7 +715,7 @@ class TestPerComplexCache:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
         assert got == [want] * 4
-        assert vars(prepare(shared))["_durable_facts"] == vars(prepare(alone))["_durable_facts"]
+        assert vars(prepare(shared))["_durable_pairs"] == vars(prepare(alone))["_durable_pairs"]
 
     def test_warm_reports_equal_fresh(self):
         """Every report is the same whether its complexes were prepared before or

@@ -1274,39 +1274,45 @@ def test_any_run_reads_as_its_listing(graph):
 
 
 # ---------------------------------------------------------------------------
-# The durable shortcut's facts, kept per complex and chain class
+# The durable pairs, one list kept per complex and chain class
 # ---------------------------------------------------------------------------
 
-def _check_kept_facts(c, ts):
-    """At each t of ts, the shortcut's two facts that c's n-framed side reads,
-    with each long class kept from +-10^6 first, equal a cold scan of that
-    side's own module; for |t| >= RUN_MIN the whole pair list equals its list
-    at RUN_MIN of t's sign.  Returns how many facts the bases keep."""
+def _check_kept_lists(c, ts):
+    """At each t of ts, the durable pair list that c's n-framed side reads,
+    with each long class kept from +-10^6 first, equals a cold scan of that
+    side's own module, and each class is scanned once.  Returns how many
+    lists the bases keep."""
+    from unittest import mock
+
+    from floersplice import splice
     from floersplice.splice import FramedSide, prepare
 
-    s = prepare(c)
+    s, scans = prepare(c), []
+
+    def counted(m, bases):
+        scans.append(m)
+        return find_durable_pairs(m, bases)
+
     two_tau = 2 * s.tau
-    for sign in (1, -1):  # the long classes are read first at another framing
-        side = FramedSide(c, two_tau + sign * 10**6)
-        assert side.has_pair >= side.has_durable_pair
-    at_min = {sign: find_durable_pairs(build_cfd(s, two_tau + sign * typed.RUN_MIN), s) for sign in (1, -1)}
-    for t in ts:
-        side = FramedSide(c, two_tau + t)
-        pairs = list(typed.iter_durable_pairs(side.d, typed.durable_candidates(s)))
-        want = any(p[2] == "durable" for p in pairs), bool(pairs)
-        assert (side.has_durable_pair, side.has_pair) == want, (c.name, t)
-        if abs(t) >= typed.RUN_MIN:
-            assert find_durable_pairs(side.d, s) == at_min[1 if t > 0 else -1], (c.name, t)
-    return len(vars(s)["_durable_facts"])
+    with mock.patch.object(splice, "find_durable_pairs", counted):
+        for sign in (1, -1):  # the long classes are read first at another framing
+            FramedSide(c, two_tau + sign * 10**6).durable_pairs
+        for t in ts:
+            side = FramedSide(c, two_tau + t)
+            assert side.durable_pairs == find_durable_pairs(side.d, s), (c.name, t)
+    kept = vars(s)["_durable_pairs"]
+    assert len(scans) == len(kept), c.name
+    return len(kept)
 
 
 def test_kept_durable_facts_equal_a_cold_scan():
     """The six fixtures and the ten benchmark complexes at every t in
-    -300..300 and at +-10^6: each bases keeps at most two facts per chain
-    class, and each fact equals a cold scan of the framing's own module."""
+    -300..300 and at +-10^6: each bases keeps at most one durable pair list
+    per chain class, the list both facts of the shortcut read, and each
+    list equals a cold scan of the framing's own module."""
     for c in _gate_complexes():
-        kept = _check_kept_facts(c, [*range(-300, 301), -10**6, 10**6])
-        assert kept <= 2 * (2 * typed.RUN_MIN + 1), c.name
+        kept = _check_kept_lists(c, [*range(-300, 301), -10**6, 10**6])
+        assert kept <= 2 * typed.RUN_MIN + 1, c.name
 
 
 @settings(max_examples=40, deadline=None)
@@ -1328,4 +1334,4 @@ def test_kept_durable_facts_on_generated_complexes(steps, sign, kind, moves):
         c = filtered_change(c, moves)
     elif kind == "sum":
         c = tensor_product(c, BARCODE_BASES["fig8"](), "sum")
-    _check_kept_facts(c, [*range(-20, 21), -10**6, 10**6])
+    assert _check_kept_lists(c, [*range(-20, 21), -10**6, 10**6]) <= 2 * typed.RUN_MIN + 1
