@@ -94,6 +94,12 @@ def merge_word(letters: tuple[str, ...], prefix: tuple[str, ...] = ()) -> tuple[
     return tuple(word)
 
 
+# ((label,), prefix) -> swap_and_merge's word, for every label onto every
+# prefix of at most one letter, merged by the general rule: 49 entries.
+_ONE_STEP = {((label,), prefix): merge_word(swap_label(label), prefix)
+             for label in LABELS for prefix in ((), *((x,) for x in REEB_LABELS))}
+
+
 def swap_and_merge(
     labels: tuple[str, ...] | list[str], prefix: tuple[str, ...] = ()
 ) -> tuple[str, ...]:
@@ -102,7 +108,15 @@ def swap_and_merge(
     Labels are taken in chain order (first map applied first).  Each label
     is digit-expanded and boundary-swapped, and the expansions are merged
     onto `prefix`, the merged word of the chain so far.
+
+    One label merged onto a tuple of at most one letter, a step of the type
+    A walk, is read from _ONE_STEP; every other input (a list, a longer
+    chain or prefix, an unknown label) takes the general rule.
     """
+    try:
+        return _ONE_STEP[labels, prefix]
+    except (KeyError, TypeError):  # not in the table, or a list
+        pass
     letters: list[str] = []
     for lab in labels:
         letters.extend(swap_label(lab))

@@ -7,7 +7,7 @@ graded, the side with fewer generators is converted to its type A module
 (either side's gives the same homology), the box tensor is taken, and the
 graded homology decides the L-space question.  _splice alone decides which
 type A module pairs: that pruned one, or the whole module of side 1 that
-survey derives once for a row range.
+survey derives once for a row range when some row of it pairs through side 1.
 The result is compared against the closed-form predictor and (when both
 sides are bounded) the durable generator shortcut.  conjecture_check, the
 exact rational reformulation of the splice conditions, stands apart: no
@@ -28,6 +28,7 @@ from .typed import (
     RUN_MIN,
     build_cfd,
     find_durable_pairs,
+    generator_count,
     solve_gradings,
     validate_type_d,
 )
@@ -223,9 +224,11 @@ class FramedSide:
 def _splice(side1: FramedSide, side2: FramedSide, whole: TypeAModule | None = None) -> SpliceReport:
     """The report of side1 x side2, pairing side 1's whole type A module if given.
 
-    Otherwise the side with fewer generators (its walk starts a path at every
-    chain generator) derives only the operations its partner can pair, which
-    also ends an unbounded side's walk; either box has the splice's homology.
+    Otherwise the side with fewer generators (side 1 on a tie; its walk
+    starts a path at every chain generator) derives only the operations its
+    partner can pair, which also ends an unbounded side's walk; either box
+    has the splice's homology.  survey passes a whole module only for a row
+    range where this rule picks side 1 at some row.
     """
     s1, s2, n1, n2 = side1.s, side2.s, side1.n, side2.n
     if whole is not None:
@@ -290,6 +293,12 @@ def survey(
 
     Each side is prepared once, on first use in row order, so a failure
     surfaces at the same row as with one splice_report call per row.
+    Side 1's whole type A module is derived once per row range and paired
+    on every row when side 1 is bounded, range2 holds two or more framings
+    and some row would pair through side 1 by _splice's rule: side 1 has no
+    more generators than the deepest side 2, counted off its bases
+    (typed.generator_count).  Otherwise each row pairs as splice_report
+    does, so a deep side 1 costs its shallow partners' pruned walks.
     A range that is not a tuple or list of two int ends, or is empty (its
     first end past its last), is refused before any row.
     """
@@ -301,6 +310,7 @@ def survey(
         if r[0] > r[1]:
             raise ValueError(f"survey range {r!r} is empty")
     sides2: dict[int, FramedSide] = {}
+    deepest = None  # the most generators of a side 2, read off its bases
     reports = []
     for n1 in range(range1[0], range1[1] + 1):
         side1 = whole = None
@@ -308,11 +318,13 @@ def survey(
             side1 = side1 or FramedSide(c1, n1)
             if n2 not in sides2:
                 sides2[n2] = FramedSide(c2, n2)
-            # A bounded side 1 that meets several framings is derived whole,
-            # once per row range: pruning it per row instead took an in-process
-            # 41x41 trefoil x mirror survey from 92 to 151 ms (median of 9
-            # calls, one Intel Xeon core, Python 3.11).
-            if whole is None and side1.d.bounded and range2[0] < range2[1]:
+            if deepest is None:  # |t|, plus the pair at t >= 0, peaks at an end of range2
+                deepest = max(generator_count(sides2[n2].s, n) for n in range2)
+            # Pruning side 1 per row instead of deriving it whole took an
+            # in-process 41x41 trefoil x mirror survey from 92 to 151 ms
+            # (median of 9 calls, one Intel Xeon core, Python 3.11).
+            if (whole is None and side1.d.bounded and range2[0] < range2[1]
+                    and len(side1.d.generators) <= deepest):
                 whole = derive_cfa(side1.d)
             reports.append(_splice(side1, sides2[n2], whole))
     return reports

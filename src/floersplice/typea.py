@@ -87,8 +87,8 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
     node 0 is the empty word, and every other node is its parent's word
     followed by one letter, with its map in against, the parent's map
     followed by that letter's (typed.then).  A step along a label merges it
-    onto the word's last letter alone, the only one merging can touch, and
-    extends the parent node by the result.  Steps are kept per node and
+    onto the word's last letter alone, the only one merging can touch (a
+    table read in swap_and_merge), and extends the parent node by the result.  Steps are kept per node and
     label, so each distinct word is stepped and mapped once however many
     paths spell it, and a step costs the same at any word length: no word
     is built, sliced or hashed.  The stable walk's words are interned once

@@ -325,14 +325,19 @@ def then(comp: Mapping[int, int], mat: Mapping[int, int]) -> Mapping[int, int]:
     mat applied to every end.  A _Shift's run starts move in closed form:
     along D_23 by mat's offset, and otherwise only where their ends are the
     run's ends, the one place its other edges leave, so they cost no more
-    than two starts."""
-    if not isinstance(comp, _Shift):
+    than two starts.  _Shift is told by exact type, and a dict of one start,
+    every map of a walk along a run, is extended without a comprehension."""
+    if type(comp) is not _Shift:
+        if len(comp) == 1:
+            (s, c), = comp.items()
+            e = gf2.apply_sparse(mat, c)
+            return {s: e} if e else {}
         return {s: e for s, c in comp.items() if (e := gf2.apply_sparse(mat, c))}
     out = {s: e for s, c in comp.kept.items() if (e := gf2.apply_sparse(mat, c))}
     starts, offset = comp.starts, comp.offset
     if not starts:
         return out
-    if isinstance(mat, _Shift):
+    if type(mat) is _Shift:
         lo, hi = max(starts.start, mat.starts.start - offset), min(starts.stop, mat.starts.stop - offset)
         return _Shift(out, range(lo, hi), offset + mat.offset)
     for s in {starts[0], starts[-1]}:
@@ -517,7 +522,7 @@ def _unstable_chain(s: SimplifiedBases, n: int,
     run = t if abs(t) >= RUN_MIN else 0
     # The canceling pair nu1 <- nu2 sits where the directed chain enters:
     # after D_1 (iota_1) when t = 0, after D_12 (iota_0) when t > 0.
-    nus = [] if s.lspace_form or t < 0 else [DGen(f"nu{i}", int(t == 0), "nu") for i in (1, 2)]
+    nus = [DGen(f"nu{i}", int(t == 0), "nu") for i in (1, 2)] if _has_pair(s, t) else []
     first = nb + len(nus)
     last = first + abs(t) - 1  # the mu chain, if any, is first..last
     gens = [*stable, *nus, *map(_mu, range(0 if run else abs(t)))]
@@ -530,6 +535,21 @@ def _unstable_chain(s: SimplifiedBases, n: int,
     pair = [(nb + 1, EMPTY, nb), (0, "12" if t else "1", nb)]  # nu1 <- nu2, left by D_3 (t > 0) or D_2
     enter = ([*pair, (nb + 1, "3", first)] if t else pair) if nus else [(0, "123", first)]
     return gens, [*enter, *inner, *[(last, "2", q) for q in ends]], run
+
+
+def _has_pair(s: SimplifiedBases, t: int) -> bool:
+    """Whether the module at t = n - 2 tau has the canceling pair nu1 <- nu2:
+    a complex not of L-space form routes its t >= 0 chain through it."""
+    return not s.lspace_form and t >= 0
+
+
+def generator_count(s: SimplifiedBases, n: int) -> int:
+    """len(build_cfd(s, n).generators), read off s without building: the
+    stable generators (the xi basis and every arrow's chain), the canceling
+    pair, if any, and the |t| mu generators, as _unstable_chain lists them."""
+    t = n - 2 * s.tau
+    arrows = sum(h for *_, h in s.vertical_arrows) + sum(l for *_, l in s.horizontal_arrows)
+    return len(s.xi) + arrows + 2 * _has_pair(s, t) + abs(t)
 
 
 def _stable_part(s: SimplifiedBases) -> tuple[list[DGen], list[tuple[int, str, int]]]:

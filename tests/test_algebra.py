@@ -3,6 +3,7 @@
 import random
 from itertools import product
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -116,6 +117,34 @@ def test_swap_and_merge_worked_chains():
     assert swap_and_merge((EMPTY,)) == ()
     assert swap_and_merge(("3", "2", "12")) == ("123", "2")
     assert swap_and_merge(("23", "2", "12")) == ("2", "123", "2")
+
+
+def test_one_label_onto_one_letter_is_the_general_merge():
+    """Every label, the empty one too, merged onto no letter or onto one Reeb
+    letter is the general rule's word; a list, a longer prefix or a letter
+    outside the table takes the general rule, and an unknown label still
+    raises."""
+    for label, prefix in product(LABELS, [(), *((x,) for x in REEB_LABELS)]):
+        assert swap_and_merge((label,), prefix) == merge_word(swap_label(label), prefix), (label, prefix)
+    assert swap_and_merge(["3", "2"]) == swap_and_merge(("3", "2")) == ("12",)
+    assert swap_and_merge(["23"], ("1",)) == swap_and_merge(("23",), ("1",)) == ("12", "1")
+    assert swap_and_merge(("3",), ["1"]) == ("1", "1")
+    assert swap_and_merge(("3",), ("2", "1")) == ("2", "1", "1")
+    assert swap_and_merge(("3",), ("i0",)) == merge_word(("1",), ("i0",)) == ("1",)
+    for labels, prefix in ((("4",), ()), (("4",), ("1",)), (["4"], ())):
+        with pytest.raises(KeyError):
+            swap_and_merge(labels, prefix)
+
+
+@given(st.lists(st.sampled_from(LABELS), max_size=12))
+def test_label_at_a_time_onto_the_last_letter(labels):
+    """Merging a chain one label at a time onto its word's last letter, as the
+    type A walk steps, gives the chain's merged word: merging never reaches
+    past the last letter."""
+    word = ()
+    for label in labels:
+        word = word[:-1] + swap_and_merge((label,), word[-1:])
+    assert word == swap_and_merge(tuple(labels))
 
 
 @given(st.lists(st.sampled_from(REEB_LABELS + (EMPTY,)), max_size=6), st.integers())

@@ -35,7 +35,14 @@ from floersplice.splice import (
     survey_summary,
 )
 from floersplice.typea import TypeAModule, derive_cfa
-from floersplice.typed import durable_candidates, find_durable_pairs, walk_paths
+from floersplice.typed import (
+    build_cfd,
+    durable_candidates,
+    find_durable_pairs,
+    generator_count,
+    walk_paths,
+)
+from conftest import load
 from test_cfk import BARCODE_BASES, filtered_change
 
 
@@ -387,15 +394,44 @@ class TestSurvey:
         assert [r.to_dict() for r in survey(c1, range1, c2, range2)] == rows
 
     def test_side_keeps_one_whole_type_a_module(self, walked, trefoil, unknot_complex):
-        """A bounded side 1 derives one whole type A module per row range, which
-        every row pairs; an unbounded side 1 has none and pairs pruned per row."""
+        """A bounded side 1 that some row pairs through, having no more
+        generators than the deepest side 2, derives one whole type A module per
+        row range, which every row pairs.  A deeper side 1 pairs each row as
+        splice_report does, through side 2's pruned module; so does an
+        unbounded side 1, which has no whole module."""
+        sizes = {n: len(FramedSide(trefoil, n).d.generators) for n in range(1, 5)}
+        assert sizes == {1: 6, 2: 5, 3: 6, 4: 7}
         survey(trefoil, (3, 4), trefoil, (1, 3))
-        assert walked == [FramedSide(trefoil, 3).d, FramedSide(trefoil, 4).d]
+        assert walked == [FramedSide(trefoil, n).d for n in (3, 1, 2, 3)]
         walked.clear()
         survey(unknot_complex, (0, 0), trefoil, (1, 3))
         assert len(walked) == 3
         with pytest.raises(ValueError, match="only a bounded partner ends its walk"):
             derive_cfa(FramedSide(unknot_complex, 0).d)
+
+    def test_deep_first_side_pairs_through_the_shallow_side(self, walked, monkeypatch, trefoil):
+        """A side 1 deeper than every side 2 derives no whole module: each row
+        pairs side 2's pruned module, and gives splice_report's row.  Side 2's
+        count at its far end is read off its bases, so no side is built before
+        its row."""
+        from floersplice import splice
+
+        rows = survey(trefoil, (800, 800), trefoil, (3, 4))
+        assert walked == [FramedSide(trefoil, n).d for n in (3, 4)]
+        assert [r.to_dict() for r in rows] == [splice_report(trefoil, 800, trefoil, n).to_dict() for n in (3, 4)]
+        built = []
+        monkeypatch.setattr(splice, "FramedSide", lambda c, n: built.append(n) or FramedSide(c, n))
+        survey(trefoil, (800, 801), trefoil, (3, 4))
+        assert built == [800, 3, 4, 801]
+
+    def test_side_count_read_off_the_bases(self, trefoil, mirror_trefoil, figure_eight, t25, unknot_complex):
+        """generator_count(s, n) is the number of generators build_cfd(s, n)
+        has, over the fixtures and the benchmark complexes."""
+        fixtures = [trefoil, mirror_trefoil, figure_eight, t25, unknot_complex, load("t25_represented")]
+        for c in [*fixtures, *benchmark_complexes().values()]:
+            s = prepare(c)
+            for n in (*range(-40, 41), 10**6, -10**6):
+                assert generator_count(s, n) == len(build_cfd(s, n).generators), (c.name, n)
 
     def test_range_ends_must_be_ints(self, trefoil):
         """A float, str or bool range end is refused, naming the range, by the
@@ -576,10 +612,11 @@ class TestRoutes:
 
     def test_survey_derives_side_one_whole(self, walked, trefoil):
         """A bounded side 1 that meets several framings is derived whole, once,
-        however many generators it has."""
-        rows = survey(trefoil, (100, 100), trefoil, (2, 4))
-        assert walked == [FramedSide(trefoil, 100).d]
-        assert rows == [splice_report(trefoil, 100, trefoil, n2) for n2 in (2, 3, 4)]
+        when some row pairs through it: here the last, where side 2 has as
+        many generators as side 1."""
+        rows = survey(trefoil, (40, 40), trefoil, (2, 40))
+        assert walked == [FramedSide(trefoil, 40).d]
+        assert rows == [splice_report(trefoil, 40, trefoil, n2) for n2 in range(2, 41)]
 
     def test_bounded_side_count(
         self, trefoil, mirror_trefoil, figure_eight, t25, unknot_complex

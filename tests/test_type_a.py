@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from floersplice import gf2, typea
 from floersplice.algebra import EMPTY, swap_and_merge
-from floersplice.cfk import simplify, unknot
+from floersplice.cfk import simplify, staircase, unknot
 from floersplice.typea import derive_cfa, ops_text, validate_cfa
 from floersplice.typed import DGen, TypeDModule, build_cfd, durability, solve_gradings, walk_paths
 from conftest import gen_index
@@ -237,6 +237,37 @@ def test_a_long_run_walks_as_the_tuple_walk(mirror_trefoil, figure_eight, t25, u
             for u in unbounded:
                 for m, against in ((u, d), (d, u)):
                     assert derive_cfa(m, against=against).operations == _tuple_walk(m, _whole(against)), (c.name, n)
+
+
+STEP_COMPLEXES = {
+    "unknot": unknot,
+    "trefoil": lambda: staircase([1, 1], "+"),
+    "mirror_trefoil": lambda: staircase([1, 1], "-"),
+    "staircase_32": lambda: staircase([1] * 32, "+"),
+}
+
+
+@pytest.mark.parametrize("first, n1, second, n2, steps", [
+    ("unknot", 0, "mirror_trefoil", -80, 79),
+    ("trefoil", 3, "trefoil", 50, 8),
+    ("staircase_32", 33, "staircase_32", 112, 8),
+    ("trefoil", 20, None, None, 112),
+])
+def test_a_walk_steps_each_node_and_label_once(monkeypatch, first, n1, second, n2, steps):
+    """With its stable walk already kept, a walk calls typea.swap_and_merge
+    once per distinct (node, label) it steps: the counts recorded here are
+    those of the walk when every step merged through the general rule, so
+    reading the merge from a table neither adds a step nor saves one."""
+    from floersplice.splice import FramedSide
+
+    d = FramedSide(STEP_COMPLEXES[first](), n1).d
+    against = None if second is None else FramedSide(STEP_COMPLEXES[second](), n2).d
+    derive_cfa(d, against)
+    calls = []
+    real = typea.swap_and_merge
+    monkeypatch.setattr(typea, "swap_and_merge", lambda *a: calls.append(a) or real(*a))
+    derive_cfa(d, against)
+    assert len(calls) == steps
 
 
 def test_a_pruned_pairing_reads_every_map_from_the_walk(request, trefoil, monkeypatch):

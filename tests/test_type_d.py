@@ -633,6 +633,27 @@ def test_composite_extends_its_cached_parent(monkeypatch, trefoil, mirror_trefoi
     assert extended > 0
 
 
+def test_then_applies_the_label_at_every_start(trefoil, mirror_trefoil, figure_eight, t25, unknot_complex):
+    """then(comp, mat) has the ends of mat applied to each start's ends, at
+    every start: over maps of one start and of several, and _Shift maps,
+    whether the result vanishes or not, and with mat a dict or a _Shift."""
+    seen = Counter()
+    for c in (trefoil, mirror_trefoil, figure_eight, t25, unknot_complex):
+        s = simplify(c)
+        for n in (*range(-12, 13), 40, -40):
+            d = build_cfd(s, n)
+            comps = [d.composite(w) for length in (1, 2) for w in product(REEB_LABELS, repeat=length)]
+            for comp in comps:
+                kind = "shift" if isinstance(comp, typed._Shift) else {0: "none", 1: "one"}.get(len(comp), "many")
+                for x in REEB_LABELS:
+                    mat = d.composites[x,]
+                    want = {i: e for i, ends in comp.items() if (e := gf2.apply_sparse(mat, ends))}
+                    assert dict(typed.then(comp, mat).items()) == want, (c.name, n, x)
+                    seen[kind, bool(want), isinstance(mat, typed._Shift)] += 1
+    assert all(seen[kind, nonzero, False] for kind in ("one", "many", "shift") for nonzero in (False, True)), seen
+    assert seen["shift", True, True] and seen["one", True, True], seen
+
+
 def test_extending_a_vanishing_word_applies_nothing(monkeypatch, trefoil, mirror_trefoil, figure_eight,
                                                     t25, unknot_complex):
     """A four-letter word whose map vanishes at its two-letter prefix is
