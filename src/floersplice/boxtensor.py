@@ -11,9 +11,14 @@ over F2:
       the internal differential on the right factor;
   (c) an empty-word operation (m_1) on the type A side.
 
-Counted mod 2, the type D paths that spell a word are one composite map
-(TypeDModule.composite), so (a) pairs each operation with the map of its
-word.  The sum is finite because the type A side has finitely many words.
+Counted mod 2, the type D paths that spell a word are one composite map,
+so (a) pairs each operation with the map of its word (the pairing theorem
+of Lipshitz-Ozsvath-Thurston).  A word's map is its prefix's map followed
+by one more label's, so a prefix whose map vanishes rules out every word
+that extends it: (a) walks the type A side's words down their forest
+(TypeAModule) from the empty word, and below a word only where its map is
+nonzero.
+The sum is finite because the type A side has finitely many words.
 
 Only the pairs at either end of a nonzero entry are listed; the rest are
 counted per grading from the factors (dim C_g sums #A(i, ga) * #D(i, gd)
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 from . import gf2
 from .algebra import EMPTY
-from .typed import Column, TypeDModule
+from .typed import Column, TypeDModule, then
 from .typea import TypeAModule
 
 
@@ -73,10 +78,15 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
     a type D module other than d (different generators or edges): it lacks
     the operations that d would pair.
 
-    One pass reads d's cached maps of a's words, dropping a vanishing one at
-    once.  Contributions XOR type D end bitmasks per (A source, D start, A
-    target), so they cancel before an end becomes a pair ai * nd + di
-    (sorted: (A, D) order).  Cost follows live words and entries, not na * nd.
+    A walk down a's forest of words reads each node's map from d.composites.
+    On a miss it extends the parent's map by the node's letters (typed.then)
+    and keeps the result there, unless a proper prefix vanished on the way,
+    so no kept map lies below a vanishing one.  It pairs a node's operations
+    and visits its children only where the map is nonzero.  Contributions
+    XOR type D end bitmasks per (A source, D start, A target), so they
+    cancel before an end becomes a pair ai * nd + di (sorted: (A, D) order).
+    Cost follows the words whose prefixes d pairs and the entries, not all
+    of a's words nor na * nd.
     """
     b = a.against
     if b is not None and b is not d and _listed(b) != _listed(d):
@@ -85,18 +95,30 @@ def box_tensor(a: TypeAModule, d: TypeDModule) -> ChainComplex:
     na, nd = len(a.source.generators), len(d.generators)
     acc: dict[int, int] = {}  # (asrc * nd + dstart) * na + adst -> type D ends, mod 2
 
-    # (a) Reeb-labeled paths, as the composite map of each nonempty word
-    ops = a.by_word
-    for word, comp in zip(ops, map(d.composites.get, ops)):
-        if comp is None:
-            if not word:
-                continue
-            comp = d.composite(word)
-        if comp:
-            for start, ends in comp.items():
-                for asrc, adst in ops[word]:
-                    key = (asrc * nd + start) * na + adst
-                    acc[key] = acc.get(key, 0) ^ ends
+    # (a) Reeb-labeled paths, down a's forest of words below each nonzero map
+    ops, comps = a.by_word, d.composites
+    stack = [(a.forest, None)]  # nodes to visit, and their parent's map (None: the identity's)
+    while stack:
+        below, up = stack.pop()
+        for word, letters, children in below:
+            comp = comps.get(word)
+            if comp is None:  # up's map followed by each letter's, kept unless a prefix vanished
+                comp = up
+                for x in letters:
+                    if comp is not None and not comp:
+                        break
+                    comp = comps[x,] if comp is None else then(comp, comps[x,])
+                else:
+                    comps[word] = comp
+            if comp:
+                pairs = ops.get(word)  # none for a prefix that is no word
+                if pairs:
+                    for start, ends in comp.items():
+                        for asrc, adst in pairs:
+                            key = (asrc * nd + start) * na + adst
+                            acc[key] = acc.get(key, 0) ^ ends
+                if children:
+                    stack.append((children, comp))
 
     # (b) identity-labeled edges of the type D side, from its single-label map
     aidem, didem = a.source.idempotents, d.idempotents

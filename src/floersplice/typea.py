@@ -24,12 +24,25 @@ from .typed import TypeDModule, then, walk_paths
 @dataclass(frozen=True)
 class TypeAModule:
     """The operations derived from source, a type D module whose generators
-    and idempotents are this module's, and whose gradings it flips at iota_0."""
+    and idempotents are this module's, and whose gradings it flips at iota_0.
+
+    Its words hang in a forest, which box_tensor walks from the root, the
+    empty word: each node is a word, or a proper prefix of one, with the
+    letters that lead to it from its parent, so its map is its parent's map
+    followed by those letters' maps.  derive_cfa gives a whole module its
+    prefix forest: a node is a word or a proper prefix where two words part,
+    below the nearest such prefix, so a stretch of prefixes with one
+    extension each and no word of its own is one edge, and a word of L
+    letters costs its letters, not L squared.  Every other module hangs
+    each word from the root: a pruned one has its partner's map of each
+    word already in the partner's composites, and nothing to prune."""
 
     source: TypeDModule
     operations: frozenset[tuple[int, tuple[str, ...], int]]  # (input, word, output)
     # the type D module derive_cfa pruned against; None for a whole module
     against: TypeDModule | None = field(default=None, repr=False, compare=False)
+    # the root's children, each (word, its letters past its parent's, its own children)
+    forest: list | None = field(default=None, repr=False, compare=False)
     # word -> (input, output) pairs of its operations, and the longest word,
     # built once from operations
     by_word: dict[tuple[str, ...], list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
@@ -41,6 +54,8 @@ class TypeAModule:
             by_word.setdefault(word, []).append((src, dst))
         object.__setattr__(self, "by_word", by_word)
         object.__setattr__(self, "max_word_length", max(map(len, by_word), default=0))
+        if self.forest is None:
+            object.__setattr__(self, "forest", [(word, word, ()) for word in by_word if word])
 
     @cached_property
     def gradings(self) -> list[int]:
@@ -88,13 +103,16 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
     followed by one letter, with its map in against, the parent's map
     followed by that letter's (typed.then).  A step along a label merges it
     onto the word's last letter alone, the only one merging can touch (a
-    table read in swap_and_merge), and extends the parent node by the result.  Steps are kept per node and
-    label, so each distinct word is stepped and mapped once however many
-    paths spell it, and a step costs the same at any word length: no word
-    is built, sliced or hashed.  The stable walk's words are interned once
-    each; the kept operations' words are spelled at the end, and their maps
-    put in against.composites, where box_tensor reads them.  Nothing else
-    outlives the call.
+    table read in swap_and_merge), and extends the parent node by the
+    result.  Steps are kept per node and label, so each distinct word is
+    stepped and mapped once however many paths spell it, and a step costs
+    the same at any word length: no word is built, sliced or hashed.  The
+    stable walk's words are interned once each.  At the end a whole walk's
+    trie of kept words becomes the module's prefix forest (_prefix_forest),
+    whose nodes are spelled once each.  A pruned walk spells each kept word
+    from its nearest spelled ancestor, and puts its map in
+    against.composites, where box_tensor reads it.  Nothing else outlives
+    the call.
     """
     if not m.bounded:
         if against is None:
@@ -177,13 +195,56 @@ def derive_cfa(m: TypeDModule, against: TypeDModule | None = None) -> TypeAModul
             k, last, _ = nodes[k]
             letters += last
         word = words[node] = words[k] + tuple(reversed(letters)) + word
-        if cache is not None:
-            cache.setdefault(word, comp)
+        cache.setdefault(word, comp)
         return word
 
-    ops = frozenset((src, words[node] if node in words else spell(node), end)
-                    for (src, node, end), p in parity.items() if p)
-    return TypeAModule(m, ops, against)
+    if against is None:  # each prefix of a kept word spelled once, in the forest
+        forest = _prefix_forest(nodes, [node for (_, node, _), p in parity.items() if p], words)
+        ops = frozenset((src, words[node], end) for (src, node, end), p in parity.items() if p)
+    else:  # the few kept words, each from its nearest spelled ancestor
+        forest = None
+        ops = frozenset((src, words[node] if node in words else spell(node), end)
+                        for (src, node, end), p in parity.items() if p)
+    return TypeAModule(m, ops, against, forest)
+
+
+def _prefix_forest(nodes, kept, words: dict[int, tuple[str, ...]]) -> list:
+    """The prefix forest (see TypeAModule) of the words of kept, nodes of a
+    trie whose nodes[k] is (parent, (last letter,), any), node 0 the empty
+    word, each node's index past its parent's.  Its nodes are the root, the
+    kept nodes and each node where two kept words part.  A climb from each
+    kept node to the first node reached before counts each node's children
+    on kept words; one pass down those nodes spells each forest node from
+    the node above it, so no prefix is spelled twice and none outside the
+    forest is spelled at all.  words (node -> word) gains the forest's
+    words."""
+    fan = [0] * len(nodes)  # children on kept words, plus 2 if kept: a forest node's is past 1
+    fan[0], on = 2, []  # on: the nodes on kept words but the root
+    for node in kept:
+        if fan[node]:
+            fan[node] += 2
+            continue
+        fan[node] = 2
+        on.append(node)
+        up = nodes[node][0]
+        while not fan[up]:  # climb to the first node reached before
+            fan[up] = 1
+            on.append(up)
+            up = nodes[up][0]
+        fan[up] += 1
+    below = {0: []}  # forest node -> its children
+    for node in sorted(on):  # each after the nodes above it
+        if fan[node] > 1:
+            up, tail, _ = nodes[node]
+            if fan[up] == 1:  # past prefixes of one extension each
+                letters = [tail[0]]
+                while fan[up] == 1:
+                    up, last, _ = nodes[up]
+                    letters += last
+                tail = tuple(reversed(letters))
+            word = words[node] = words[up] + tail
+            below[up].append((word, tail, below.setdefault(node, [])))
+    return below[0]
 
 
 def _stable_walk(m: TypeDModule) -> tuple[int, dict[int, list[tuple[int, tuple[str, ...]]]]]:

@@ -73,8 +73,10 @@ class TypeDModule:
     bounded: bool = field(init=False, repr=False, compare=False)
     # nonempty path-order label word -> its map, start -> nonzero ends: the
     # single labels from construction, longer words filled by composite on
-    # first ask, also when the map vanishes, and by derive_cfa against this
-    # module with the nonzero maps of the words its walk spells
+    # first ask, also when the map vanishes; by derive_cfa against this
+    # module with the nonzero maps of the words its walk spells; and by
+    # box_tensor with the map of each forest node its walk reaches below a
+    # nonzero one, unless a prefix between them vanishes
     composites: dict[tuple[str, ...], Mapping[int, int]] = field(init=False, repr=False, compare=False)
     # the run's generators (none without one), the index step of its D_23
     # edges and their sources

@@ -424,6 +424,46 @@ class TestSurvey:
         survey(trefoil, (800, 801), trefoil, (3, 4))
         assert built == [800, 3, 4, 801]
 
+    @pytest.mark.parametrize("k", [20, 30])
+    def test_partner_keeps_only_the_maps_its_rows_reach(self, monkeypatch, trefoil, mirror_trefoil, k):
+        """A row walks side 1's words by prefix and stops below a vanishing
+        map: it reads few of side 2's maps (side 1 has about 43 and 63
+        words per row at +-20 and +-30, each of which a row read before),
+        each side 2 keeps few maps beyond its seven single-label ones (254
+        and 384 before), and none below a vanishing prefix.  The rows are
+        splice_report's."""
+        from floersplice import splice
+
+        class Counted(dict):
+            def get(self, word, default=None):
+                reads.append(word)
+                return super().get(word, default)
+
+        sides2, reads = [], []
+
+        def recorded(c, n):
+            side = FramedSide(c, n)
+            if c is mirror_trefoil:
+                object.__setattr__(side.d, "composites", Counted(side.d.composites))
+                sides2.append(side)
+            return side
+
+        monkeypatch.setattr(splice, "FramedSide", recorded)
+        rows = survey(trefoil, (-k, k), mirror_trefoil, (-k, k))
+        assert len(sides2) == 2 * k + 1
+        assert len(reads) <= 16 * len(rows), len(reads) / len(rows)
+        for side in sides2:
+            kept = side.d.composites
+            assert len(kept) - 7 <= 32, (str(side), len(kept))
+            for word in kept:
+                vanished = [word[:i] for i in range(1, len(word)) if word[:i] in kept and not kept[word[:i]]]
+                assert not vanished, (str(side), word, vanished)
+        if k == 20:
+            monkeypatch.undo()
+            assert [r.to_dict() for r in rows] == [
+                splice_report(trefoil, n1, mirror_trefoil, n2).to_dict()
+                for n1 in range(-k, k + 1) for n2 in range(-k, k + 1)]
+
     def test_side_count_read_off_the_bases(self, trefoil, mirror_trefoil, figure_eight, t25, unknot_complex):
         """generator_count(s, n) is the number of generators build_cfd(s, n)
         has, over the fixtures and the benchmark complexes."""

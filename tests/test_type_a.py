@@ -272,12 +272,14 @@ def test_a_walk_steps_each_node_and_label_once(monkeypatch, first, n1, second, n
 
 def test_a_pruned_pairing_reads_every_map_from_the_walk(request, trefoil, monkeypatch):
     """The pruned walk puts the map of every word it keeps in its partner's
-    composites, so box_tensor asks the partner for no composite: the fixtures
-    at -7..9 against trefoil[3], in both orders."""
+    composites, so box_tensor neither asks the partner for a composite nor
+    extends a map itself: the fixtures at -7..9 against trefoil[3], in both
+    orders."""
+    from floersplice import boxtensor
     from floersplice.boxtensor import box_tensor
 
-    def refuse(self, word):
-        raise AssertionError(f"box_tensor computed the composite of {word}")
+    def refuse(*args):
+        raise AssertionError(f"box_tensor computed a map: {args[1:]}")
 
     for name in FIXTURES:
         s = simplify(request.getfixturevalue(name))
@@ -287,7 +289,46 @@ def test_a_pruned_pairing_reads_every_map_from_the_walk(request, trefoil, monkey
                 a = derive_cfa(m, against=against)
                 with monkeypatch.context() as patch:
                     patch.setattr(TypeDModule, "composite", refuse)
+                    patch.setattr(boxtensor, "then", refuse)
                     box_tensor(a, against)
+
+
+def forest_edges(a):
+    """(parent word, word, letters) of each node of a's forest."""
+    edges, stack = [], [((), a.forest)]
+    while stack:
+        up, below = stack.pop()
+        for word, letters, children in below:
+            edges.append((up, word, letters))
+            stack.append((word, children))
+    return edges
+
+
+def test_prefix_forest_holds_each_word_once(request):
+    """A whole module's forest holds each word once, each node extends its
+    parent, the nearest node above it, by its letters, and a node that is no
+    word is a prefix where two words part; a module built from its
+    operations alone hangs each word from the root.  The fixtures at
+    -7..9."""
+    from floersplice.typea import TypeAModule
+
+    for name in FIXTURES:
+        s = simplify(request.getfixturevalue(name))
+        for n in range(-7, 10):
+            m = build_cfd(s, n)
+            if not m.bounded:
+                continue
+            a = derive_cfa(m)
+            edges = forest_edges(a)
+            words = [word for _, word, _ in edges]
+            assert len(words) == len(set(words)) and set(a.by_word) - {()} <= set(words), (name, n)
+            ups = [up for up, _, _ in edges]
+            for up, word, letters in edges:
+                assert letters and word == up + letters, (name, n, word)
+                assert not set(words) & {word[:i] for i in range(len(up) + 1, len(word))}, (name, n, word)
+                assert word in a.by_word or ups.count(word) >= 2, (name, n, word)
+            flat = forest_edges(TypeAModule(a.source, a.operations))
+            assert sorted(flat) == sorted(((), word, word) for word in a.by_word if word), (name, n)
 
 
 def test_a_deep_run_walks_in_little_memory(mirror_trefoil, unknot_complex):
